@@ -9,7 +9,7 @@ pipeline; `harness` adds file formats, evaluation and experiment drivers.
 """
 
 from . import analytic, assignment, construction, sampling, search
-from .core import Dataset, MemoryIndex, MemoryUnit, QueryModel, inner, normalize
+from .core import Dataset, MemoryIndex, QueryModel, inner, normalize
 from .errors import (
     DegenerateCapError,
     DimensionError,
@@ -32,7 +32,6 @@ __all__ = [
     "sampling",
     "search",
     "Dataset",
-    "MemoryUnit",
     "MemoryIndex",
     "QueryModel",
     "normalize",

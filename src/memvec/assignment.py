@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .construction import ConstructionConfig, pinv_vector, sum_vector
+from .construction import ConstructionConfig, representatives
 from .core import Dataset
 from .errors import DomainError
 from .sampling import Seed
@@ -27,10 +27,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of N dataset ids to M units."""
+    """Assignment of N dataset ids to M units, also held in CSR form:
+    unit j's ids, ascending, are ``order[offsets[j]:offsets[j + 1]]``."""
 
     unit_of: np.ndarray  # (N,) int64, values in [0, M)
     M: int
+    order: np.ndarray = field(init=False, repr=False, compare=False)  # (N,)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (M + 1,)
 
     def __post_init__(self):
         u = np.asarray(self.unit_of, dtype=np.int64)
@@ -38,8 +41,11 @@ class Partition:
             raise DomainError("unit_of must be a non-empty 1-d array")
         if self.M < 1 or u.min() < 0 or u.max() >= self.M:
             raise DomainError("unit ids out of range")
-        u.setflags(write=False)
-        object.__setattr__(self, "unit_of", u)
+        order = np.argsort(u, kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=self.M))))
+        for name, arr in (("unit_of", u), ("order", order), ("offsets", offsets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def N(self) -> int:
@@ -47,10 +53,10 @@ class Partition:
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.bincount(self.unit_of, minlength=self.M)
+        return np.diff(self.offsets)
 
     def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.unit_of == j)
+        return self.order[self.offsets[j]:self.offsets[j + 1]]
 
 
 @dataclass(frozen=True)
@@ -104,16 +110,6 @@ def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     return Partition(unit_of=unit_of, M=M)
 
 
-def _representative(vectors: np.ndarray, mode: str, cfg: ConstructionConfig,
-                    normalize_rep: bool) -> np.ndarray:
-    rep = sum_vector(vectors) if mode == "sum" else pinv_vector(vectors, cfg)
-    if normalize_rep:
-        norm = np.linalg.norm(rep)
-        if norm > 0.0:
-            rep = rep / norm
-    return rep
-
-
 def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np.ndarray]:
     """Spherical k-means where the update stage builds sum or pinv
     representatives (footnote-style normalized variant optional).
@@ -129,7 +125,8 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     if cfg.M > N:
         raise DomainError("M must not exceed the dataset size")
     rng = cfg.seed.generator()
-    reps = X[rng.choice(N, size=cfg.M, replace=False)].copy()
+    reps = X[rng.choice(N, size=cfg.M, replace=False)]
+    construction = replace(cfg.construction, kind=cfg.mode)
 
     labels = None
     for _ in range(cfg.max_iters):
@@ -145,15 +142,15 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
             new_labels[stolen] = j
 
         if labels is not None and np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
-        for j in range(cfg.M):
-            members = X[labels == j]
-            reps[j] = _representative(members, cfg.mode, cfg.construction,
-                                      cfg.normalize_representative)
+        part = Partition(unit_of=labels, M=cfg.M)
+        reps = representatives(X, part.order, part.offsets, construction)
+        if cfg.normalize_representative:
+            norms = np.linalg.norm(reps, axis=1, keepdims=True)
+            reps = np.divide(reps, norms, out=reps, where=norms > 0.0)
 
-    return Partition(unit_of=labels, M=cfg.M), reps
+    return part, reps
 
 
 def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.ndarray]:
@@ -175,9 +172,8 @@ def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.
         if cfg.inner == "random":
             part = random_assignment(block.size, min(cfg.unit_size, block.size),
                                      seed.generator())
-            reps = np.zeros((part.M, dataset.dim))
-            for j in range(part.M):
-                reps[j] = sum_vector(block.vectors[part.members(j)])
+            reps = representatives(block.vectors, part.order, part.offsets,
+                                   ConstructionConfig(kind="sum"))
         else:
             inner = replace(cfg.inner, M=min(cfg.inner.M, block.size), seed=seed)
             part, reps = spherical_kmeans(block, inner)

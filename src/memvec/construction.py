@@ -3,7 +3,7 @@
 The pinv representative solves X'm = 1_n with minimal norm via the n x n
 Gram system (n << d in all intended regimes). A singular Gram or n > d
 falls back to a ridge-regularized solve; the retry is recorded on the
-returned metadata when requested.
+returned metadata when requested. ``representatives`` builds all units.
 """
 
 from __future__ import annotations
@@ -13,9 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, EmptyUnitError, SingularGramError
+from .errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
 
-__all__ = ["ConstructionConfig", "sum_vector", "pinv_vector", "solve_spd"]
+__all__ = ["ConstructionConfig", "sum_vector", "pinv_vector", "solve_spd", "representatives"]
+
+# Member floats gathered per batch. Larger batches are no faster, and the
+# temporaries they free stay resident in the heap.
+_BATCH_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -29,27 +33,23 @@ class ConstructionConfig:
 
     def __post_init__(self):
         if self.kind not in ("sum", "pinv"):
-            raise ValueError(f"unknown construction kind {self.kind!r}")
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be non-negative")
-        if self.fallback_ridge_scale <= 0.0:
-            raise ValueError("fallback ridge must be positive")
+            raise DomainError(f"unknown construction kind {self.kind!r}")
+        if not self.ridge >= 0.0:
+            raise DomainError("ridge must be non-negative")
+        if not self.fallback_ridge_scale > 0.0:
+            raise DomainError("fallback ridge must be positive")
 
 
 def _as_matrix(members) -> np.ndarray:
     """Stack members into an (n, d) float64 matrix."""
-    if isinstance(members, np.ndarray) and members.ndim == 2:
+    try:
         mat = np.asarray(members, dtype=np.float64)
-    else:
-        rows = [np.asarray(m, dtype=np.float64) for m in members]
-        if not rows:
-            raise EmptyUnitError("empty member set")
-        dims = {r.shape for r in rows}
-        if len(dims) != 1 or rows[0].ndim != 1:
-            raise DimensionError("members disagree on dimension")
-        mat = np.vstack(rows)
-    if mat.shape[0] == 0:
+    except ValueError as exc:  # ragged rows
+        raise DimensionError("members disagree on dimension") from exc
+    if mat.size == 0:
         raise EmptyUnitError("empty member set")
+    if mat.ndim != 2:
+        raise DimensionError("members must form an (n, d) matrix")
     return mat
 
 
@@ -97,17 +97,73 @@ def pinv_vector(members, cfg: ConstructionConfig | None = None,
     n, d = X.shape
     gram = X @ X.T
     ones = np.ones(n)
-    ridge_used = cfg.ridge
-    if n > d:
+    try:
+        if n > d:
+            raise SingularGramError("more members than dimensions")
+        ridge_used, z = cfg.ridge, solve_spd(gram, ones, ridge=cfg.ridge)
+    except SingularGramError:
         ridge_used = cfg.fallback_ridge_scale * float(np.mean(np.diag(gram)))
         z = solve_spd(gram, ones, ridge=ridge_used)
-    else:
-        try:
-            z = solve_spd(gram, ones, ridge=cfg.ridge)
-        except SingularGramError:
-            ridge_used = cfg.fallback_ridge_scale * float(np.mean(np.diag(gram)))
-            z = solve_spd(gram, ones, ridge=ridge_used)
     if report is not None:
-        report["ridge_used"] = ridge_used
-        report["fallback"] = ridge_used != cfg.ridge
+        report.update(ridge_used=ridge_used, fallback=ridge_used != cfg.ridge)
     return X.T @ z
+
+
+def _pinv_batch(block: np.ndarray, ridge: float):
+    """pinv of a (b, n, d) batch, n <= d: representatives, which units meet the
+    solve_spd bound, and each unit's worst |<m, x_i> - 1|. Raises LinAlgError
+    when a Gram is not positive definite."""
+    n = block.shape[1]
+    gram = block @ block.transpose(0, 2, 1)
+    system = gram + ridge * np.eye(n)
+    np.linalg.cholesky(system)
+    z = np.linalg.solve(system, np.ones(n))
+    # solve_spd's bound 1e-8 (1 + max|b|) with b = 1; NaN fails it
+    ok = np.max(np.abs(system @ z[..., None] - 1.0), axis=(1, 2)) <= 2e-8
+    constraint = np.max(np.abs(gram @ z[..., None] - 1.0), axis=(1, 2))
+    return np.einsum("bi,bid->bd", z, block), ok, constraint
+
+
+def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
+                    cfg: ConstructionConfig | None = None,
+                    report: dict | None = None) -> np.ndarray:
+    """(M, d) representatives of the CSR units ``X[member_ids[offsets[j]:
+    offsets[j + 1]]]``, gathered in (b, n, d) batches of equal size n.
+
+    Sums equal ``sum_vector`` bit for bit. pinv solves a batch at once; a
+    batch whose Cholesky fails, a unit over the solve_spd bound and every
+    unit with n > d go through ``pinv_vector``. A passed dict receives
+    ``fallbacks``, the units that took the fallback ridge, and
+    ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
+    cfg = cfg or ConstructionConfig()
+    X = np.asarray(X, dtype=np.float64)
+    sizes = np.diff(offsets)
+    if np.any(sizes <= 0):
+        raise EmptyUnitError("empty member set")
+    d = X.shape[1]
+    reps = np.empty((sizes.size, d))
+    fallbacks, worst = 0, 0.0
+    for n in np.unique(sizes):
+        units = np.flatnonzero(sizes == n)
+        step = max(1, _BATCH_FLOATS // (n * d))
+        for s in range(0, units.size, step):
+            js = units[s:s + step]
+            block = X[member_ids[offsets[js, None] + np.arange(n)]]
+            if cfg.kind == "sum":
+                reps[js] = block.sum(axis=1)
+                continue
+            ok = np.zeros(js.size, dtype=bool)
+            if n <= d:
+                try:
+                    reps[js], ok, resid = _pinv_batch(block, cfg.ridge)
+                    worst = max(worst, float(resid[ok].max(initial=0.0)))
+                except np.linalg.LinAlgError:
+                    pass
+            for k in np.flatnonzero(~ok):
+                unit = {}
+                reps[js[k]] = pinv_vector(block[k], cfg, unit)
+                fallbacks += unit["fallback"]
+                worst = max(worst, float(np.max(np.abs(block[k] @ reps[js[k]] - 1.0))))
+    if report is not None:
+        report.update(fallbacks=fallbacks, max_residual=worst)
+    return reps

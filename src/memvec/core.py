@@ -1,4 +1,4 @@
-"""Core data model: unit vectors, datasets, memory units and query models.
+"""Core data model: unit vectors, datasets, the memory index and query models.
 
 All vectors live on the d-dimensional unit hypersphere and similarity is
 the plain inner product. Coefficients are held in float64 internally; the
@@ -14,13 +14,13 @@ import numpy as np
 from .errors import DimensionError, EmptyUnitError, ModelError, NormalizationError
 
 UNIT_NORM_TOL = 1e-9
+FILE_NORM_TOL = 1e-4  # loose bound for stored vectors: files hold float32
 
 __all__ = [
     "UNIT_NORM_TOL",
     "normalize",
     "inner",
     "Dataset",
-    "MemoryUnit",
     "MemoryIndex",
     "QueryModel",
 ]
@@ -70,8 +70,7 @@ class Dataset:
         if not np.all(np.isfinite(arr)):
             raise NormalizationError("dataset has non-finite coefficients")
         norms = np.linalg.norm(arr, axis=1)
-        # loose bound: file-loaded data is float32-rounded
-        if np.max(np.abs(norms - 1.0)) > 1e-4:
+        if np.max(np.abs(norms - 1.0)) > FILE_NORM_TOL:
             raise NormalizationError("dataset rows are not unit vectors")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
@@ -89,67 +88,52 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class MemoryUnit:
-    """A group of dataset ids and its representative vector.
-
-    The representative is not necessarily unit norm.
-    """
-
-    member_ids: np.ndarray  # (n_i,) int64, no duplicates
-    representative: np.ndarray  # (d,) float64
-
-    def __post_init__(self):
-        ids = np.asarray(self.member_ids, dtype=np.int64)
-        rep = np.asarray(self.representative, dtype=np.float64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise EmptyUnitError("memory unit has no members")
-        if len(np.unique(ids)) != ids.size:
-            raise EmptyUnitError("duplicate member ids in memory unit")
-        if rep.ndim != 1 or not np.all(np.isfinite(rep)):
-            raise DimensionError("representative must be a finite 1-d vector")
-        ids.setflags(write=False)
-        rep.setflags(write=False)
-        object.__setattr__(self, "member_ids", ids)
-        object.__setattr__(self, "representative", rep)
-
-    @property
-    def size(self) -> int:
-        return self.member_ids.size
-
-
-@dataclass(frozen=True)
 class MemoryIndex:
-    """All M memory units plus construction metadata.
+    """M memory units in CSR layout: unit j holds the dataset ids
+    ``member_ids[offsets[j]:offsets[j + 1]]`` and is summarized by
+    ``representatives[j]`` (not necessarily unit norm). Invariant: no unit
+    is empty and ``member_ids`` is a permutation of [0, total)."""
 
-    Invariant: the member id sets partition [0, total).
-    """
-
-    units: tuple[MemoryUnit, ...]
+    representatives: np.ndarray  # (M, d) float64
+    offsets: np.ndarray  # (M + 1,) int64
+    member_ids: np.ndarray  # (N,) int64
     construction: str  # "sum" | "pinv"
-    dim: int
-    total: int
 
     def __post_init__(self):
         if self.construction not in ("sum", "pinv"):
             raise ModelError(f"unknown construction tag {self.construction!r}")
-        if not self.units:
-            raise EmptyUnitError("index has no units")
-        for u in self.units:
-            if u.representative.size != self.dim:
-                raise DimensionError("unit representative dimension mismatch")
-        all_ids = np.concatenate([u.member_ids for u in self.units])
-        if all_ids.size != self.total or not np.array_equal(
-            np.sort(all_ids), np.arange(self.total)
-        ):
+        reps = np.asarray(self.representatives, dtype=np.float64)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        ids = np.asarray(self.member_ids, dtype=np.int64)
+        if (reps.ndim != 2 or ids.ndim != 1 or offsets.shape != (len(reps) + 1,)
+                or offsets[0] != 0 or offsets[-1] != ids.size):
+            raise ModelError("offsets do not delimit the member ids")
+        if len(reps) == 0 or np.any(np.diff(offsets) <= 0):
+            raise EmptyUnitError("index has no units, or an empty one")
+        if not np.all(np.isfinite(reps)):
+            raise DimensionError("representatives must be finite")
+        if ids.min() < 0 or np.any(np.bincount(ids, minlength=ids.size) != 1):
             raise ModelError("unit members do not partition the dataset ids")
+        for name, arr in (("representatives", reps), ("offsets", offsets),
+                          ("member_ids", ids)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_units(self) -> int:
-        return len(self.units)
+        return self.representatives.shape[0]
 
-    def representatives(self) -> np.ndarray:
-        """Stack representatives into an (M, d) array."""
-        return np.stack([u.representative for u in self.units])
+    @property
+    def dim(self) -> int:
+        return self.representatives.shape[1]
+
+    @property
+    def total(self) -> int:
+        return self.member_ids.size
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
 
 @dataclass(frozen=True)

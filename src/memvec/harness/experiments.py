@@ -10,10 +10,10 @@ import numpy as np
 
 from ..analytic import error_rates, expected_cost_ratio, threshold_for
 from ..assignment import KMeansConfig, imbalance_factor, random_assignment, spherical_kmeans
-from ..construction import ConstructionConfig
+from ..construction import ConstructionConfig, representatives
 from ..core import Dataset
 from ..errors import DomainError
-from ..sampling import Seed, sample_sphere
+from ..sampling import Seed, h1_queries, sample_sphere
 from ..search import binarize, build_index, query, query_binary
 from .evaluation import cosine_ground_truth
 
@@ -29,20 +29,6 @@ __all__ = [
 _UNIT_BATCH_FLOATS = 4_000_000  # ~32 MB of member vectors per batch
 
 
-def _unit_vectors(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    g = rng.standard_normal(shape)
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-
-def _representatives(X: np.ndarray, construction: str) -> np.ndarray:
-    """Batched representatives for stacked units X of shape (B, n, d)."""
-    if construction == "sum":
-        return X.sum(axis=1)
-    gram = np.einsum("bij,bkj->bik", X, X)
-    z = np.linalg.solve(gram, np.ones(X.shape[1]))
-    return np.einsum("bi,bid->bd", z, X)
-
-
 def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
                          trials: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial unit scores under H0 and H1 for fresh random units.
@@ -56,21 +42,15 @@ def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
     h0 = np.empty(trials)
     h1 = np.empty(trials)
     batch = max(1, _UNIT_BATCH_FLOATS // (n * d))
-    beta = np.sqrt(max(0.0, 1.0 - alpha * alpha))
-    done = 0
-    while done < trials:
+    cfg = ConstructionConfig(kind=construction)
+    for done in range(0, trials, batch):
         b = min(batch, trials - done)
-        X = _unit_vectors(rng, (b, n, d))
-        m = _representatives(X, construction)
-        x1 = X[:, 0, :]
-        g = rng.standard_normal((b, d))
-        g -= np.sum(g * x1, axis=1, keepdims=True) * x1
-        z = g / np.linalg.norm(g, axis=1, keepdims=True)
-        y1 = alpha * x1 + beta * z
-        y0 = _unit_vectors(rng, (b, d))
+        X = sample_sphere(d, rng, size=b * n)  # b stacked units of n rows
+        m = representatives(X, np.arange(b * n), np.arange(0, b * n + 1, n), cfg)
+        y1 = h1_queries(X[::n], alpha, rng)
+        y0 = sample_sphere(d, rng, size=b)
         h1[done:done + b] = np.sum(m * y1, axis=1)
         h0[done:done + b] = np.sum(m * y0, axis=1)
-        done += b
     return h0, h1
 
 
@@ -111,13 +91,13 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
     rng = seed.child(f"cost-{construction}-{n}").generator()
     reps = np.empty((M, d))
     batch = max(1, _UNIT_BATCH_FLOATS // (n * d))
-    done = 0
-    while done < M:
+    cfg = ConstructionConfig(kind=construction)
+    for done in range(0, M, batch):
         b = min(batch, M - done)
-        X = _unit_vectors(rng, (b, n, d))
-        reps[done:done + b] = _representatives(X, construction)
-        done += b
-    queries = _unit_vectors(rng, (n_queries, d))
+        X = sample_sphere(d, rng, size=b * n)  # b stacked units of n rows
+        reps[done:done + b] = representatives(X, np.arange(b * n),
+                                              np.arange(0, b * n + 1, n), cfg)
+    queries = sample_sphere(d, rng, size=n_queries)
     scores = queries @ reps.T  # (Q, M)
     scanned = np.where(scores > tau, sizes[None, :], 0).sum(axis=1)
     ratios = (M + scanned) / N
@@ -191,13 +171,7 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
     N = dataset.size
     qrng = seed.child("queries").generator()
     planted = qrng.integers(N, size=n_queries)
-    g = qrng.standard_normal((n_queries, dataset.dim))
-    x = dataset.vectors[planted]
-    g -= np.sum(g * x, axis=1, keepdims=True) * x
-    z = g / np.linalg.norm(g, axis=1, keepdims=True)
-    beta = np.sqrt(max(0.0, 1.0 - alpha * alpha))
-    queries = alpha * x + beta * z
-    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    queries = h1_queries(dataset.vectors[planted], alpha, qrng)
     matches = cosine_ground_truth(dataset, queries, alpha0)
 
     rows = []
@@ -217,41 +191,25 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
             else:
                 raise DomainError(f"unknown assignment method {method!r}")
             index = build_index(dataset, part, cfg)
-            reps = index.representatives()
-            sizes = np.array([u.size for u in index.units])
-            unit_matches = np.zeros((n_queries, index.num_units), dtype=np.int64)
-            for j, u in enumerate(index.units):
-                member_set = u.member_ids
-                for q in range(n_queries):
-                    unit_matches[q, j] = np.intersect1d(
-                        member_set, matches[q], assume_unique=True).size
-
-            scores = queries @ reps.T  # (Q, M)
-            order = np.argsort(-scores, axis=1, kind="stable")
-            visited = order[:, :top_k]
-            rank_hit = np.zeros(top_k)
-            mpp_num = 0
-            mpp_den = 0
-            complexities = np.empty(n_queries)
-            for q in range(n_queries):
-                hits = unit_matches[q, visited[q]]
-                rank_hit += hits > 0
-                mpp_num += int(hits.sum())
-                mpp_den += int(np.count_nonzero(hits))
-                if tau is None:
-                    complexities[q] = index.num_units + sizes[visited[q]].sum()
-                else:
-                    complexities[q] = index.num_units + sizes[scores[q] > tau].sum()
+            sizes = index.sizes
+            unit_matches = np.stack([np.bincount(part.unit_of[m], minlength=part.M)
+                                     for m in matches])
+            scores = queries @ index.representatives.T  # (Q, M)
+            visited = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
+            hits = np.take_along_axis(unit_matches, visited, axis=1)  # (Q, top_k)
+            scanned = sizes[visited].sum(axis=1) if tau is None else (scores > tau) @ sizes
+            complexities = index.num_units + scanned
+            positives = np.count_nonzero(hits)
             row = {
                 "method": method,
                 "seed": s,
                 "delta": imbalance_factor(part),
                 "mean_complexity_ratio": float(np.mean(complexities) / N),
                 "std_complexity_ratio": float(np.std(complexities) / N),
-                "matches_per_positive": mpp_num / mpp_den if mpp_den else 0.0,
+                "matches_per_positive": int(hits.sum()) / positives if positives else 0.0,
             }
             for r in range(top_k):
-                row[f"p_match_rank{r + 1}"] = float(rank_hit[r] / n_queries)
+                row[f"p_match_rank{r + 1}"] = float(np.count_nonzero(hits[:, r]) / n_queries)
             rows.append(row)
     return rows
 
@@ -268,16 +226,10 @@ def run_binary_comparison(d: int, N: int, n: int, alpha: float, n_queries: int,
 
     qrng = seed.child("queries").generator()
     planted = qrng.integers(N, size=n_queries)
-    beta = np.sqrt(max(0.0, 1.0 - alpha * alpha))
     out = {}
     results = {"real": [], "symmetric": [], "asymmetric": []}
     ratios = {k: [] for k in results}
-    for q in range(n_queries):
-        x = data.vectors[planted[q]]
-        g = qrng.standard_normal(d)
-        g -= np.dot(g, x) * x
-        y = alpha * x + beta * g / np.linalg.norm(g)
-        y /= np.linalg.norm(y)
+    for q, y in enumerate(h1_queries(data.vectors[planted], alpha, qrng)):
         runs = {
             "real": query(index, data, y, tau=tau_real),
             "symmetric": query_binary(bindex, y, tau=tau_binary, mode="symmetric"),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import MemoryIndex, MemoryUnit
+from ..core import MemoryIndex
 from ..errors import FormatError
 
 __all__ = [
@@ -92,11 +92,10 @@ def write_index(index: MemoryIndex, path):
     parts = [_MAGIC, bytes([_VERSION])]
     parts.append(struct.pack("<4I", index.dim, index.total, index.num_units,
                              _TAGS[index.construction]))
-    reps = index.representatives().astype("<f4")
-    parts.append(reps.tobytes())
-    for u in index.units:
-        parts.append(struct.pack("<I", u.size))
-        parts.append(u.member_ids.astype("<u4").tobytes())
+    parts.append(index.representatives.astype("<f4").tobytes())
+    # each unit's uint32 count goes in front of its ids
+    parts.append(np.insert(index.member_ids.astype("<u4"), index.offsets[:-1],
+                           index.sizes.astype("<u4")).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -119,18 +118,21 @@ def read_index(path) -> MemoryIndex:
     reps = np.frombuffer(raw, dtype="<f4", count=d * m, offset=pos)
     reps = reps.reshape(m, d).astype(np.float64)
     pos += need
-    units = []
-    for j in range(m):
-        if len(raw) < pos + 4:
-            raise FormatError(f"{path}: truncated membership list", offset=pos)
-        (count,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if len(raw) < pos + 4 * count:
-            raise FormatError(f"{path}: truncated membership ids", offset=pos)
-        ids = np.frombuffer(raw, dtype="<u4", count=count, offset=pos).astype(np.int64)
-        pos += 4 * count
-        units.append(MemoryUnit(member_ids=ids, representative=reps[j]))
-    if pos != len(raw):
-        raise FormatError(f"{path}: trailing bytes", offset=pos)
-    return MemoryIndex(units=tuple(units), construction=_TAG_NAMES[tag],
-                       dim=d, total=n_total)
+    # uint32 stream of (count, ids...) per unit: walk the counts
+    stream = np.frombuffer(raw, dtype="<u4", count=(len(raw) - pos) // 4, offset=pos)
+    heads, at = [], 0
+    try:
+        for _ in range(m):
+            heads.append(at)
+            at += 1 + int(stream[at])
+    except IndexError:
+        raise FormatError(f"{path}: truncated membership list", offset=pos + 4 * at) from None
+    if pos + 4 * at != len(raw):
+        raise FormatError(f"{path}: membership lists end at byte {pos + 4 * at} "
+                          f"of {len(raw)}", offset=pos + 4 * at)
+    offsets = np.concatenate(([0], np.cumsum(stream[heads], dtype=np.int64)))
+    if offsets[-1] != n_total:
+        raise FormatError(f"{path}: {offsets[-1]} member ids for N = {n_total}", offset=9)
+    return MemoryIndex(representatives=reps, offsets=offsets,
+                       member_ids=np.delete(stream, heads).astype(np.int64),
+                       construction=_TAG_NAMES[tag])

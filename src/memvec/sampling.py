@@ -25,6 +25,7 @@ __all__ = [
     "sample_cap_correlation",
     "sample_cap",
     "make_query",
+    "h1_queries",
     "make_clustered_dataset",
 ]
 
@@ -146,10 +147,17 @@ def make_query(dataset: Dataset, model: QueryModel, rng: np.random.Generator) ->
         return sample_sphere(dataset.dim, rng)
     if model.planted_id is None or not 0 <= model.planted_id < dataset.size:
         raise ModelError("H1 planted id outside the dataset")
-    x = dataset.vectors[model.planted_id]
-    z = _orthogonal_direction(x, rng, 1)[0]
-    y = model.alpha * x + model.beta * z
-    return y / np.linalg.norm(y)
+    return h1_queries(dataset.vectors[[model.planted_id]], model.alpha, rng)[0]
+
+
+def h1_queries(planted: np.ndarray, alpha: float, rng: np.random.Generator) -> np.ndarray:
+    """One H1 query per row x of ``planted``: alpha x + beta z, with z
+    uniform on the unit sphere orthogonal to x, renormalized."""
+    g = rng.standard_normal(planted.shape)
+    g -= np.sum(g * planted, axis=1, keepdims=True) * planted
+    z = g / np.linalg.norm(g, axis=1, keepdims=True)
+    y = alpha * planted + np.sqrt(max(0.0, 1.0 - alpha * alpha)) * z
+    return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
 def make_clustered_dataset(K: int, per_cluster: int, d: int, eta: float,

@@ -7,14 +7,15 @@ query is M + sum of the sizes of the positive units.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import Partition
-from .construction import ConstructionConfig, pinv_vector, sum_vector
-from .core import Dataset, MemoryIndex, MemoryUnit
-from .errors import DimensionError, DomainError, ModeError
+from .construction import ConstructionConfig, representatives
+from .core import FILE_NORM_TOL, Dataset, MemoryIndex
+from .errors import DimensionError, DomainError, ModeError, NormalizationError
 
 __all__ = [
     "QueryResult",
@@ -46,22 +47,21 @@ class QueryResult:
 
 def build_index(dataset: Dataset, partition: Partition,
                 cfg: ConstructionConfig | None = None) -> MemoryIndex:
-    """One MemoryUnit per partition cell, representative per the
-    construction config."""
+    """One memory unit per partition cell, representative per the
+    construction config. The index shares the partition's CSR arrays.
+    Units that took the pinv ridge fallback are logged as a warning."""
     cfg = cfg or ConstructionConfig()
     if partition.N != dataset.size:
         raise DimensionError("partition size does not match the dataset")
-    units = []
-    for j in range(partition.M):
-        ids = partition.members(j)
-        members = dataset.vectors[ids]
-        if cfg.kind == "sum":
-            rep = sum_vector(members)
-        else:
-            rep = pinv_vector(members, cfg)
-        units.append(MemoryUnit(member_ids=ids, representative=rep))
-    return MemoryIndex(units=tuple(units), construction=cfg.kind,
-                       dim=dataset.dim, total=dataset.size)
+    report = {}
+    reps = representatives(dataset.vectors, partition.order, partition.offsets,
+                           cfg, report)
+    if report["fallbacks"]:
+        logging.getLogger("memvec").warning(
+            "%d of %d units took the pinv ridge fallback; worst |<m_j, x_i> - 1| = %.3e",
+            report["fallbacks"], partition.M, report["max_residual"])
+    return MemoryIndex(representatives=reps, offsets=partition.offsets,
+                       member_ids=partition.order, construction=cfg.kind)
 
 
 def _rank_candidates(ids: np.ndarray, sims: np.ndarray) -> tuple[tuple[int, float], ...]:
@@ -73,16 +73,11 @@ def _rank_candidates(ids: np.ndarray, sims: np.ndarray) -> tuple[tuple[int, floa
 def _assemble(index: MemoryIndex, positive: np.ndarray, unit_scores: np.ndarray,
               candidate_sims) -> QueryResult:
     pos_units = tuple((int(j), float(unit_scores[j])) for j in positive)
-    if positive.size:
-        ids = np.concatenate([index.units[j].member_ids for j in positive])
-        sims = candidate_sims(ids)
-        candidates = _rank_candidates(ids, sims)
-        scanned = int(sum(index.units[j].size for j in positive))
-    else:
-        candidates = ()
-        scanned = 0
-    complexity = index.num_units + scanned
-    return QueryResult(positive_units=pos_units, candidates=candidates,
+    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        index.member_ids[index.offsets[j]:index.offsets[j + 1]] for j in positive])
+    complexity = index.num_units + ids.size
+    return QueryResult(positive_units=pos_units,
+                       candidates=_rank_candidates(ids, candidate_sims(ids)),
                        complexity=complexity,
                        complexity_ratio=complexity / index.total)
 
@@ -91,6 +86,8 @@ def _select_units(unit_scores: np.ndarray, tau: float | None,
                   top_units: int | None) -> np.ndarray:
     if (tau is None) == (top_units is None):
         raise DomainError("exactly one of tau / top_units must be given")
+    if tau is not None and np.isnan(tau):
+        raise DomainError("tau is NaN")
     if tau is not None:
         return np.flatnonzero(unit_scores > tau)
     k = min(top_units, unit_scores.size)
@@ -101,14 +98,22 @@ def _select_units(unit_scores: np.ndarray, tau: float | None,
     return np.sort(order[:k])
 
 
+def _checked_query(index: MemoryIndex, dataset: Dataset, y) -> np.ndarray:
+    """y as a float64 unit vector that matches the index and its dataset."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (index.dim,) or dataset.vectors.shape != (index.total, index.dim):
+        raise DimensionError("query, index and dataset disagree in shape")
+    if not np.all(np.isfinite(y)) or abs(np.linalg.norm(y) - 1.0) > FILE_NORM_TOL:
+        raise NormalizationError("query is not a finite unit vector")
+    return y
+
+
 def query(index: MemoryIndex, dataset: Dataset, y: np.ndarray,
           tau: float | None = None, top_units: int | None = None) -> QueryResult:
     """Scan all memory vectors; re-rank members of units with score > tau
     (or of the top_units highest-scoring units) by true inner product."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (index.dim,) or dataset.dim != index.dim:
-        raise DimensionError("query/index/dataset dimension mismatch")
-    unit_scores = index.representatives() @ y
+    y = _checked_query(index, dataset, y)
+    unit_scores = index.representatives @ y
     positive = _select_units(unit_scores, tau, top_units)
     return _assemble(index, positive, unit_scores,
                      lambda ids: dataset.vectors[ids] @ y)
@@ -163,7 +168,7 @@ class BinaryIndex:
 def binarize(index: MemoryIndex, dataset: Dataset) -> BinaryIndex:
     """Sign-binarize every dataset vector and unit representative."""
     return BinaryIndex(codes=sign_code(dataset.vectors),
-                       unit_codes=sign_code(index.representatives()),
+                       unit_codes=sign_code(index.representatives),
                        index=index, dataset=dataset)
 
 
@@ -187,10 +192,8 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
         raise ModeError(f"unknown binary mode {mode!r}")
     if rerank not in ("real", "binary"):
         raise ModeError(f"unknown rerank mode {rerank!r}")
-    y = np.asarray(y, dtype=np.float64)
+    y = _checked_query(bindex.index, bindex.dataset, y)
     d = bindex.dim
-    if y.shape != (d,):
-        raise DimensionError("query dimension mismatch")
 
     if mode == "symmetric":
         code_y = sign_code(y)

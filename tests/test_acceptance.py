@@ -96,10 +96,10 @@ def test_03_pinv_constraint_zero_false_negative():
     data = Dataset(sample_sphere(d, _SEED.child("c3-data").generator(), size=1000))
     part = random_assignment(1000, n, _SEED.child("c3-assign").generator())
     index = build_index(data, part, ConstructionConfig(kind="pinv"))
-    reps = index.representatives()
+    reps = index.representatives
     unit_of = np.empty(1000, dtype=np.int64)
-    for j, u in enumerate(index.units):
-        unit_of[u.member_ids] = j
+    for j in range(index.num_units):
+        unit_of[index.member_ids[index.offsets[j]:index.offsets[j + 1]]] = j
     probe_rng = _SEED.child("c3-probe").generator()
     for i in probe_rng.choice(1000, size=10, replace=False):
         y = data.vectors[i]

@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
 
+from memvec.assignment import KMeansConfig, spherical_kmeans
 from memvec.construction import (
     ConstructionConfig,
     pinv_vector,
+    representatives,
     solve_spd,
     sum_vector,
 )
-from memvec.errors import DimensionError, EmptyUnitError, SingularGramError
+from memvec.core import Dataset
+from memvec.errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
 from memvec.sampling import Seed, sample_sphere
+
+
+class TestConstructionConfig:
+    def test_bad_values_are_domain_errors(self):
+        for kwargs in ({"kind": "mean"}, {"ridge": -1.0}, {"ridge": float("nan")},
+                       {"fallback_ridge_scale": 0.0}):
+            with pytest.raises(DomainError):
+                ConstructionConfig(**kwargs)
 
 
 class TestSumVector:
@@ -91,3 +102,53 @@ class TestPinvVector:
         report = {}
         pinv_vector(X, ConstructionConfig(ridge=0.1), report=report)
         assert report["ridge_used"] == 0.1 and not report["fallback"]
+
+
+class TestRepresentativesKernel:
+    """The batched kernel against per-unit sum_vector / pinv_vector."""
+
+    D = 16
+
+    @pytest.fixture(scope="class")
+    def layout(self):
+        # uneven sum k-means units, one of them with a duplicated member
+        X = sample_sphere(self.D, Seed(6).generator(), size=240)
+        part, _ = spherical_kmeans(Dataset(X), KMeansConfig(
+            M=24, mode="sum", max_iters=3, seed=Seed(7)))
+        sizes = part.sizes
+        assert np.unique(sizes).size >= 3 and sizes.max() > self.D
+        j = int(np.flatnonzero((sizes >= 2) & (sizes <= self.D))[0])
+        X = X.copy()
+        X[part.members(j)[1]] = X[part.members(j)[0]]
+        return X, part.order, part.offsets
+
+    @staticmethod
+    def _units(X, ids, offsets):
+        return [X[ids[offsets[j]:offsets[j + 1]]] for j in range(offsets.size - 1)]
+
+    def test_sum_bit_identical(self, layout):
+        report = {}
+        reps = representatives(*layout, ConstructionConfig(kind="sum"), report)
+        for rep, unit in zip(reps, self._units(*layout)):
+            assert np.array_equal(rep, sum_vector(unit))
+        assert report == {"fallbacks": 0, "max_residual": 0.0}
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.05])
+    def test_pinv_matches_per_unit(self, layout, ridge):
+        cfg = ConstructionConfig(kind="pinv", ridge=ridge)
+        report = {}
+        reps = representatives(*layout, cfg, report)
+        fallbacks, worst = 0, 0.0
+        for rep, unit in zip(reps, self._units(*layout)):
+            unit_report = {}
+            expect = pinv_vector(unit, cfg, unit_report)
+            assert np.max(np.abs(rep - expect)) <= 1e-12
+            fallbacks += unit_report["fallback"]
+            worst = max(worst, float(np.max(np.abs(unit @ expect - 1.0))))
+        assert report["fallbacks"] == fallbacks > 0
+        assert report["max_residual"] == pytest.approx(worst, rel=1e-6)
+
+    def test_empty_unit_rejected(self, layout):
+        X, ids, _ = layout
+        with pytest.raises(EmptyUnitError):
+            representatives(X, ids, np.array([0, 0, ids.size]))

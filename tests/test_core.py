@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memvec.core import Dataset, MemoryIndex, MemoryUnit, QueryModel, inner, normalize
+from memvec.core import Dataset, MemoryIndex, QueryModel, inner, normalize
 from memvec.errors import (
     DimensionError,
     EmptyUnitError,
@@ -81,43 +81,53 @@ class TestDataset:
             ds.vectors[0, 0] = 5.0
 
 
-class TestMemoryUnit:
+class TestMemoryIndex:
+    @staticmethod
+    def _index(units, d=3, construction="sum"):
+        """A CSR index over the given per-unit id lists."""
+        sizes = [len(u) for u in units]
+        return MemoryIndex(representatives=np.ones((len(units), d)),
+                           offsets=np.concatenate([[0], np.cumsum(sizes)]),
+                           member_ids=np.concatenate([np.asarray(u, dtype=np.int64)
+                                                      for u in units]),
+                           construction=construction)
+
     def test_rejects_empty_and_duplicates(self):
         with pytest.raises(EmptyUnitError):
-            MemoryUnit(member_ids=np.array([], dtype=np.int64),
-                       representative=np.ones(3))
+            self._index([[0, 1], [], [2]])
+        with pytest.raises(ModelError):
+            self._index([[1, 1]])
         with pytest.raises(EmptyUnitError):
-            MemoryUnit(member_ids=np.array([1, 1]), representative=np.ones(3))
+            MemoryIndex(representatives=np.ones((0, 3)), offsets=np.zeros(1),
+                        member_ids=np.zeros(0), construction="sum")
 
-    def test_size(self):
-        u = MemoryUnit(member_ids=np.array([4, 0, 2]), representative=np.ones(3))
-        assert u.size == 3
-
-
-class TestMemoryIndex:
-    def _unit(self, ids, d=3):
-        return MemoryUnit(member_ids=np.asarray(ids), representative=np.ones(d))
+    def test_sizes(self):
+        idx = self._index([[4, 0, 2], [1, 3]])
+        assert idx.sizes.tolist() == [3, 2]
 
     def test_partition_enforced(self):
-        units = (self._unit([0, 1]), self._unit([2]))
-        idx = MemoryIndex(units=units, construction="sum", dim=3, total=3)
+        idx = self._index([[0, 1], [2]])
         assert idx.num_units == 2
-        assert idx.representatives().shape == (2, 3)
+        assert idx.dim == 3 and idx.total == 3
+        assert idx.representatives.shape == (2, 3)
+        assert not idx.member_ids.flags.writeable
 
     def test_gap_rejected(self):
         with pytest.raises(ModelError):
-            MemoryIndex(units=(self._unit([0, 2]),), construction="sum",
-                        dim=3, total=3)
+            self._index([[0, 2]])
 
     def test_overlap_rejected(self):
         with pytest.raises(ModelError):
-            MemoryIndex(units=(self._unit([0, 1]), self._unit([1, 2])),
-                        construction="sum", dim=3, total=3)
+            self._index([[0, 1], [1, 2]])
+
+    def test_offsets_must_delimit_ids(self):
+        with pytest.raises(ModelError):
+            MemoryIndex(representatives=np.ones((2, 3)), offsets=np.array([0, 1, 2]),
+                        member_ids=np.arange(3), construction="sum")
 
     def test_bad_construction_tag(self):
         with pytest.raises(ModelError):
-            MemoryIndex(units=(self._unit([0]),), construction="mean",
-                        dim=3, total=1)
+            self._index([[0]], construction="mean")
 
 
 class TestQueryModel:

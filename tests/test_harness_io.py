@@ -5,7 +5,7 @@ import pytest
 
 from memvec.assignment import random_assignment
 from memvec.construction import ConstructionConfig
-from memvec.core import Dataset
+from memvec.core import Dataset, MemoryIndex
 from memvec.errors import FormatError
 from memvec.harness import io
 from memvec.sampling import Seed, sample_sphere
@@ -80,6 +80,23 @@ def _make_index(construction="pinv"):
 
 
 class TestIndexContainer:
+    def test_golden_bytes(self, tmp_path):
+        # units {2, 0} and {1}: header, float32 representatives, then
+        # per unit a uint32 count followed by its uint32 ids
+        index = MemoryIndex(representatives=np.array([[1.0, -2.0], [0.5, 0.25]]),
+                            offsets=np.array([0, 2, 3]), member_ids=np.array([2, 0, 1]),
+                            construction="pinv")
+        path = tmp_path / "golden.mvix"
+        io.write_index(index, path)
+        expect = (b"MVIX" + bytes([1]) + struct.pack("<4I", 2, 3, 2, 1)
+                  + struct.pack("<4f", 1.0, -2.0, 0.5, 0.25)
+                  + struct.pack("<3I", 2, 2, 0) + struct.pack("<2I", 1, 1))
+        assert path.read_bytes() == expect
+        back = io.read_index(path)
+        assert back.offsets.tolist() == [0, 2, 3]
+        assert back.member_ids.tolist() == [2, 0, 1]
+        assert np.array_equal(back.representatives, index.representatives)
+
     def test_roundtrip_semantics(self, tmp_path):
         for construction in ("sum", "pinv"):
             _, index = _make_index(construction)
@@ -89,10 +106,10 @@ class TestIndexContainer:
             assert back.construction == construction
             assert back.dim == index.dim and back.total == index.total
             assert back.num_units == index.num_units
-            for u, v in zip(index.units, back.units):
-                assert np.array_equal(u.member_ids, v.member_ids)
-                assert np.array_equal(v.representative,
-                                      u.representative.astype(np.float32))
+            assert np.array_equal(back.offsets, index.offsets)
+            assert np.array_equal(back.member_ids, index.member_ids)
+            assert np.array_equal(back.representatives,
+                                  index.representatives.astype(np.float32))
 
     def test_write_read_write_bit_exact(self, tmp_path):
         _, index = _make_index()
@@ -134,3 +151,14 @@ class TestIndexContainer:
         path.write_bytes(raw[: len(raw) - 3])
         with pytest.raises(FormatError):
             io.read_index(path)
+
+    def test_member_count_must_match_header(self, tmp_path):
+        _, index = _make_index()
+        path = tmp_path / "n.mvix"
+        io.write_index(index, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 9, index.total + 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            io.read_index(path)
+        assert err.value.offset == 9

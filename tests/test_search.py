@@ -1,10 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
-from memvec.assignment import random_assignment
+from memvec.assignment import Partition, random_assignment
 from memvec.construction import ConstructionConfig
 from memvec.core import Dataset
-from memvec.errors import DomainError, ModeError
+from memvec.errors import DimensionError, DomainError, ModeError, NormalizationError
 from memvec.sampling import Seed, sample_sphere
 from memvec.search import (
     asymmetric_inner,
@@ -15,6 +17,11 @@ from memvec.search import (
     query_binary,
     sign_code,
 )
+
+
+def _units(index):
+    """Member ids of each unit, from the CSR arrays."""
+    return np.split(index.member_ids, index.offsets[1:-1])
 
 
 @pytest.fixture(scope="module")
@@ -28,17 +35,30 @@ def small_index():
 class TestBuildIndex:
     def test_pinv_constraints(self, small_index):
         data, index = small_index
-        for u in index.units:
-            devs = data.vectors[u.member_ids] @ u.representative - 1.0
+        for j, ids in enumerate(_units(index)):
+            devs = data.vectors[ids] @ index.representatives[j] - 1.0
             assert np.max(np.abs(devs)) < 1e-9
 
     def test_sum_representatives(self):
         data = Dataset(sample_sphere(16, Seed(22).generator(), size=20))
         part = random_assignment(20, 5, Seed(23).generator())
         index = build_index(data, part, ConstructionConfig(kind="sum"))
-        for u in index.units:
-            expect = data.vectors[u.member_ids].sum(axis=0)
-            assert np.allclose(u.representative, expect, atol=1e-14)
+        for j, ids in enumerate(_units(index)):
+            expect = data.vectors[ids].sum(axis=0)
+            assert np.allclose(index.representatives[j], expect, atol=1e-14)
+
+    def test_pinv_fallback_logged(self, caplog):
+        X = sample_sphere(16, Seed(36).generator(), size=20)
+        part = Partition(unit_of=np.arange(20) // 5, M=4)
+        with caplog.at_level(logging.WARNING, logger="memvec"):
+            build_index(Dataset(X), part, ConstructionConfig(kind="pinv"))
+            assert not caplog.records
+            X = X.copy()
+            X[1] = X[0]  # a duplicated member in unit 0
+            build_index(Dataset(X), part, ConstructionConfig(kind="pinv"))
+        [record] = caplog.records
+        assert record.name == "memvec" and record.levelno == logging.WARNING
+        assert "1 of 4 units" in record.getMessage()
 
 
 class TestQuery:
@@ -49,14 +69,14 @@ class TestQuery:
         tau = 0.2
         res = query(index, data, y, tau=tau)
 
-        scores = index.representatives() @ y
+        scores = index.representatives @ y
         expect_pos = [j for j in range(index.num_units) if scores[j] > tau]
         assert [j for j, _ in res.positive_units] == expect_pos
         expect_ids = set()
         scanned = 0
         for j in expect_pos:
-            expect_ids |= set(index.units[j].member_ids.tolist())
-            scanned += index.units[j].size
+            expect_ids |= set(_units(index)[j].tolist())
+            scanned += _units(index)[j].size
         assert set(i for i, _ in res.candidates) == expect_ids
         assert res.complexity == index.num_units + scanned
         assert res.complexity_ratio == pytest.approx(res.complexity / 120)
@@ -84,7 +104,7 @@ class TestQuery:
         data, index = small_index
         y = sample_sphere(32, Seed(27).generator())
         res = query(index, data, y, top_units=3)
-        scores = index.representatives() @ y
+        scores = index.representatives @ y
         expect = np.sort(np.argsort(-scores, kind="stable")[:3])
         assert [j for j, _ in res.positive_units] == expect.tolist()
 
@@ -109,6 +129,39 @@ class TestQuery:
         ids = [i for i, _ in res.candidates]
         assert ids.index(0) < ids.index(2)
         assert ids.index(1) < ids.index(3)
+
+
+class TestQueryBoundary:
+    """Both query paths reject bad input instead of answering."""
+
+    @staticmethod
+    def _paths(data, index):
+        bindex = binarize(index, data)
+        return (lambda y, tau: query(index, data, y, tau=tau),
+                lambda y, tau: query_binary(bindex, y, tau=tau))
+
+    def test_nan_tau_rejected(self, small_index):
+        y = sample_sphere(32, Seed(37).generator())
+        for run in self._paths(*small_index):
+            with pytest.raises(DomainError):
+                run(y, np.nan)
+
+    def test_bad_query_vector_rejected(self, small_index):
+        y = sample_sphere(32, Seed(38).generator())
+        bad_nan = y.copy()
+        bad_nan[0] = np.nan
+        for run in self._paths(*small_index):
+            for bad in (3.0 * y, bad_nan, np.full(32, np.inf)):
+                with pytest.raises(NormalizationError):
+                    run(bad, 0.5)
+
+    def test_dataset_must_match_index(self, small_index):
+        data, index = small_index
+        other = Dataset(data.vectors[:100])
+        y = sample_sphere(32, Seed(39).generator())
+        for run in self._paths(other, index):
+            with pytest.raises(DimensionError):
+                run(y, 0.5)
 
 
 class TestBinaryPrimitives:
