@@ -130,16 +130,8 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
 
     labels = None
     for _ in range(cfg.max_iters):
-        scores = X @ reps.T  # (N, M)
-        new_labels = np.argmax(scores, axis=1)  # ties -> lowest unit id
-
-        sizes = np.bincount(new_labels, minlength=cfg.M)
-        empties = np.flatnonzero(sizes == 0)
-        for j in empties:
-            largest = int(np.argmax(np.bincount(new_labels, minlength=cfg.M)))
-            pool = np.flatnonzero(new_labels == largest)
-            stolen = int(pool[rng.integers(len(pool))])
-            new_labels[stolen] = j
+        new_labels = _nearest(X, reps)
+        _fill_empty_units(new_labels, cfg.M, rng)
 
         if labels is not None and np.array_equal(new_labels, labels):
             break
@@ -151,6 +143,81 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
             reps = np.divide(reps, norms, out=reps, where=norms > 0.0)
 
     return part, reps
+
+
+_BLOCK_FLOATS = 1 << 17  # a (rows, M) float64 score block of about 1 MB
+_PRUNE_SLACK = 1e-9  # relative margin over the Cauchy-Schwarz bound for rounding
+
+
+def _nearest(X: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """``np.argmax(X @ reps.T, axis=1)``, ties to the lowest unit id,
+    without the (N, M) score matrix.
+
+    Rows are scored in blocks. Units whose norm is at least half the
+    largest are "long" and are scored first; a "short" unit scores at most
+    ||x|| * max short norm (Cauchy-Schwarz), so a row whose best long
+    score clears that bound skips the short units. Only the remaining
+    rows score them.
+    """
+    rnorm = np.sqrt(np.einsum("ij,ij->i", reps, reps))
+    is_long = rnorm >= 0.5 * rnorm.max()  # all long when every norm is 0
+    long_ids = np.flatnonzero(is_long)
+    short_ids = np.flatnonzero(~is_long)
+    long_reps = reps if short_ids.size == 0 else reps[long_ids]
+    short_reps = reps[short_ids]
+    bound = rnorm[short_ids].max(initial=0.0) * (1.0 + _PRUNE_SLACK)
+
+    labels = np.empty(len(X), dtype=np.int64)
+    rows = max(1, _BLOCK_FLOATS // len(reps))
+    for start in range(0, len(X), rows):
+        block = X[start:start + rows]
+        scores = block @ long_reps.T
+        arg = np.argmax(scores, axis=1)
+        best = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
+        lab = long_ids[arg]
+        if short_ids.size:
+            xnorm = np.sqrt(np.einsum("ij,ij->i", block, block))
+            open_rows = np.flatnonzero(best <= xnorm * bound)
+            if open_rows.size:
+                s_scores = block[open_rows] @ short_reps.T
+                s_arg = np.argmax(s_scores, axis=1)
+                s_best = np.take_along_axis(s_scores, s_arg[:, None], axis=1)[:, 0]
+                s_lab = short_ids[s_arg]
+                l_best, l_lab = best[open_rows], lab[open_rows]
+                win = (s_best > l_best) | ((s_best == l_best) & (s_lab < l_lab))
+                lab[open_rows[win]] = s_lab[win]
+        labels[start:start + rows] = lab
+    return labels
+
+
+def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> None:
+    """Give each empty unit, in id order, a seeded-random member of the
+    then-largest unit (lowest id among equals), in place.
+
+    Unit sizes are updated after each steal, and the ascending member
+    pool of a unit is taken from one stable argsort and shrunk by the
+    stolen id, so the draws match a fresh ``bincount``/``flatnonzero``
+    per empty unit. A filled unit holds one member while some unit still
+    holds two or more, so it is never the largest and needs no pool.
+    """
+    sizes = np.bincount(labels, minlength=M)
+    empties = np.flatnonzero(sizes == 0)
+    if empties.size == 0:
+        return
+    order = np.argsort(labels, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    pools: dict[int, np.ndarray] = {}
+    for j in empties:
+        largest = int(np.argmax(sizes))
+        pool = pools.get(largest)
+        if pool is None:
+            pool = order[offsets[largest]:offsets[largest + 1]]
+        k = rng.integers(len(pool))
+        stolen = int(pool[k])
+        pools[largest] = np.delete(pool, k)
+        labels[stolen] = j
+        sizes[largest] -= 1
+        sizes[j] += 1
 
 
 def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.ndarray]:

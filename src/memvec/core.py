@@ -58,19 +58,23 @@ def inner(a, b) -> float:
 class Dataset:
     """An ordered collection of N unit vectors of common dimension d.
 
-    Ids are positional: vector i is ``vectors[i]``.
+    Ids are positional: vector i is ``vectors[i]``, a read-only view that
+    shares memory with a float64 input (the caller's array stays writeable).
     """
 
     vectors: np.ndarray  # (N, d) float64
 
     def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=np.float64)
+        arr = np.asarray(self.vectors, dtype=np.float64).view()
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError("dataset must be a non-empty (N, d) array")
-        if not np.all(np.isfinite(arr)):
+        # row squared norms in one pass, with no (N, d) temporary; they are
+        # >= 0, so the max is non-finite iff some coefficient is (NaN propagates)
+        sq = np.einsum("ij,ij->i", arr, arr)
+        lo, hi = sq.min(), sq.max()
+        if not np.isfinite(hi):
             raise NormalizationError("dataset has non-finite coefficients")
-        norms = np.linalg.norm(arr, axis=1)
-        if np.max(np.abs(norms - 1.0)) > FILE_NORM_TOL:
+        if lo < (1.0 - FILE_NORM_TOL) ** 2 or hi > (1.0 + FILE_NORM_TOL) ** 2:
             raise NormalizationError("dataset rows are not unit vectors")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)

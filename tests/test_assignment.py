@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from memvec import assignment
 from memvec.assignment import (
     BatchConfig,
     KMeansConfig,
@@ -11,6 +14,7 @@ from memvec.assignment import (
     random_assignment,
     spherical_kmeans,
 )
+from memvec.construction import representatives
 from memvec.core import Dataset
 from memvec.errors import DomainError
 from memvec.sampling import Seed, make_clustered_dataset, sample_sphere
@@ -109,6 +113,147 @@ class TestSphericalKMeans:
         ds = Dataset(sample_sphere(8, Seed(0).generator(), size=5))
         with pytest.raises(DomainError):
             spherical_kmeans(ds, KMeansConfig(M=6))
+
+
+def _fill_empty_units_reference(labels, M, rng):
+    """The replaced repair: a fresh bincount/flatnonzero per empty unit."""
+    for j in np.flatnonzero(np.bincount(labels, minlength=M) == 0):
+        largest = int(np.argmax(np.bincount(labels, minlength=M)))
+        pool = np.flatnonzero(labels == largest)
+        labels[int(pool[rng.integers(len(pool))])] = j
+
+
+def _kmeans_reference(dataset, cfg):
+    """spherical_kmeans with the full (N, M) score matrix and the replaced
+    repair: the loop the library replaced."""
+    X = dataset.vectors
+    rng = cfg.seed.generator()
+    reps = X[rng.choice(dataset.size, size=cfg.M, replace=False)]
+    construction = replace(cfg.construction, kind=cfg.mode)
+    labels = None
+    for _ in range(cfg.max_iters):
+        new_labels = np.argmax(X @ reps.T, axis=1)
+        _fill_empty_units_reference(new_labels, cfg.M, rng)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        part = Partition(unit_of=labels, M=cfg.M)
+        reps = representatives(X, part.order, part.offsets, construction)
+        if cfg.normalize_representative:
+            norms = np.linalg.norm(reps, axis=1, keepdims=True)
+            reps = np.divide(reps, norms, out=reps, where=norms > 0.0)
+    return part, reps
+
+
+class TestNearest:
+    """_nearest against the oracle np.argmax(X @ R.T, axis=1)."""
+
+    @pytest.fixture(params=[None, 7], ids=["one-block", "small-blocks"])
+    def blocks(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(assignment, "_BLOCK_FLOATS", request.param)
+
+    @staticmethod
+    def _check(X, R):
+        got = assignment._nearest(X, R)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.argmax(X @ R.T, axis=1))
+        return got
+
+    @staticmethod
+    def _pruned(X, R):
+        """Rows whose best long score clears the short units' bound."""
+        rn = np.linalg.norm(R, axis=1)
+        long_ = rn >= 0.5 * rn.max()
+        if long_.all():
+            return np.zeros(len(X), dtype=bool)
+        best = (X @ R[long_].T).max(axis=1)
+        return best > np.linalg.norm(X, axis=1) * rn[~long_].max() * (1 + 1e-9)
+
+    def test_duplicate_representatives_tie_to_lowest_id(self, blocks):
+        R = sample_sphere(8, Seed(30).generator(), size=6)
+        R = np.vstack([R, R[[4, 1]], 3.0 * R[:2], 3.0 * R[:2]])  # ids 6-7, 8-11
+        X = np.vstack([R[:6], sample_sphere(8, Seed(31).generator(), size=50)])
+        got = self._check(X, R)
+        assert got[1] == 9 and got[0] == 8  # 3 R[k] twice: the first copy wins
+
+    def test_mixed_norms_prune(self, blocks):
+        ds, _ = make_clustered_dataset(6, 30, 16, 0.9, Seed(32).generator())
+        X = ds.vectors
+        scales = np.repeat([0.1, 0.4, 1.0, 5.0, 20.0], 6)
+        R = sample_sphere(16, Seed(33).generator(), size=30) * scales[:, None]
+        R[[0, 12]] = 20.0 * X[[0, 40]]  # long units that win their clusters
+        pruned = self._pruned(X, R)
+        assert pruned.any() and not pruned.all()
+        self._check(X, R)
+
+    def test_equal_norms_do_not_prune(self, blocks):
+        R = sample_sphere(12, Seed(34).generator(), size=40)
+        X = sample_sphere(12, Seed(35).generator(), size=90)
+        assert not self._pruned(X, R).any()
+        self._check(X, R)
+        self._check(X, 2.0 * R)
+
+    def test_best_long_score_exactly_at_the_bound(self, blocks):
+        # x . long = ||x|| * ||short|| = x . short = 1: the row may not be
+        # pruned, and the tie goes to the short unit's lower id
+        e = np.eye(4)
+        R = np.vstack([e[0], e[0] + 3.0 * e[1], e[2]])
+        X = np.vstack([e[0], e[1], e[2]])
+        assert not self._pruned(X, R)[0]
+        assert np.array_equal(self._check(X, R), [0, 1, 2])
+
+    def test_single_unit(self, blocks):
+        R = sample_sphere(5, Seed(36).generator(), size=1)
+        X = sample_sphere(5, Seed(37).generator(), size=20)
+        assert np.array_equal(self._check(X, R), np.zeros(20))
+        assert np.array_equal(self._check(X, np.zeros_like(R)), np.zeros(20))
+
+
+class TestKMeansAgainstReference:
+    """spherical_kmeans against the replaced full-score loop, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def clustered(self):
+        ds, _ = make_clustered_dataset(8, 50, 24, 0.9, Seed(38).generator())
+        return ds
+
+    @pytest.mark.parametrize("mode, normalize", [("sum", False), ("sum", True),
+                                                 ("pinv", False)])
+    def test_identical(self, clustered, mode, normalize):
+        # M far above the planted clusters: unnormalized sum k-means leaves
+        # most units empty after each assignment step
+        cfg = KMeansConfig(M=120, mode=mode, normalize_representative=normalize,
+                           max_iters=6, seed=Seed(39))
+        part, reps = spherical_kmeans(clustered, cfg)
+        ref_part, ref_reps = _kmeans_reference(clustered, cfg)
+        assert np.array_equal(part.unit_of, ref_part.unit_of)
+        assert np.array_equal(reps, ref_reps)
+
+    def test_empty_unit_repair_matches_reference(self, clustered):
+        X = clustered.vectors
+        M = 150
+        reps = 0.1 * sample_sphere(24, Seed(40).generator(), size=M)
+        reps[:8] = 50.0 * X[::50]  # eight long units take every row
+        labels = assignment._nearest(X, reps)
+        assert np.unique(labels).size <= 8
+        ref = labels.copy()
+        rng, ref_rng = Seed(41).generator(), Seed(41).generator()
+        assignment._fill_empty_units(labels, M, rng)
+        _fill_empty_units_reference(ref, M, ref_rng)
+        assert np.array_equal(labels, ref)
+        assert np.all(np.bincount(labels, minlength=M) > 0)
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    def test_every_point_its_own_unit(self, clustered):
+        # M = N: the repair drains the largest units down to one member each
+        small = Dataset(clustered.vectors[::10])
+        cfg = KMeansConfig(M=small.size, mode="sum", max_iters=3, seed=Seed(42))
+        part, reps = spherical_kmeans(small, cfg)
+        ref_part, ref_reps = _kmeans_reference(small, cfg)
+        assert np.array_equal(part.unit_of, ref_part.unit_of)
+        assert np.array_equal(reps, ref_reps)
+        assert np.all(part.sizes == 1)
 
 
 class TestBatchAssignment:

@@ -74,11 +74,20 @@ class TestDataset:
             Dataset(np.zeros((0, 3)))
         with pytest.raises(NormalizationError):
             Dataset(np.array([[np.nan, 0.0]]))
+        with pytest.raises(NormalizationError, match="non-finite"):
+            Dataset(np.array([[1.0, 0.0], [-np.inf, 0.0]]))
 
     def test_vectors_write_protected(self):
         ds = Dataset(np.eye(2))
         with pytest.raises(ValueError):
             ds.vectors[0, 0] = 5.0
+
+    def test_caller_array_stays_writeable(self):
+        Y = np.eye(3)
+        ds = Dataset(Y)
+        assert Y.flags.writeable and not ds.vectors.flags.writeable
+        assert np.shares_memory(ds.vectors, Y)  # a view, not a copy
+        Y[0, 0] = 1.0
 
 
 class TestMemoryIndex:
