@@ -115,13 +115,14 @@ def _pinv_batch(block: np.ndarray, ridge: float):
     when a Gram is not positive definite."""
     n = block.shape[1]
     gram = block @ block.transpose(0, 2, 1)
-    system = gram + ridge * np.eye(n)
+    system = gram if ridge == 0.0 else gram + ridge * np.eye(n)
     np.linalg.cholesky(system)
     z = np.linalg.solve(system, np.ones(n))
-    # solve_spd's bound 1e-8 (1 + max|b|) with b = 1; NaN fails it
-    ok = np.max(np.abs(system @ z[..., None] - 1.0), axis=(1, 2)) <= 2e-8
     constraint = np.max(np.abs(gram @ z[..., None] - 1.0), axis=(1, 2))
-    return np.einsum("bi,bid->bd", z, block), ok, constraint
+    resid = constraint if ridge == 0.0 else np.max(
+        np.abs(system @ z[..., None] - 1.0), axis=(1, 2))
+    # solve_spd's bound 1e-8 (1 + max|b|) with b = 1; NaN fails it
+    return np.einsum("bi,bid->bd", z, block), resid <= 2e-8, constraint
 
 
 def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,

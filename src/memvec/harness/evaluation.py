@@ -51,25 +51,21 @@ def evaluate_results(retrieved: list[np.ndarray], matches: list[np.ndarray],
     hit = 0
     total_matches = 0
     total_retrieved = 0
-    true_retrieved = 0
     at_r = {r: [] for r in RECALL_RANKS}
     for ids, gt in zip(retrieved, matches):
         ids = np.asarray(ids, dtype=np.int64)
-        gt_set = set(int(g) for g in gt)
-        total_matches += len(gt_set)
+        gt = np.unique(np.asarray(gt, dtype=np.int64))  # repeats count once
+        found = np.isin(ids, gt)
+        total_matches += gt.size
         total_retrieved += ids.size
-        found = sum(1 for i in ids if int(i) in gt_set)
-        true_retrieved += found
-        hit += found
-        if gt_set:
+        hit += int(np.count_nonzero(found))
+        if gt.size:
             for r in RECALL_RANKS:
-                top = ids[:r]
-                inter = sum(1 for i in top if int(i) in gt_set)
-                at_r[r].append(inter / min(r, len(gt_set)))
+                at_r[r].append(int(np.count_nonzero(found[:r])) / min(r, gt.size))
     ratios = np.asarray(complexity_ratios, dtype=np.float64)
     return EvalReport(
         recall_of_matches=hit / total_matches if total_matches else 0.0,
-        precision=true_retrieved / total_retrieved if total_retrieved else 0.0,
+        precision=hit / total_retrieved if total_retrieved else 0.0,
         recall_at_r={r: float(np.mean(v)) if v else 0.0 for r, v in at_r.items()},
         mean_complexity_ratio=float(np.mean(ratios)) if ratios.size else 0.0,
         complexity_std=float(np.std(ratios)) if ratios.size else 0.0,

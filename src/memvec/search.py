@@ -15,7 +15,7 @@ import numpy as np
 from .assignment import Partition
 from .construction import ConstructionConfig, representatives
 from .core import FILE_NORM_TOL, Dataset, MemoryIndex
-from .errors import DimensionError, DomainError, ModeError, NormalizationError
+from .errors import DimensionError, DomainError, ModeError, ModelError, NormalizationError
 
 __all__ = [
     "QueryResult",
@@ -147,33 +147,97 @@ def asymmetric_inner(y: np.ndarray, code: np.ndarray) -> float:
     return float(np.sum(np.where(code, y, -y)))
 
 
+# Sign bits handled per chunk: rows binarized, or codes looked up, at once.
+# Small chunks keep the temporaries from staying resident in the heap.
+_CHUNK_BITS = 1 << 17
+
+# _BYTE_BITS[v, i] is bit i of byte value v, most significant first, as
+# np.packbits lays out bits 8b..8b+7 of a code in byte b.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                           axis=1).astype(np.float64)
+
+
+def _code_bytes(d: int) -> int:
+    return -(-d // 8)
+
+
 @dataclass(frozen=True)
 class BinaryIndex:
-    """Sign codes of all dataset vectors and unit representatives.
+    """Sign codes of all dataset vectors and unit representatives, packed
+    eight bits to a byte by ``np.packbits`` (bit k of a code is bit 7 - k % 8
+    of byte k // 8; the pad bits of the last byte are 0).
 
     Real vectors are retained via ``index``/``dataset`` references so
     re-ranking can use true inner products.
     """
 
-    codes: np.ndarray       # (N, d) bool
-    unit_codes: np.ndarray  # (M, d) bool
+    codes: np.ndarray       # (N, ceil(d / 8)) uint8
+    unit_codes: np.ndarray  # (M, ceil(d / 8)) uint8
     index: MemoryIndex
     dataset: Dataset
 
+    def __post_init__(self):
+        d, nb = self.index.dim, _code_bytes(self.index.dim)
+        if self.dataset.vectors.shape != (self.index.total, d):
+            raise DimensionError("dataset does not match the index")
+        pad = np.uint8(0xFF >> (d - 8 * (nb - 1)))  # pad bits of the last byte
+        for name, rows in (("codes", self.index.total),
+                           ("unit_codes", self.index.num_units)):
+            arr = np.asarray(getattr(self, name)).view()
+            if arr.dtype != np.uint8:
+                raise ModelError(f"{name} must be packed uint8 bytes")
+            if arr.shape != (rows, nb):
+                raise DimensionError(f"{name} must have shape {(rows, nb)}")
+            if np.any(arr[:, -1] & pad):
+                raise ModelError(f"{name} has pad bits set")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @property
     def dim(self) -> int:
-        return self.codes.shape[1]
+        return self.index.dim
+
+
+def _pack_signs(A: np.ndarray) -> np.ndarray:
+    """Packed sign codes of the rows of A, binarized a chunk of rows at a time."""
+    n, d = A.shape
+    out = np.empty((n, _code_bytes(d)), dtype=np.uint8)
+    step = max(1, _CHUNK_BITS // d)
+    for s in range(0, n, step):
+        out[s:s + step] = np.packbits(sign_code(A[s:s + step]), axis=1)
+    return out
 
 
 def binarize(index: MemoryIndex, dataset: Dataset) -> BinaryIndex:
     """Sign-binarize every dataset vector and unit representative."""
-    return BinaryIndex(codes=sign_code(dataset.vectors),
-                       unit_codes=sign_code(index.representatives),
+    return BinaryIndex(codes=_pack_signs(dataset.vectors),
+                       unit_codes=_pack_signs(index.representatives),
                        index=index, dataset=dataset)
 
 
-def _pm1(codes: np.ndarray) -> np.ndarray:
-    return np.where(codes, 1.0, -1.0)
+def _symmetric_scores(codes: np.ndarray, code_y: np.ndarray, d: int) -> np.ndarray:
+    """(d - 2 hamming) / d of each packed code against the packed query code."""
+    ham = np.bitwise_count(codes ^ code_y).sum(axis=1, dtype=np.int64)
+    return (d - 2 * ham) / d
+
+
+def _byte_table(y: np.ndarray) -> np.ndarray:
+    """T[b, v]: sum of y over the set bits of byte value v at byte b."""
+    padded = np.zeros(8 * _code_bytes(y.size))
+    padded[:y.size] = y
+    return padded.reshape(-1, 8) @ _BYTE_BITS.T
+
+
+def _asymmetric_scores(codes: np.ndarray, table: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(sum of +/- y_k) / sqrt(d) of each packed code, as
+    (2 sum_b T[b, code_b] - sum(y)) / sqrt(d), a chunk of rows at a time."""
+    nb = table.shape[0]
+    flat, base = table.ravel(), 256 * np.arange(nb)
+    on = np.empty(len(codes))
+    step = max(1, _CHUNK_BITS // (8 * nb))
+    for s in range(0, len(codes), step):
+        on[s:s + step] = flat.take(codes[s:s + step] + base).sum(axis=1)
+    return (2.0 * on - y.sum()) / np.sqrt(y.size)
 
 
 def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
@@ -182,35 +246,29 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
     """Binary-sketch scan.
 
     symmetric: the query is binarized too; unit score is the normalized
-    +/-1 inner product (d - 2 hamming) / d. asymmetric: the real query
-    scores against +/-1 unit codes, normalized by sqrt(d). Thresholds
-    apply to these normalized scores. Candidates re-rank with real inner
-    products by default; ``rerank="binary"`` uses the same mode's
-    binarized score.
+    +/-1 inner product (d - 2 hamming) / d, by popcount. asymmetric: the
+    real query scores against +/-1 unit codes, normalized by sqrt(d), by a
+    per-query table of y summed over each byte value. Thresholds apply to
+    these normalized scores. Candidates re-rank with real inner products
+    by default; ``rerank="binary"`` uses the same mode's binarized score.
     """
     if mode not in ("symmetric", "asymmetric"):
         raise ModeError(f"unknown binary mode {mode!r}")
     if rerank not in ("real", "binary"):
         raise ModeError(f"unknown rerank mode {rerank!r}")
     y = _checked_query(bindex.index, bindex.dataset, y)
-    d = bindex.dim
 
     if mode == "symmetric":
-        code_y = sign_code(y)
-        agree = bindex.unit_codes == code_y[None, :]
-        unit_scores = (2.0 * np.count_nonzero(agree, axis=1) - d) / d
+        code_y = np.packbits(sign_code(y))
+        score = lambda codes: _symmetric_scores(codes, code_y, y.size)
     else:
-        unit_scores = (_pm1(bindex.unit_codes) @ y) / np.sqrt(d)
+        table = _byte_table(y)
+        score = lambda codes: _asymmetric_scores(codes, table, y)
 
+    unit_scores = score(bindex.unit_codes)
     positive = _select_units(unit_scores, tau, top_units)
-
     if rerank == "real":
         sims = lambda ids: bindex.dataset.vectors[ids] @ y
-    elif mode == "symmetric":
-        code_y = sign_code(y)
-        sims = lambda ids: (2.0 * np.count_nonzero(
-            bindex.codes[ids] == code_y[None, :], axis=1) - d) / d
     else:
-        sims = lambda ids: (_pm1(bindex.codes[ids]) @ y) / np.sqrt(d)
-
+        sims = lambda ids: score(bindex.codes[ids])
     return _assemble(bindex.index, positive, unit_scores, sims)

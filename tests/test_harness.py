@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from memvec.core import Dataset
-from memvec.harness.evaluation import cosine_ground_truth, evaluate_results
+from memvec.harness.evaluation import (
+    RECALL_RANKS,
+    EvalReport,
+    cosine_ground_truth,
+    evaluate_results,
+)
 from memvec.harness.experiments import (
     measure_cost,
     run_assignment_report,
@@ -49,6 +54,46 @@ class TestEvaluateResults:
         retrieved = [np.argsort(-(data.vectors @ q)) for q in queries]
         rep = evaluate_results(retrieved, matches, np.ones(5))
         assert rep.recall_of_matches == 1.0
+
+    @staticmethod
+    def _reference(retrieved, matches, complexity_ratios):
+        """The set-loop implementation that np.isin replaced."""
+        hit = total_matches = total_retrieved = true_retrieved = 0
+        at_r = {r: [] for r in RECALL_RANKS}
+        for ids, gt in zip(retrieved, matches):
+            ids = np.asarray(ids, dtype=np.int64)
+            gt_set = set(int(g) for g in gt)
+            total_matches += len(gt_set)
+            total_retrieved += ids.size
+            found = sum(1 for i in ids if int(i) in gt_set)
+            true_retrieved += found
+            hit += found
+            if gt_set:
+                for r in RECALL_RANKS:
+                    inter = sum(1 for i in ids[:r] if int(i) in gt_set)
+                    at_r[r].append(inter / min(r, len(gt_set)))
+        ratios = np.asarray(complexity_ratios, dtype=np.float64)
+        return EvalReport(
+            recall_of_matches=hit / total_matches if total_matches else 0.0,
+            precision=true_retrieved / total_retrieved if total_retrieved else 0.0,
+            recall_at_r={r: float(np.mean(v)) if v else 0.0 for r, v in at_r.items()},
+            mean_complexity_ratio=float(np.mean(ratios)) if ratios.size else 0.0,
+            complexity_std=float(np.std(ratios)) if ratios.size else 0.0,
+        )
+
+    def test_matches_set_loop_reference(self):
+        rng = Seed(2).generator()
+        retrieved, matches = [], []
+        for q in range(60):
+            # repeated ids in both lists, empty lists, lists past rank 100
+            retrieved.append(rng.integers(0, 300, size=rng.integers(0, 250)))
+            gt = rng.integers(0, 300, size=rng.integers(0, 40))
+            matches.append(np.concatenate([gt, gt[: q % 5]]) if q % 7 else gt[:0])
+        ratios = rng.random(60)
+        assert (evaluate_results(retrieved, matches, ratios)
+                == self._reference(retrieved, matches, ratios))
+        assert (evaluate_results(retrieved[:0], matches[:0], ratios[:0])
+                == self._reference(retrieved[:0], matches[:0], ratios[:0]))
 
 
 class TestSimulateUnitScores:

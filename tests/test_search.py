@@ -1,14 +1,23 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from memvec import search
 from memvec.assignment import Partition, random_assignment
 from memvec.construction import ConstructionConfig
 from memvec.core import Dataset
-from memvec.errors import DimensionError, DomainError, ModeError, NormalizationError
+from memvec.errors import (
+    DimensionError,
+    DomainError,
+    ModeError,
+    ModelError,
+    NormalizationError,
+)
 from memvec.sampling import Seed, sample_sphere
 from memvec.search import (
+    BinaryIndex,
     asymmetric_inner,
     binarize,
     build_index,
@@ -22,6 +31,14 @@ from memvec.search import (
 def _units(index):
     """Member ids of each unit, from the CSR arrays."""
     return np.split(index.member_ids, index.offsets[1:-1])
+
+
+def _binary_index(rows, unit_of):
+    """Sketch of the normalized rows, grouped into units by ``unit_of``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    data = Dataset(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    part = Partition(unit_of=np.asarray(unit_of), M=max(unit_of) + 1)
+    return binarize(build_index(data, part, ConstructionConfig(kind="sum")), data)
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +176,10 @@ class TestQueryBoundary:
         data, index = small_index
         other = Dataset(data.vectors[:100])
         y = sample_sphere(32, Seed(39).generator())
-        for run in self._paths(other, index):
-            with pytest.raises(DimensionError):
-                run(y, 0.5)
+        with pytest.raises(DimensionError):
+            query(index, other, y, tau=0.5)
+        with pytest.raises(DimensionError):  # the sketch checks when built
+            binarize(index, other)
 
 
 class TestBinaryPrimitives:
@@ -169,6 +187,16 @@ class TestBinaryPrimitives:
         v = np.array([0.3, -0.1, 0.7, 0.2, -0.5, -0.9, 0.4, -0.2])
         assert sign_code(v).tolist() == [True, False, True, True,
                                          False, False, True, False]
+        # packed most significant bit first, pad bits 0
+        v13 = np.concatenate([v, [0.1, -0.3, -0.2, 0.5, 0.6]])
+        bindex = _binary_index(np.vstack([v13, -v13]), [0, 0])
+        assert bindex.codes.tolist() == [[0b10110010, 0b10011000],
+                                         [0b01001101, 0b01100000]]
+        # the sum of a row and its negation is 0, whose 13 bits are all set
+        assert bindex.unit_codes.tolist() == [[0b11111111, 0b11111000]]
+        bindex = _binary_index(np.array([[1.0], [-1.0]]), [0, 1])
+        assert bindex.codes.tolist() == [[0b10000000], [0]]
+        assert bindex.unit_codes.tolist() == [[0b10000000], [0]]
 
     def test_zero_maps_to_positive_bit(self):
         assert sign_code(np.array([0.0]))[0]
@@ -199,7 +227,8 @@ class TestQueryBinary:
         res = query_binary(bindex, y, tau=-2.0, mode="symmetric")
         cy = sign_code(y)
         for j, s in res.positive_units:
-            expect = hamming_inner(bindex.unit_codes[j], cy) / 32
+            bits = np.unpackbits(bindex.unit_codes[j], count=32)
+            expect = hamming_inner(bits, cy) / 32
             assert s == pytest.approx(expect, abs=1e-12)
 
     def test_asymmetric_scores(self, small_index):
@@ -208,7 +237,8 @@ class TestQueryBinary:
         y = sample_sphere(32, Seed(33).generator())
         res = query_binary(bindex, y, tau=-np.inf, mode="asymmetric")
         for j, s in res.positive_units:
-            expect = asymmetric_inner(y, bindex.unit_codes[j]) / np.sqrt(32)
+            bits = np.unpackbits(bindex.unit_codes[j], count=32)
+            expect = asymmetric_inner(y, bits) / np.sqrt(32)
             assert s == pytest.approx(expect, abs=1e-12)
 
     def test_real_rerank_matches_real_pipeline_order(self, small_index):
@@ -227,7 +257,8 @@ class TestQueryBinary:
         res = query_binary(bindex, y, tau=-2.0, mode="symmetric", rerank="binary")
         cy = sign_code(y)
         for i, s in res.candidates[:10]:
-            expect = hamming_inner(bindex.codes[i], cy) / 32
+            bits = np.unpackbits(bindex.codes[i], count=32)
+            expect = hamming_inner(bits, cy) / 32
             assert s == pytest.approx(expect, abs=1e-12)
 
     def test_unknown_modes(self, small_index):
@@ -238,3 +269,137 @@ class TestQueryBinary:
             query_binary(bindex, y, tau=0.0, mode="hashy")
         with pytest.raises(ModeError):
             query_binary(bindex, y, tau=0.0, rerank="approximate")
+
+
+def _oracle(bindex, y, mode, rerank, tau, top_units):
+    """query_binary recomputed on unpacked bool codes, as positive unit ids,
+    unit scores, candidate ids and candidate scores."""
+    d = bindex.dim
+    bits = lambda codes: np.unpackbits(codes, axis=1, count=d).astype(bool)
+    # row by row, so rows with equal codes get equal scores
+    if mode == "symmetric":
+        score = lambda c: np.array([hamming_inner(r, sign_code(y)) / d for r in c])
+    else:
+        score = lambda c: np.array([asymmetric_inner(y, r) / np.sqrt(d) for r in c])
+    units = score(bits(bindex.unit_codes))
+    if tau is not None:
+        pos = [j for j in range(units.size) if units[j] > tau]
+    else:
+        pos = sorted(sorted(range(units.size), key=lambda j: (-units[j], j))[:top_units])
+    members = np.split(bindex.index.member_ids, bindex.index.offsets[1:-1])
+    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [members[j] for j in pos])
+    if rerank == "real":
+        sims = bindex.dataset.vectors[ids] @ y
+    else:
+        sims = score(bits(bindex.codes)[ids])
+    order = sorted(range(ids.size), key=lambda k: (-sims[k], ids[k]))
+    return pos, units[pos], ids[order], sims[order]
+
+
+class TestPackedLayer:
+    """The packed codes against the bool codes they pack."""
+
+    @pytest.mark.parametrize("d", [1, 13, 32])
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("rerank", ["real", "binary"])
+    @pytest.mark.parametrize("select", [{"tau": 0.1}, {"top_units": 3}])
+    def test_query_binary_matches_unpacked_oracle(self, d, mode, rerank, select):
+        rng = Seed(40 + d).generator()
+        X = rng.standard_normal((90, d))
+        bindex = _binary_index(X, np.arange(90) % 9)
+        for k in range(5):
+            y = sample_sphere(d, Seed(100 * d + k).generator())
+            res = query_binary(bindex, y, mode=mode, rerank=rerank, **select)
+            pos, units, ids, sims = _oracle(bindex, y, mode, rerank,
+                                            select.get("tau"), select.get("top_units"))
+            assert [j for j, _ in res.positive_units] == pos
+            assert [i for i, _ in res.candidates] == ids.tolist()
+            got_units = np.array([s for _, s in res.positive_units])
+            got_sims = np.array([s for _, s in res.candidates])
+            if mode == "symmetric":  # the same integers, divided the same way
+                assert got_units.tolist() == units.tolist()
+            np.testing.assert_allclose(got_units, units, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_sims, sims, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 13, 1024])
+    def test_code_memory(self, d):
+        rng = Seed(41).generator()
+        bindex = _binary_index(rng.standard_normal((12, d)), np.arange(12) // 3)
+        nb = -(-d // 8)
+        assert bindex.codes.dtype == np.uint8 and bindex.unit_codes.dtype == np.uint8
+        assert bindex.codes.nbytes == 12 * nb and bindex.unit_codes.nbytes == 4 * nb
+        assert bindex.dim == d
+
+    def test_binarize_across_chunks(self, monkeypatch):
+        rng = Seed(42).generator()
+        X = rng.standard_normal((10, 13))
+        X[3, 5] = 0.0  # zero maps to a set bit
+        whole = _binary_index(X, np.arange(10) // 2)
+        y = sample_sphere(13, Seed(43).generator())
+        expect = [query_binary(whole, y, tau=-np.inf, mode="asymmetric", rerank=r)
+                  for r in ("real", "binary")]
+        # 3 rows of 13 bits per binarize chunk, 3 rows of 2 bytes per lookup chunk
+        monkeypatch.setattr(search, "_CHUNK_BITS", 48)
+        chunked = _binary_index(X, np.arange(10) // 2)
+        assert np.array_equal(chunked.codes, whole.codes)
+        assert np.array_equal(chunked.codes, np.packbits(X >= 0, axis=1))
+        assert np.array_equal(chunked.unit_codes, whole.unit_codes)
+        for r, e in zip(("real", "binary"), expect):
+            got = query_binary(chunked, y, tau=-np.inf, mode="asymmetric", rerank=r)
+            assert got == e
+
+    def test_asymmetric_query_builds_no_unit_matrix(self):
+        # M * d >= 1e6: the +/-1 float matrix of the unit codes would be 8 MB
+        M, d = 1000, 1024
+        X = sample_sphere(d, Seed(44).generator(), size=M)
+        part = Partition(unit_of=np.arange(M), M=M)
+        data = Dataset(X)
+        bindex = binarize(build_index(data, part, ConstructionConfig(kind="sum")), data)
+        y = sample_sphere(d, Seed(45).generator())
+        query_binary(bindex, y, tau=0.08, mode="asymmetric")  # warm up
+        tracemalloc.start()
+        try:
+            query_binary(bindex, y, tau=0.08, mode="asymmetric")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < M * d * 8
+
+
+class TestBinaryIndexInvariants:
+    def test_rejects_bad_codes(self, small_index):
+        data, index = small_index
+        good = binarize(index, data)
+        codes, unit_codes = np.array(good.codes), np.array(good.unit_codes)
+        make = lambda c, u, ds=data: BinaryIndex(codes=c, unit_codes=u, index=index,
+                                                 dataset=ds)
+        with pytest.raises(ModelError):  # one bool per bit
+            make(sign_code(data.vectors), sign_code(index.representatives))
+        with pytest.raises(ModelError):
+            make(codes.astype(np.int16), unit_codes)
+        with pytest.raises(DimensionError):
+            make(codes[:-1], unit_codes)
+        with pytest.raises(DimensionError):
+            make(codes, unit_codes[:, :-1])
+        with pytest.raises(DimensionError):
+            make(codes, unit_codes, Dataset(data.vectors[:100]))
+        assert make(codes, unit_codes).codes.tolist() == codes.tolist()
+
+    def test_rejects_set_pad_bits(self):
+        X = Seed(46).generator().standard_normal((4, 13))
+        good = _binary_index(X, [0, 0, 1, 1])
+        for name in ("codes", "unit_codes"):
+            arrays = {"codes": np.array(good.codes), "unit_codes": np.array(good.unit_codes)}
+            arrays[name][0, -1] |= 0b00000001
+            with pytest.raises(ModelError):
+                BinaryIndex(index=good.index, dataset=good.dataset, **arrays)
+
+    def test_frozen(self, small_index):
+        data, index = small_index
+        codes = np.packbits(data.vectors >= 0, axis=1)
+        bindex = BinaryIndex(codes=codes, unit_codes=np.packbits(
+            index.representatives >= 0, axis=1), index=index, dataset=data)
+        for arr in (bindex.codes, bindex.unit_codes):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+        codes[0, 0] ^= 1  # the caller's array stays writeable
