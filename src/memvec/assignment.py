@@ -145,7 +145,7 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     return part, reps
 
 
-_BLOCK_FLOATS = 1 << 17  # a (rows, M) float64 score block of about 1 MB
+_BLOCK_FLOATS = 1 << 17  # float64 score block, and gathered row block, of about 1 MB
 _PRUNE_SLACK = 1e-9  # relative margin over the Cauchy-Schwarz bound for rounding
 
 
@@ -153,40 +153,48 @@ def _nearest(X: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """``np.argmax(X @ reps.T, axis=1)``, ties to the lowest unit id,
     without the (N, M) score matrix.
 
-    Rows are scored in blocks. Units whose norm is at least half the
-    largest are "long" and are scored first; a "short" unit scores at most
-    ||x|| * max short norm (Cauchy-Schwarz), so a row whose best long
-    score clears that bound skips the short units. Only the remaining
-    rows score them.
+    Units are split into norm bands, from the longest down: each band
+    holds the remaining units whose norm is at least half the largest
+    remaining one. Bands are scored in turn over the rows still open, in
+    blocks of rows. A unit of a later band scores at most ||x|| * that
+    band's largest norm (Cauchy-Schwarz), so a row whose best score clears
+    the next band's bound is closed and skips every later band.
     """
     rnorm = np.sqrt(np.einsum("ij,ij->i", reps, reps))
-    is_long = rnorm >= 0.5 * rnorm.max()  # all long when every norm is 0
-    long_ids = np.flatnonzero(is_long)
-    short_ids = np.flatnonzero(~is_long)
-    long_reps = reps if short_ids.size == 0 else reps[long_ids]
-    short_reps = reps[short_ids]
-    bound = rnorm[short_ids].max(initial=0.0) * (1.0 + _PRUNE_SLACK)
-
-    labels = np.empty(len(X), dtype=np.int64)
-    rows = max(1, _BLOCK_FLOATS // len(reps))
-    for start in range(0, len(X), rows):
-        block = X[start:start + rows]
-        scores = block @ long_reps.T
-        arg = np.argmax(scores, axis=1)
-        best = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
-        lab = long_ids[arg]
-        if short_ids.size:
-            xnorm = np.sqrt(np.einsum("ij,ij->i", block, block))
-            open_rows = np.flatnonzero(best <= xnorm * bound)
-            if open_rows.size:
-                s_scores = block[open_rows] @ short_reps.T
-                s_arg = np.argmax(s_scores, axis=1)
-                s_best = np.take_along_axis(s_scores, s_arg[:, None], axis=1)[:, 0]
-                s_lab = short_ids[s_arg]
-                l_best, l_lab = best[open_rows], lab[open_rows]
-                win = (s_best > l_best) | ((s_best == l_best) & (s_lab < l_lab))
-                lab[open_rows[win]] = s_lab[win]
-        labels[start:start + rows] = lab
+    order = np.argsort(-rnorm, kind="stable")
+    desc = rnorm[order]
+    xnorm = np.sqrt(np.einsum("ij,ij->i", X, X))
+    best = np.full(len(X), -np.inf)
+    labels = np.zeros(len(X), dtype=np.int64)
+    open_rows = None  # the first band scores every row, in place
+    first = 0
+    while first < len(desc):
+        # desc is non-increasing, so the band is a prefix of desc[first:]; it
+        # holds at least its first unit (all the rest when that norm is 0)
+        last = first + int(np.count_nonzero(desc[first:] >= 0.5 * desc[first]))
+        ids = np.sort(order[first:last])
+        band = reps[ids]
+        rows = max(1, _BLOCK_FLOATS // max(len(ids), X.shape[1]))
+        for start in range(0, len(X) if open_rows is None else open_rows.size, rows):
+            at = (slice(start, start + rows) if open_rows is None
+                  else open_rows[start:start + rows])
+            scores = X[at] @ band.T
+            arg = np.argmax(scores, axis=1)
+            b_best = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
+            b_lab = ids[arg]
+            if open_rows is None:
+                best[at], labels[at] = b_best, b_lab
+                continue
+            o_best, o_lab = best[at], labels[at]
+            win = (b_best > o_best) | ((b_best == o_best) & (b_lab < o_lab))
+            best[at] = np.where(win, b_best, o_best)
+            labels[at] = np.where(win, b_lab, o_lab)
+        if last < len(desc):
+            # best only grows and bounds only shrink, so closed rows stay closed
+            open_rows = np.flatnonzero(best <= xnorm * (desc[last] * (1.0 + _PRUNE_SLACK)))
+            if open_rows.size == 0:
+                break
+        first = last
     return labels
 
 
@@ -195,10 +203,11 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
     then-largest unit (lowest id among equals), in place.
 
     Unit sizes are updated after each steal, and the ascending member
-    pool of a unit is taken from one stable argsort and shrunk by the
-    stolen id, so the draws match a fresh ``bincount``/``flatnonzero``
-    per empty unit. A filled unit holds one member while some unit still
-    holds two or more, so it is never the largest and needs no pool.
+    pool of a unit is taken, as a list, from one stable argsort and loses
+    the stolen id in place, so the draws match a fresh
+    ``bincount``/``flatnonzero`` per empty unit. A filled unit holds one
+    member while some unit still holds two or more, so it is never the
+    largest and needs no pool.
     """
     sizes = np.bincount(labels, minlength=M)
     empties = np.flatnonzero(sizes == 0)
@@ -206,15 +215,13 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
         return
     order = np.argsort(labels, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    pools: dict[int, np.ndarray] = {}
+    pools: dict[int, list[int]] = {}
     for j in empties:
         largest = int(np.argmax(sizes))
         pool = pools.get(largest)
         if pool is None:
-            pool = order[offsets[largest]:offsets[largest + 1]]
-        k = rng.integers(len(pool))
-        stolen = int(pool[k])
-        pools[largest] = np.delete(pool, k)
+            pool = pools[largest] = order[offsets[largest]:offsets[largest + 1]].tolist()
+        stolen = pool.pop(rng.integers(len(pool)))
         labels[stolen] = j
         sizes[largest] -= 1
         sizes[j] += 1

@@ -112,6 +112,8 @@ class MemoryIndex:
         if (reps.ndim != 2 or ids.ndim != 1 or offsets.shape != (len(reps) + 1,)
                 or offsets[0] != 0 or offsets[-1] != ids.size):
             raise ModelError("offsets do not delimit the member ids")
+        if reps.shape[1] < 1:
+            raise DimensionError("representatives must have dimension >= 1")
         if len(reps) == 0 or np.any(np.diff(offsets) <= 0):
             raise EmptyUnitError("index has no units, or an empty one")
         if not np.all(np.isfinite(reps)):

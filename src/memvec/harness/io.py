@@ -12,8 +12,8 @@ on load.
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -36,26 +36,30 @@ _TAG_NAMES = {v: k for k, v in _TAGS.items()}
 
 
 def _read_vecs(path, dtype) -> np.ndarray:
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size == 0:
+    """Check an fvecs/ivecs file and return its (N, d) values as a strided
+    ``dtype`` view of a read-only map of the file; nothing is copied."""
+    size = os.path.getsize(path)
+    if size == 0:
         raise FormatError(f"{path}: empty file", offset=0)
-    if raw.size < 4:
+    if size < 4:
         raise FormatError(f"{path}: truncated header", offset=0)
-    d = int(np.frombuffer(raw[:4].tobytes(), dtype="<i4")[0])
+    words = np.asarray(np.memmap(path, dtype="<i4", mode="r", shape=size // 4))
+    d = int(words[0])
     if d <= 0:
         raise FormatError(f"{path}: non-positive dimension {d}", offset=0)
     rec = 4 + 4 * d
-    if raw.size % rec != 0:
-        raise FormatError(f"{path}: truncated record", offset=raw.size - raw.size % rec)
-    n = raw.size // rec
-    flat = np.frombuffer(raw.tobytes(), dtype="<i4").reshape(n, 1 + d)
+    if size % rec != 0:
+        raise FormatError(f"{path}: truncated record", offset=size - size % rec)
+    flat = words.reshape(size // rec, 1 + d)
     bad = np.flatnonzero(flat[:, 0] != d)
     if bad.size:
         raise FormatError(f"{path}: inconsistent dimension {flat[bad[0], 0]} != {d}",
                           offset=int(bad[0]) * rec)
-    return flat[:, 1:].copy().view(dtype)
+    return flat[:, 1:].view(dtype)
 
 
+# The readers widen or copy the mapped values once, so the result owns its
+# memory and the map is released when the reader returns.
 def read_fvecs(path) -> np.ndarray:
     """Read an fvecs file into an (N, d) float64 array (widened from f32)."""
     return _read_vecs(path, "<f4").astype(np.float64)
@@ -67,14 +71,13 @@ def read_ivecs(path) -> np.ndarray:
 
 
 def _write_vecs(arr: np.ndarray, path, dtype):
-    arr = np.ascontiguousarray(arr)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise FormatError("expected a non-empty (N, d) array")
     n, d = arr.shape
-    body = arr.astype(dtype)
-    header = np.full((n, 1), d, dtype="<i4")
-    out = np.concatenate([header.view(dtype), body], axis=1)
-    Path(path).write_bytes(out.tobytes())
+    out = np.empty((n, 1 + d), dtype=dtype)
+    out.view("<i4")[:, 0] = d
+    out[:, 1:] = arr
+    out.tofile(path)
 
 
 def write_fvecs(arr: np.ndarray, path):
@@ -89,37 +92,41 @@ def write_ivecs(arr: np.ndarray, path):
 
 def write_index(index: MemoryIndex, path):
     """Serialize a MemoryIndex into the MVIX container."""
-    parts = [_MAGIC, bytes([_VERSION])]
-    parts.append(struct.pack("<4I", index.dim, index.total, index.num_units,
-                             _TAGS[index.construction]))
-    parts.append(index.representatives.astype("<f4").tobytes())
-    # each unit's uint32 count goes in front of its ids
-    parts.append(np.insert(index.member_ids.astype("<u4"), index.offsets[:-1],
-                           index.sizes.astype("<u4")).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with open(path, "wb") as f:
+        f.write(_MAGIC + bytes([_VERSION]))
+        f.write(struct.pack("<4I", index.dim, index.total, index.num_units,
+                            _TAGS[index.construction]))
+        index.representatives.astype("<f4").tofile(f)
+        # each unit's uint32 count goes in front of its ids
+        np.insert(index.member_ids.astype("<u4"), index.offsets[:-1],
+                  index.sizes.astype("<u4")).tofile(f)
 
 
 def read_index(path) -> MemoryIndex:
     """Load a MemoryIndex from an MVIX container (float32 widened)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 21:
+    size = os.path.getsize(path)
+    if size < 21:
         raise FormatError(f"{path}: truncated header", offset=0)
-    if raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}", offset=0)
-    if raw[4] != _VERSION:
-        raise FormatError(f"{path}: unsupported version {raw[4]}", offset=4)
-    d, n_total, m, tag = struct.unpack_from("<4I", raw, 5)
+    raw = np.asarray(np.memmap(path, dtype=np.uint8, mode="r"))
+    head = raw[:21].tobytes()
+    if head[:4] != _MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r}", offset=0)
+    if head[4] != _VERSION:
+        raise FormatError(f"{path}: unsupported version {head[4]}", offset=4)
+    d, n_total, m, tag = struct.unpack_from("<4I", head, 5)
+    if d == 0:
+        raise FormatError(f"{path}: zero dimension", offset=5)
     if tag not in _TAG_NAMES:
         raise FormatError(f"{path}: unknown construction tag {tag}", offset=17)
     pos = 21
     need = 4 * d * m
-    if len(raw) < pos + need:
-        raise FormatError(f"{path}: truncated representatives", offset=len(raw))
+    if size < pos + need:
+        raise FormatError(f"{path}: truncated representatives", offset=size)
     reps = np.frombuffer(raw, dtype="<f4", count=d * m, offset=pos)
     reps = reps.reshape(m, d).astype(np.float64)
     pos += need
     # uint32 stream of (count, ids...) per unit: walk the counts
-    stream = np.frombuffer(raw, dtype="<u4", count=(len(raw) - pos) // 4, offset=pos)
+    stream = np.frombuffer(raw, dtype="<u4", count=(size - pos) // 4, offset=pos)
     heads, at = [], 0
     try:
         for _ in range(m):
@@ -127,9 +134,9 @@ def read_index(path) -> MemoryIndex:
             at += 1 + int(stream[at])
     except IndexError:
         raise FormatError(f"{path}: truncated membership list", offset=pos + 4 * at) from None
-    if pos + 4 * at != len(raw):
+    if pos + 4 * at != size:
         raise FormatError(f"{path}: membership lists end at byte {pos + 4 * at} "
-                          f"of {len(raw)}", offset=pos + 4 * at)
+                          f"of {size}", offset=pos + 4 * at)
     offsets = np.concatenate(([0], np.cumsum(stream[heads], dtype=np.int64)))
     if offsets[-1] != n_total:
         raise FormatError(f"{path}: {offsets[-1]} member ids for N = {n_total}", offset=9)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -202,6 +203,60 @@ class TestNearest:
         X = np.vstack([e[0], e[1], e[2]])
         assert not self._pruned(X, R)[0]
         assert np.array_equal(self._check(X, R), [0, 1, 2])
+
+    @staticmethod
+    def _closing_band(X, R):
+        """Per row, the band after which it closes (the number of bands if
+        it never does), bands built from the norms one unit at a time."""
+        rn = np.linalg.norm(R, axis=1)
+        tops, top = [], None
+        for v in sorted(rn, reverse=True):
+            if top is None or v < 0.5 * top:
+                top = v
+                tops.append(v)
+        scores = X @ R.T
+        xn = np.linalg.norm(X, axis=1)
+        closed = np.full(len(X), len(tops))
+        for b in range(len(tops) - 1, 0, -1):
+            best = scores[:, rn >= 0.5 * tops[b - 1]].max(axis=1)
+            closed[best > xn * tops[b] * (1 + 1e-9)] = b
+        return closed
+
+    def test_many_bands_prune_at_different_bands(self, blocks):
+        ds, _ = make_clustered_dataset(8, 25, 16, 0.9, Seed(38).generator())
+        X = ds.vectors
+        scales = np.repeat(3.0 ** np.arange(6), 8)  # six bands
+        R = sample_sphere(16, Seed(39).generator(), size=48) * scales[:, None]
+        R[[0, 9, 20, 30]] = X[[0, 25, 50, 75]] * scales[[0, 9, 20, 30], None]
+        assert len(np.unique(self._closing_band(X, R))) >= 3
+        self._check(X, R)
+
+    def test_ties_within_and_across_bands_and_zero_units(self, blocks):
+        # bands {3, 5}, {1}, {0}, {2, 4}; x = e0 scores 1 on a unit of each
+        # of the first three: the lowest id wins. x = -e0 scores 0 on the
+        # zero units and on unit 5 of the first band, below 0 elsewhere
+        e = np.eye(3)
+        R = np.vstack([e[0], e[0] + np.sqrt(15.0) * e[1], np.zeros(3),
+                       e[0] + np.sqrt(99.0) * e[2], np.zeros(3), -8.0 * e[1]])
+        X = np.vstack([e[0], -e[0], e[1], e[2]])
+        assert np.array_equal(self._check(X, R), [0, 2, 1, 3])
+        # one band: the lower id wins a tie though its norm is smaller
+        R = np.vstack([e[0] + 0.5 * e[1], e[0] + e[1]])
+        assert np.array_equal(self._check(X[:1], R), [0])
+
+    def test_small_bands_gather_small_blocks(self):
+        # one unit per band and almost no pruning: every band is scored
+        # over nearly all rows, in blocks of about _BLOCK_FLOATS floats
+        X = sample_sphere(64, Seed(40).generator(), size=20_000)  # 10 MB
+        R = sample_sphere(64, Seed(41).generator(), size=8) * 0.3 ** np.arange(8)[:, None]
+        tracemalloc.start()
+        try:
+            got = assignment._nearest(X, R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, np.argmax(X @ R.T, axis=1))
+        assert peak <= 4 * 2**20
 
     def test_single_unit(self, blocks):
         R = sample_sphere(5, Seed(36).generator(), size=1)

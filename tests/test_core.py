@@ -138,6 +138,10 @@ class TestMemoryIndex:
         with pytest.raises(ModelError):
             self._index([[0]], construction="mean")
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(DimensionError):
+            self._index([[0, 1], [2]], d=0)
+
 
 class TestQueryModel:
     def test_beta_complement(self):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,11 +45,20 @@ class TestFvecs:
             io.read_fvecs(path)
         assert err.value.offset == 0
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_short_header(self, tmp_path, size):
+        path = tmp_path / "s.fvecs"
+        path.write_bytes(b"\x02" * size)
+        with pytest.raises(FormatError, match="truncated header") as err:
+            io.read_fvecs(path)
+        assert err.value.offset == 0
+
     def test_truncated_record(self, tmp_path):
         path = tmp_path / "t.fvecs"
         path.write_bytes(struct.pack("<i2f", 2, 1.0, 2.0) + b"\x02\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             io.read_fvecs(path)
+        assert err.value.offset == 12  # start of the partial record
 
     def test_inconsistent_dimension(self, tmp_path):
         path = tmp_path / "t.fvecs"
@@ -60,9 +70,39 @@ class TestFvecs:
 
     def test_non_positive_dimension(self, tmp_path):
         path = tmp_path / "t.fvecs"
-        path.write_bytes(struct.pack("<i", -1))
-        with pytest.raises(FormatError):
-            io.read_fvecs(path)
+        for d in (-1, 0):
+            path.write_bytes(struct.pack("<i", d))
+            with pytest.raises(FormatError) as err:
+                io.read_fvecs(path)
+            assert err.value.offset == 0
+
+    def test_result_owns_its_memory(self, tmp_path):
+        # a result that still viewed a map of the file would change when
+        # the file is overwritten in place
+        arr = sample_sphere(8, Seed(4).generator(), size=50)
+        path = tmp_path / "o.fvecs"
+        io.write_fvecs(arr, path)
+        back = io.read_fvecs(path)
+        kept = back.copy()
+        assert type(back) is np.ndarray and back.flags.owndata and back.flags.writeable
+        with open(path, "r+b") as f:
+            f.write(bytes(path.stat().st_size))
+        assert np.array_equal(back, kept)
+        path.unlink()
+        assert np.array_equal(back, kept)
+
+    def test_peak_memory_is_the_result(self, tmp_path):
+        arr = np.random.default_rng(5).standard_normal((4096, 128))
+        path = tmp_path / "m.fvecs"
+        io.write_fvecs(arr, path)
+        tracemalloc.start()
+        try:
+            back = io.read_fvecs(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, arr.astype(np.float32).astype(np.float64))
+        assert peak <= back.nbytes + 2**20
 
 
 class TestIvecs:
@@ -71,6 +111,22 @@ class TestIvecs:
         path = tmp_path / "t.ivecs"
         io.write_ivecs(arr, path)
         assert np.array_equal(io.read_ivecs(path), arr)
+
+    def test_hand_built_file(self, tmp_path):
+        path = tmp_path / "hand.ivecs"
+        path.write_bytes(struct.pack("<4i", 3, -2**31, 2**31 - 1, 0)
+                         + struct.pack("<4i", 3, 7, -1, 42))
+        back = io.read_ivecs(path)
+        assert back.dtype == np.int32 and back.flags.owndata
+        assert back.tolist() == [[-2**31, 2**31 - 1, 0], [7, -1, 42]]
+
+    def test_inconsistent_dimension(self, tmp_path):
+        path = tmp_path / "t.ivecs"
+        path.write_bytes(struct.pack("<2i", 1, 5) + struct.pack("<2i", 1, 6)
+                         + struct.pack("<2i", 2, 7))
+        with pytest.raises(FormatError) as err:
+            io.read_ivecs(path)
+        assert err.value.offset == 16  # third record header
 
 
 def _make_index(construction="pinv"):
@@ -117,6 +173,14 @@ class TestIndexContainer:
         io.write_index(index, p1)
         io.write_index(io.read_index(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_zero_dimension(self, tmp_path):
+        path = tmp_path / "z.mvix"
+        path.write_bytes(b"MVIX" + bytes([1]) + struct.pack("<4I", 0, 1, 1, 0)
+                         + struct.pack("<2I", 1, 0))
+        with pytest.raises(FormatError) as err:
+            io.read_index(path)
+        assert err.value.offset == 5
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mvix"
