@@ -125,7 +125,8 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     if cfg.M > N:
         raise DomainError("M must not exceed the dataset size")
     rng = cfg.seed.generator()
-    reps = X[rng.choice(N, size=cfg.M, replace=False)]
+    # widened, so the first step's norms and scores are float64 like the rest
+    reps = X[rng.choice(N, size=cfg.M, replace=False)].astype(np.float64, copy=False)
     construction = replace(cfg.construction, kind=cfg.mode)
 
     labels = None
@@ -159,14 +160,19 @@ def _nearest(X: np.ndarray, reps: np.ndarray) -> np.ndarray:
     blocks of rows. A unit of a later band scores at most ||x|| * that
     band's largest norm (Cauchy-Schwarz), so a row whose best score clears
     the next band's bound is closed and skips every later band.
+
+    X is used as stored: each block of rows is copied (widened, when X is
+    float32) into one float64 buffer per band, so every score and row norm
+    is computed in float64. A mixed float32 @ float64 matmul would cast
+    into a fresh array on every call, which is slower.
     """
     rnorm = np.sqrt(np.einsum("ij,ij->i", reps, reps))
     order = np.argsort(-rnorm, kind="stable")
     desc = rnorm[order]
-    xnorm = np.sqrt(np.einsum("ij,ij->i", X, X))
+    xnorm = np.empty(len(X))  # row norms, filled from the first band's blocks
     best = np.full(len(X), -np.inf)
     labels = np.zeros(len(X), dtype=np.int64)
-    open_rows = None  # the first band scores every row, in place
+    open_rows = None  # the first band scores every row
     first = 0
     while first < len(desc):
         # desc is non-increasing, so the band is a prefix of desc[first:]; it
@@ -174,16 +180,23 @@ def _nearest(X: np.ndarray, reps: np.ndarray) -> np.ndarray:
         last = first + int(np.count_nonzero(desc[first:] >= 0.5 * desc[first]))
         ids = np.sort(order[first:last])
         band = reps[ids]
+        count = len(X) if open_rows is None else open_rows.size
         rows = max(1, _BLOCK_FLOATS // max(len(ids), X.shape[1]))
-        for start in range(0, len(X) if open_rows is None else open_rows.size, rows):
+        # one float64 row block and one score block per band, reused
+        buf = np.empty((min(rows, count), X.shape[1]))
+        score_buf = np.empty((len(buf), len(ids)))
+        for start in range(0, count, rows):
             at = (slice(start, start + rows) if open_rows is None
                   else open_rows[start:start + rows])
-            scores = X[at] @ band.T
+            block = buf[:min(rows, count - start)]
+            block[...] = X[at]
+            scores = np.matmul(block, band.T, out=score_buf[:len(block)])
             arg = np.argmax(scores, axis=1)
             b_best = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
             b_lab = ids[arg]
             if open_rows is None:
                 best[at], labels[at] = b_best, b_lab
+                xnorm[at] = np.sqrt(np.einsum("ij,ij->i", block, block))
                 continue
             o_best, o_lab = best[at], labels[at]
             win = (b_best > o_best) | ((b_best == o_best) & (b_lab < o_lab))

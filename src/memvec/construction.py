@@ -130,6 +130,8 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
                     report: dict | None = None) -> np.ndarray:
     """(M, d) representatives of the CSR units ``X[member_ids[offsets[j]:
     offsets[j + 1]]]``, gathered in (b, n, d) batches of equal size n.
+    X is used as stored (float32 or float64); each batch is widened to
+    float64, so sums and solves are float64 whatever X holds.
 
     Sums equal ``sum_vector`` bit for bit. pinv solves a batch at once; a
     batch whose Cholesky fails, a unit over the solve_spd bound and every
@@ -137,7 +139,7 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     ``fallbacks``, the units that took the fallback ridge, and
     ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
     cfg = cfg or ConstructionConfig()
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     sizes = np.diff(offsets)
     if np.any(sizes <= 0):
         raise EmptyUnitError("empty member set")
@@ -149,7 +151,8 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
         step = max(1, _BATCH_FLOATS // (n * d))
         for s in range(0, units.size, step):
             js = units[s:s + step]
-            block = X[member_ids[offsets[js, None] + np.arange(n)]]
+            block = X[member_ids[offsets[js, None] + np.arange(n)]].astype(
+                np.float64, copy=False)
             if cfg.kind == "sum":
                 reps[js] = block.sum(axis=1)
                 continue

@@ -1,8 +1,9 @@
 """Core data model: unit vectors, datasets, the memory index and query models.
 
 All vectors live on the d-dimensional unit hypersphere and similarity is
-the plain inner product. Coefficients are held in float64 internally; the
-32-bit file representation is widened on load by the harness.
+the plain inner product. Dataset coefficients are stored as read (float32
+from a file, float64 when generated) and widened per block: every kernel
+widens the rows it gathers, so all arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -59,18 +60,23 @@ class Dataset:
     """An ordered collection of N unit vectors of common dimension d.
 
     Ids are positional: vector i is ``vectors[i]``, a read-only view that
-    shares memory with a float64 input (the caller's array stays writeable).
+    shares memory with a float32 or float64 input (the caller's array stays
+    writeable); any other input is converted to float64. Rows are stored as
+    read and widened to float64 per block by the kernels that use them.
     """
 
-    vectors: np.ndarray  # (N, d) float64
+    vectors: np.ndarray  # (N, d) float32 or float64
 
     def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=np.float64).view()
+        arr = np.asarray(self.vectors)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
+        arr = arr.view()
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError("dataset must be a non-empty (N, d) array")
-        # row squared norms in one pass, with no (N, d) temporary; they are
-        # >= 0, so the max is non-finite iff some coefficient is (NaN propagates)
-        sq = np.einsum("ij,ij->i", arr, arr)
+        # row squared norms in one float64 pass, with no (N, d) temporary; they
+        # are >= 0, so the max is non-finite iff some coefficient is (NaN propagates)
+        sq = np.einsum("ij,ij->i", arr, arr, dtype=np.float64)
         lo, hi = sq.min(), sq.max()
         if not np.isfinite(hi):
             raise NormalizationError("dataset has non-finite coefficients")

@@ -1,13 +1,16 @@
 """Binary file formats.
 
 fvecs/ivecs: per record a 4-byte little-endian int32 d followed by d
-little-endian float32 / int32 values; all records share d.
+little-endian float32 / int32 values; all records share d. fvecs data is
+read as float32 and kept so: the kernels widen the rows they gather. The
+writers refuse a value the file type cannot hold (a finite value beyond
+the float32 range, an integer outside int32); NaN and +/-inf are written.
 
 MVIX index container: magic b"MVIX", version byte 1, little-endian uint32
 fields {d, N, M, construction tag (0 = sum, 1 = pinv)}, then the M
 representatives as d consecutive float32 each, then the M membership
-lists as uint32 count + uint32 ids. Coefficients are widened to float64
-on load.
+lists as uint32 count + uint32 ids. Representatives are widened to
+float64 on load.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ _MAGIC = b"MVIX"
 _VERSION = 1
 _TAGS = {"sum": 0, "pinv": 1}
 _TAG_NAMES = {v: k for k, v in _TAGS.items()}
+_INT32 = np.iinfo(np.int32)
 
 
 def _read_vecs(path, dtype) -> np.ndarray:
@@ -58,11 +62,11 @@ def _read_vecs(path, dtype) -> np.ndarray:
     return flat[:, 1:].view(dtype)
 
 
-# The readers widen or copy the mapped values once, so the result owns its
-# memory and the map is released when the reader returns.
+# The readers copy the mapped values once, so the result owns its memory
+# and the map is released when the reader returns.
 def read_fvecs(path) -> np.ndarray:
-    """Read an fvecs file into an (N, d) float64 array (widened from f32)."""
-    return _read_vecs(path, "<f4").astype(np.float64)
+    """Read an fvecs file into an (N, d) float32 array, as stored."""
+    return _read_vecs(path, "<f4").astype(np.float32)
 
 
 def read_ivecs(path) -> np.ndarray:
@@ -76,17 +80,29 @@ def _write_vecs(arr: np.ndarray, path, dtype):
     n, d = arr.shape
     out = np.empty((n, 1 + d), dtype=dtype)
     out.view("<i4")[:, 0] = d
-    out[:, 1:] = arr
+    try:
+        with np.errstate(over="raise"):
+            out[:, 1:] = arr
+    except FloatingPointError:
+        raise FormatError(f"a finite value overflows {out.dtype}") from None
     out.tofile(path)
 
 
 def write_fvecs(arr: np.ndarray, path):
-    """Write an (N, d) array as little-endian float32 fvecs."""
-    _write_vecs(np.asarray(arr, dtype=np.float64), path, "<f4")
+    """Write an (N, d) array as little-endian float32 fvecs. A float32
+    array is written as is; anything else is rounded through float64."""
+    arr = np.asarray(arr)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=np.float64)
+    _write_vecs(arr, path, "<f4")
 
 
 def write_ivecs(arr: np.ndarray, path):
     """Write an (N, d) integer array as little-endian int32 ivecs."""
+    arr = np.asarray(arr)
+    # written so that NaN fails too
+    if arr.size and not (arr.min() >= _INT32.min and arr.max() <= _INT32.max):
+        raise FormatError("a value lies outside the int32 range")
     _write_vecs(np.asarray(arr, dtype=np.int64), path, "<i4")
 
 

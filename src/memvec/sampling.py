@@ -152,7 +152,9 @@ def make_query(dataset: Dataset, model: QueryModel, rng: np.random.Generator) ->
 
 def h1_queries(planted: np.ndarray, alpha: float, rng: np.random.Generator) -> np.ndarray:
     """One H1 query per row x of ``planted``: alpha x + beta z, with z
-    uniform on the unit sphere orthogonal to x, renormalized."""
+    uniform on the unit sphere orthogonal to x, renormalized. float32 rows
+    are widened first, so the queries are computed in float64."""
+    planted = np.asarray(planted, dtype=np.float64)
     g = rng.standard_normal(planted.shape)
     g -= np.sum(g * planted, axis=1, keepdims=True) * planted
     z = g / np.linalg.norm(g, axis=1, keepdims=True)

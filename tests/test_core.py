@@ -89,6 +89,27 @@ class TestDataset:
         assert np.shares_memory(ds.vectors, Y)  # a view, not a copy
         Y[0, 0] = 1.0
 
+    def test_float32_kept_as_a_view(self):
+        g = np.random.default_rng(1).standard_normal((6, 17))
+        Y = (g / np.linalg.norm(g, axis=1, keepdims=True)).astype(np.float32)
+        ds = Dataset(Y)
+        assert ds.vectors.dtype == np.float32 and np.shares_memory(ds.vectors, Y)
+        assert Y.flags.writeable and not ds.vectors.flags.writeable
+
+    def test_other_dtypes_become_float64(self):
+        for arr in (np.eye(3, dtype=np.float16), np.eye(3, dtype=np.int64),
+                    np.eye(3, dtype=">f4"), [[1.0, 0.0]]):
+            assert Dataset(arr).vectors.dtype == np.float64
+
+    def test_float32_rejects_nan_and_non_unit_rows(self):
+        with pytest.raises(NormalizationError, match="non-finite"):
+            Dataset(np.array([[1.0, 0.0], [np.nan, 0.0]], dtype=np.float32))
+        with pytest.raises(NormalizationError, match="not unit"):
+            Dataset(np.array([[1.0, 0.0], [0.0, 1.001]], dtype=np.float32))
+        # float32 squares of 2e19 overflow to inf; the norms are float64
+        with pytest.raises(NormalizationError, match="not unit"):
+            Dataset(np.array([[2e19, 0.0]], dtype=np.float32))
+
 
 class TestMemoryIndex:
     @staticmethod

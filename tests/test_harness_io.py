@@ -20,7 +20,7 @@ class TestFvecs:
         payload = struct.pack("<i2f", 2, 1.0, -0.5) + struct.pack("<i2f", 2, 0.25, 2.0)
         path.write_bytes(payload)
         arr = io.read_fvecs(path)
-        assert arr.dtype == np.float64
+        assert arr.dtype == np.float32  # kept as stored; kernels widen per block
         assert np.array_equal(arr, [[1.0, -0.5], [0.25, 2.0]])
 
     def test_roundtrip_is_float32_exact(self, tmp_path):
@@ -104,6 +104,34 @@ class TestFvecs:
         assert np.array_equal(back, arr.astype(np.float32).astype(np.float64))
         assert peak <= back.nbytes + 2**20
 
+    def test_finite_overflow_refused(self, tmp_path):
+        path = tmp_path / "o.fvecs"
+        for bad in ([[1e39, 1.0]], [[1.0, -3.5e38]], np.array([[1e300]])):
+            with pytest.raises(FormatError, match="overflows"):
+                io.write_fvecs(bad, path)
+        assert not path.exists()
+
+    def test_non_finite_and_float32_max_written(self, tmp_path):
+        path = tmp_path / "n.fvecs"
+        big = float(np.finfo(np.float32).max)
+        io.write_fvecs([[np.nan, np.inf, -np.inf, big, -big]], path)
+        back = io.read_fvecs(path)[0]
+        assert np.isnan(back[0]) and back[1:3].tolist() == [np.inf, -np.inf]
+        assert back[3:].tolist() == [big, -big]
+
+    def test_float32_input_written_without_a_copy(self, tmp_path):
+        arr = np.random.default_rng(6).standard_normal((4096, 128)).astype(np.float32)
+        path = tmp_path / "w.fvecs"
+        tracemalloc.start()
+        try:
+            io.write_fvecs(arr, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (N, d + 1) record array; a float64 copy first would add 2x arr
+        assert peak <= arr.nbytes + 4 * len(arr) + 2**20
+        assert np.array_equal(io.read_fvecs(path), arr)
+
 
 class TestIvecs:
     def test_roundtrip(self, tmp_path):
@@ -119,6 +147,15 @@ class TestIvecs:
         back = io.read_ivecs(path)
         assert back.dtype == np.int32 and back.flags.owndata
         assert back.tolist() == [[-2**31, 2**31 - 1, 0], [7, -1, 42]]
+
+    def test_out_of_range_refused(self, tmp_path):
+        path = tmp_path / "o.ivecs"
+        for bad in ([[2**40 + 3, -2**35, 2**31]], [[2**31]], [[-2**31 - 1]],
+                    [[2**70]], np.array([[2**64 - 1]], dtype=np.uint64),
+                    np.array([[np.nan]])):
+            with pytest.raises(FormatError, match="int32"):
+                io.write_ivecs(bad, path)
+        assert not path.exists()
 
     def test_inconsistent_dimension(self, tmp_path):
         path = tmp_path / "t.ivecs"

@@ -8,6 +8,7 @@ from memvec.errors import DegenerateCapError, DimensionError, ModelError
 from memvec.sampling import (
     CapSpec,
     Seed,
+    h1_queries,
     make_clustered_dataset,
     make_query,
     sample_cap,
@@ -116,6 +117,18 @@ class TestMakeQuery:
         ds = self._dataset()
         y = make_query(ds, QueryModel("H0"), Seed(11).generator())
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+
+    def test_float32_rows_give_the_widened_queries(self):
+        rows = sample_sphere(64, Seed(12).generator(), size=30).astype(np.float32)
+        for alpha in (0.3, 0.8, 0.9):
+            y32 = h1_queries(rows, alpha, Seed(13).generator())
+            y64 = h1_queries(rows.astype(np.float64), alpha, Seed(13).generator())
+            assert y32.dtype == np.float64 and np.array_equal(y32, y64)
+        ds = Dataset(rows)
+        model = QueryModel("H1", alpha=0.8, planted_id=3)
+        assert np.array_equal(make_query(ds, model, Seed(14).generator()),
+                              make_query(Dataset(rows.astype(np.float64)), model,
+                                         Seed(14).generator()))
 
     def test_planted_out_of_range(self):
         ds = self._dataset()
