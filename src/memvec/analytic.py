@@ -192,14 +192,15 @@ def _log_betainc(a: float, b: float, x) -> np.ndarray:
 
 
 _SQRT2 = math.sqrt(2.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def std_normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    from scipy.special import erfc
-
+    """Standard normal CDF via the complementary error function
+    (``math.erfc``, so no scipy at run time). Returns a float for scalar
+    or 0-d input and a float64 array otherwise."""
     x = np.asarray(x, dtype=np.float64)
-    out = 0.5 * erfc(-x / _SQRT2)
+    out = 0.5 * np.asarray(_erfc(-x / _SQRT2), dtype=np.float64)
     return float(out) if out.ndim == 0 else out
 
 

@@ -41,7 +41,7 @@ class Partition:
             raise DomainError("unit_of must be a non-empty 1-d array")
         if self.M < 1 or u.min() < 0 or u.max() >= self.M:
             raise DomainError("unit ids out of range")
-        order = np.argsort(u, kind="stable")
+        order = _stable_order(u, self.M)
         offsets = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=self.M))))
         for name, arr in (("unit_of", u), ("order", order), ("offsets", offsets)):
             arr.setflags(write=False)
@@ -98,16 +98,28 @@ class BatchConfig:
             raise DomainError("inner must be a KMeansConfig or 'random'")
 
 
+def _stable_order(unit_of: np.ndarray, M: int) -> np.ndarray:
+    """``np.argsort(unit_of, kind="stable")`` for ids in [0, M), sorted on
+    the narrowest unsigned key that holds M - 1: numpy radix-sorts keys of
+    16 bits or less, and a narrower key is a smaller copy."""
+    return np.argsort(unit_of.astype(np.min_scalar_type(M - 1)), kind="stable")
+
+
 def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     """Seeded uniform permutation of [0, N) chunked into units of size n
     (the last unit may be smaller)."""
     if n < 1 or n > N:
         raise DomainError("need 1 <= n <= N")
     perm = rng.permutation(N)
-    M = -(-N // n)
+    full = N // n
+    # unit_of[perm[k]] = k // n, written through a (full, n) view of perm so
+    # no N-length position or quotient array is made; perm is freed before
+    # the partition sorts
     unit_of = np.empty(N, dtype=np.int64)
-    unit_of[perm] = np.arange(N) // n
-    return Partition(unit_of=unit_of, M=M)
+    unit_of[perm[:full * n].reshape(full, n)] = np.arange(full)[:, None]
+    unit_of[perm[full * n:]] = full
+    del perm
+    return Partition(unit_of=unit_of, M=-(-N // n))
 
 
 def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np.ndarray]:
@@ -226,7 +238,7 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
     empties = np.flatnonzero(sizes == 0)
     if empties.size == 0:
         return
-    order = np.argsort(labels, kind="stable")
+    order = _stable_order(labels, M)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     pools: dict[int, list[int]] = {}
     for j in empties:

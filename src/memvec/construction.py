@@ -151,6 +151,7 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
         step = max(1, _BATCH_FLOATS // (n * d))
         for s in range(0, units.size, step):
             js = units[s:s + step]
+            block = None  # free the last batch, so two are never alive at once
             block = X[member_ids[offsets[js, None] + np.arange(n)]].astype(
                 np.float64, copy=False)
             if cfg.kind == "sum":

@@ -16,6 +16,7 @@ from .errors import DimensionError, EmptyUnitError, ModelError, NormalizationErr
 
 UNIT_NORM_TOL = 1e-9
 FILE_NORM_TOL = 1e-4  # loose bound for stored vectors: files hold float32
+_NORM_ROWS = 1 << 13  # rows per squared-norm chunk in the Dataset check
 
 __all__ = [
     "UNIT_NORM_TOL",
@@ -74,10 +75,13 @@ class Dataset:
         arr = arr.view()
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError("dataset must be a non-empty (N, d) array")
-        # row squared norms in one float64 pass, with no (N, d) temporary; they
-        # are >= 0, so the max is non-finite iff some coefficient is (NaN propagates)
-        sq = np.einsum("ij,ij->i", arr, arr, dtype=np.float64)
-        lo, hi = sq.min(), sq.max()
+        # float64 row squared norms, a bounded chunk of rows at a time; they are
+        # >= 0, so the max is non-finite iff some coefficient is (NaN propagates)
+        lo, hi = np.inf, 0.0
+        for start in range(0, len(arr), _NORM_ROWS):
+            chunk = arr[start:start + _NORM_ROWS]
+            sq = np.einsum("ij,ij->i", chunk, chunk, dtype=np.float64)
+            lo, hi = np.minimum(lo, sq.min()), np.maximum(hi, sq.max())
         if not np.isfinite(hi):
             raise NormalizationError("dataset has non-finite coefficients")
         if lo < (1.0 - FILE_NORM_TOL) ** 2 or hi > (1.0 + FILE_NORM_TOL) ** 2:
@@ -122,9 +126,14 @@ class MemoryIndex:
             raise DimensionError("representatives must have dimension >= 1")
         if len(reps) == 0 or np.any(np.diff(offsets) <= 0):
             raise EmptyUnitError("index has no units, or an empty one")
-        if not np.all(np.isfinite(reps)):
+        # min and max propagate NaN, so no (M, d) mask is needed
+        if not (np.isfinite(reps.min()) and np.isfinite(reps.max())):
             raise DimensionError("representatives must be finite")
-        if ids.min() < 0 or np.any(np.bincount(ids, minlength=ids.size) != 1):
+        # N ids in [0, N) that mark every slot of an N-byte mask are a permutation
+        seen = np.zeros(ids.size, dtype=bool)
+        if ids.min() >= 0 and ids.max() < ids.size:
+            seen[ids] = True
+        if not seen.all():
             raise ModelError("unit members do not partition the dataset ids")
         for name, arr in (("representatives", reps), ("offsets", offsets),
                           ("member_ids", ids)):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..assignment import _BLOCK_FLOATS
 from ..core import Dataset
 from ..errors import DimensionError
 
@@ -30,12 +31,33 @@ class EvalReport:
 
 def cosine_ground_truth(dataset: Dataset, queries: np.ndarray,
                         alpha0: float) -> list[np.ndarray]:
-    """Per-query sorted id lists of all vectors with inner product >= alpha0."""
+    """Per-query sorted id lists of all vectors with inner product >= alpha0.
+
+    The queries are scored against one block of dataset rows at a time,
+    each copied (widened, when the dataset is float32) into one reused
+    float64 buffer, so neither the (Q, N) score matrix nor a float64 copy
+    of the dataset is made.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != dataset.dim:
         raise DimensionError("query dimension mismatch")
-    sims = queries @ dataset.vectors.T  # (Q, N)
-    return [np.flatnonzero(row >= alpha0) for row in sims]
+    X = dataset.vectors
+    rows = max(1, _BLOCK_FLOATS // max(len(queries), X.shape[1]))
+    buf = np.empty((min(rows, len(X)), X.shape[1]))
+    score_buf = np.empty(len(queries) * len(buf))  # flat: each view is contiguous
+    q_hits, id_hits = [], []
+    for start in range(0, len(X), rows):
+        block = buf[:min(rows, len(X) - start)]
+        block[...] = X[start:start + len(block)]
+        scores = np.matmul(queries, block.T,
+                           out=score_buf[:len(queries) * len(block)].reshape(-1, len(block)))
+        q, i = np.nonzero(scores >= alpha0)  # by query, then by id
+        q_hits.append(q)
+        id_hits.append(i + start)
+    q = np.concatenate(q_hits)
+    ids = np.concatenate(id_hits)[np.argsort(q, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(q, minlength=len(queries)))))
+    return [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def evaluate_results(retrieved: list[np.ndarray], matches: list[np.ndarray],

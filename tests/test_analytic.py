@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,37 @@ class TestNormal:
     def test_cdf_against_scipy(self):
         xs = np.linspace(-8, 8, 101)
         assert np.max(np.abs(A.std_normal_cdf(xs) - sp.ndtr(xs))) < 1e-15
+
+    def test_cdf_return_types(self):
+        for x in (0.3, np.float64(0.3), np.array(0.3), 1):
+            assert type(A.std_normal_cdf(x)) is float
+        assert A.std_normal_cdf(0.0) == 0.5
+        for xs in ([0.3], np.zeros((2, 3)), np.zeros(0)):
+            out = A.std_normal_cdf(xs)
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+            assert out.shape == np.shape(xs)
+
+    def test_cdf_infinities_and_nan(self):
+        assert A.std_normal_cdf(np.inf) == 1.0
+        assert A.std_normal_cdf(-np.inf) == 0.0
+        assert math.isnan(A.std_normal_cdf(np.nan))
+        out = A.std_normal_cdf(np.array([np.inf, -np.inf, np.nan]))
+        assert out[0] == 1.0 and out[1] == 0.0 and np.isnan(out[2])
+
+    def test_run_time_needs_no_scipy_special(self):
+        # the cost model is pure stdlib + numpy: a fresh interpreter that
+        # evaluates it must not have loaded scipy.special
+        code = ("import sys, memvec\n"
+                "from memvec import analytic as A\n"
+                "A.threshold_for('pinv', 0.5, 50, 1000, 0.01)\n"
+                "A.error_rates('sum', 0.3, 0.5, 10, 128)\n"
+                "A.expected_cost_ratio('pinv', 10, 128, 0.5, 0.01)\n"
+                "print('scipy.special' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(A.__file__).parents[1])] + sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_quantile_against_scipy(self):
         ps = np.concatenate([np.linspace(1e-12, 1 - 1e-12, 201),

@@ -31,6 +31,17 @@ class TestPartition:
         with pytest.raises(DomainError):
             Partition(unit_of=np.array([0, 3]), M=3)
 
+    # the sort key narrows to uint8 up to M = 256, uint16 up to 65536, then uint32
+    @pytest.mark.parametrize("M", [1, 256, 257, 65536, 65537])
+    def test_order_matches_int64_stable_argsort(self, M):
+        unit_of = np.random.default_rng(M).integers(0, M, size=3 * M + 5)
+        unit_of[-1] = M - 1  # the largest id is present
+        p = Partition(unit_of=unit_of, M=M)
+        assert p.order.dtype == np.int64 and p.unit_of.dtype == np.int64
+        assert np.array_equal(p.order, np.argsort(unit_of, kind="stable"))
+        assert np.array_equal(p.offsets, np.concatenate(
+            ([0], np.cumsum(np.bincount(unit_of, minlength=M)))))
+
 
 class TestRandomAssignment:
     def test_partitions_everything(self):
@@ -294,6 +305,22 @@ class TestKMeansAgainstReference:
         assert np.unique(labels).size <= 8
         ref = labels.copy()
         rng, ref_rng = Seed(41).generator(), Seed(41).generator()
+        assignment._fill_empty_units(labels, M, rng)
+        _fill_empty_units_reference(ref, M, ref_rng)
+        assert np.array_equal(labels, ref)
+        assert np.all(np.bincount(labels, minlength=M) > 0)
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    @pytest.mark.parametrize("M", [2, 256, 257, 65536, 65537])
+    def test_empty_unit_repair_across_key_widths(self, M):
+        rng = np.random.default_rng(M)
+        labels = rng.permutation(np.repeat(np.arange(M), 2))
+        # every unit holds two; empty up to five into their next neighbours,
+        # which become the largest units the repair steals from
+        for j in rng.choice(M, size=min(5, M - 1), replace=False):
+            labels[labels == j] = (j + 1) % M
+        ref = labels.copy()
+        rng, ref_rng = Seed(43).generator(), Seed(43).generator()
         assignment._fill_empty_units(labels, M, rng)
         _fill_empty_units_reference(ref, M, ref_rng)
         assert np.array_equal(labels, ref)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memvec import core
 from memvec.core import Dataset, MemoryIndex, QueryModel, inner, normalize
 from memvec.errors import (
     DimensionError,
@@ -111,6 +112,40 @@ class TestDataset:
             Dataset(np.array([[2e19, 0.0]], dtype=np.float32))
 
 
+class TestDatasetChunks:
+    """The row-norm check runs over row chunks; a bad row is caught in any."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(core, "_NORM_ROWS", 4)
+
+    @staticmethod
+    def _rows(n=11):
+        return np.eye(3)[np.arange(n) % 3]
+
+    def test_clean_rows_pass_for_every_dtype(self):
+        for dtype in (np.float64, np.float32):
+            Dataset(self._rows().astype(dtype))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_in_last_chunk(self, bad, dtype):
+        X = self._rows().astype(dtype)
+        X[-1, 2] = bad  # rows 8..10 form the last, partial chunk
+        with pytest.raises(NormalizationError, match="non-finite"):
+            Dataset(X)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_unit_row_in_middle_chunk(self, dtype):
+        X = self._rows().astype(dtype)
+        X[5] *= 1.001
+        with pytest.raises(NormalizationError, match="not unit"):
+            Dataset(X)
+        X[5] = 0.0
+        with pytest.raises(NormalizationError, match="not unit"):
+            Dataset(X)
+
+
 class TestMemoryIndex:
     @staticmethod
     def _index(units, d=3, construction="sum"):
@@ -149,6 +184,22 @@ class TestMemoryIndex:
     def test_overlap_rejected(self):
         with pytest.raises(ModelError):
             self._index([[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize("ids", [[0, 1, 3], [0, -1, 2], [0, 2, 2], [2, 0, 0],
+                                     [-3, 1, 2]])
+    def test_out_of_range_or_duplicated_id_rejected(self, ids):
+        # an id equal to N, a negative id (also one that would wrap to a
+        # valid index), a duplicate
+        with pytest.raises(ModelError):
+            self._index([ids[:2], ids[2:]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_representative_rejected(self, bad):
+        reps = np.ones((2, 3))
+        reps[1, 2] = bad
+        with pytest.raises(DimensionError):
+            MemoryIndex(representatives=reps, offsets=np.array([0, 2, 3]),
+                        member_ids=np.array([2, 0, 1]), construction="pinv")
 
     def test_offsets_must_delimit_ids(self):
         with pytest.raises(ModelError):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from memvec.core import Dataset
+from memvec.harness import evaluation
 from memvec.harness.evaluation import (
     RECALL_RANKS,
     EvalReport,
@@ -31,6 +34,42 @@ class TestGroundTruth:
         data = Dataset(np.eye(2))
         matches = cosine_ground_truth(data, np.array([[1.0, 0.0]]), 1.0)
         assert matches[0].tolist() == [0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "small-blocks"])
+    def test_matches_whole_score_matrix(self, dtype, block, monkeypatch):
+        if block:  # about 7 floats per block: one row at a time
+            monkeypatch.setattr(evaluation, "_BLOCK_FLOATS", block)
+        X = sample_sphere(16, Seed(50).generator(), size=300)
+        # rows 0-2 score exactly 0.5 against e_0 in any summation order
+        X[:3] = 0.0
+        X[:3, 0], X[:3, 1:4] = 0.5, np.sqrt(0.75) * np.eye(3)
+        data = Dataset(X.astype(dtype))
+        Q = np.vstack([np.eye(16)[:1], sample_sphere(16, Seed(51).generator(), size=9)])
+        for alpha0 in (0.5, 0.2, -1.0, 1.5):
+            whole = Q @ data.vectors.T
+            expect = [np.flatnonzero(row >= alpha0) for row in whole]
+            got = cosine_ground_truth(data, Q, alpha0)
+            assert len(got) == len(expect)
+            for g, e in zip(got, expect):
+                assert g.dtype == np.int64 and np.array_equal(g, e)
+        assert cosine_ground_truth(data, Q, 0.5)[0][:3].tolist() == [0, 1, 2]
+        assert cosine_ground_truth(data, Q[:0], 0.5) == []
+
+    def test_no_score_matrix_or_widened_copy(self):
+        # 200 x 8192 scores (12.5 MiB) and a float64 copy of the float32
+        # rows (4 MiB): a block of each is about 1 MiB
+        X = sample_sphere(64, Seed(52).generator(), size=8192).astype(np.float32)
+        data = Dataset(X)
+        Q = sample_sphere(64, Seed(53).generator(), size=200)
+        tracemalloc.start()
+        try:
+            matches = cosine_ground_truth(data, Q, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(m.size for m in matches) > 0
+        assert peak < 2**22
 
 
 class TestEvaluateResults:

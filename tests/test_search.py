@@ -7,7 +7,7 @@ import pytest
 from memvec import search
 from memvec.assignment import Partition, random_assignment
 from memvec.construction import ConstructionConfig
-from memvec.core import Dataset
+from memvec.core import Dataset, MemoryIndex
 from memvec.errors import (
     DimensionError,
     DomainError,
@@ -76,6 +76,47 @@ class TestBuildIndex:
         [record] = caplog.records
         assert record.name == "memvec" and record.levelno == logging.WARNING
         assert "1 of 4 units" in record.getMessage()
+
+    def test_pinv_set_up_keeps_only_the_index(self):
+        # the paper's operating point d = 1000, n = 50: set-up may exceed what
+        # the index and partition keep by one batch of gathered members
+        # (50 x 1000 floats, 0.38 MiB) and small temporaries, nothing of index size
+        N, n = 2000, 50
+        X = sample_sphere(1000, Seed(46).generator(), size=N)
+        tracemalloc.start()
+        try:
+            data = Dataset(X)
+            part = random_assignment(N, n, Seed(47).generator())
+            index = build_index(data, part, ConstructionConfig(kind="pinv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.member_ids is part.order and index.offsets is part.offsets
+        kept = sum(a.nbytes for a in (index.representatives, part.unit_of,
+                                      part.order, part.offsets))
+        assert peak - kept < 2**19
+
+    def test_set_up_stages_make_no_index_sized_temporaries(self):
+        # N = 200k, where one int64 id array is 1.6 MB: each stage may add
+        # at most half of one to what it returns or was given
+        N, n = 200_000, 10
+        t = np.linspace(0.0, 6.0, N)
+        X = np.stack([np.cos(t), np.sin(t)], axis=1)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, p = peak(lambda: Dataset(X))
+        assert p < N * 4
+        part, p = peak(lambda: random_assignment(N, n, Seed(48).generator()))
+        assert p - (part.unit_of.nbytes + part.order.nbytes + part.offsets.nbytes) < N * 4
+        reps = np.zeros((part.M, 64))  # an (M, d) bool mask would be 1.28 MB
+        _, p = peak(lambda: MemoryIndex(reps, part.offsets, part.order, "pinv"))
+        assert p < N * 4
 
 
 class TestQuery:
