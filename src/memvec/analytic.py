@@ -13,6 +13,7 @@ arrays in their first argument.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,52 +205,18 @@ def std_normal_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-# Acklam's rational approximation coefficients for the normal quantile.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+_inv_cdf = np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)
 
 
 def std_normal_quantile(p):
-    """Standard normal quantile (inverse CDF).
-
-    Acklam's rational approximation refined by one Newton step; absolute
-    error well under 1e-9. Requires p in (0, 1).
-    """
-    scalar = np.isscalar(p) or np.ndim(p) == 0
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    """Standard normal quantile (inverse CDF) via ``statistics.NormalDist``
+    (Wichura's AS241, near full double precision). Requires p in (0, 1).
+    Returns a float for scalar or 0-d input and a float64 array otherwise."""
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise DomainError("quantile requires p in (0, 1)")
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    plow, phigh = 0.02425, 1.0 - 0.02425
-    x = np.empty_like(p)
-
-    m = p < plow
-    if np.any(m):
-        q = np.sqrt(-2.0 * np.log(p[m]))
-        x[m] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    m = (p >= plow) & (p <= phigh)
-    if np.any(m):
-        q = p[m] - 0.5
-        r = q * q
-        x[m] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    m = p > phigh
-    if np.any(m):
-        q = np.sqrt(-2.0 * np.log1p(-p[m]))
-        x[m] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-    # one Newton refinement against the high-accuracy CDF
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    x = x - (std_normal_cdf(x) - p) / pdf
-    return float(x[0]) if scalar else x
+    x = np.asarray(_inv_cdf(p), dtype=np.float64)
+    return float(x) if x.ndim == 0 else x
 
 
 # ---------------------------------------------------------------------------

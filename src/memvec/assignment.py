@@ -36,7 +36,8 @@ class Partition:
     offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (M + 1,)
 
     def __post_init__(self):
-        u = np.asarray(self.unit_of, dtype=np.int64)
+        # a view, so the caller's array stays writeable when it is not copied
+        u = np.asarray(self.unit_of, dtype=np.int64).view()
         if u.ndim != 1 or u.size == 0:
             raise DomainError("unit_of must be a non-empty 1-d array")
         if self.M < 1 or u.min() < 0 or u.max() >= self.M:
@@ -66,7 +67,6 @@ class KMeansConfig:
     normalize_representative: bool = False
     max_iters: int = 20
     seed: Seed = field(default_factory=lambda: Seed(0))
-    construction: ConstructionConfig = field(default_factory=ConstructionConfig)
 
     def __post_init__(self):
         if self.mode not in ("sum", "pinv"):
@@ -139,7 +139,7 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     rng = cfg.seed.generator()
     # widened, so the first step's norms and scores are float64 like the rest
     reps = X[rng.choice(N, size=cfg.M, replace=False)].astype(np.float64, copy=False)
-    construction = replace(cfg.construction, kind=cfg.mode)
+    construction = ConstructionConfig(kind=cfg.mode)
 
     labels = None
     for _ in range(cfg.max_iters):

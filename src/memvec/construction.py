@@ -20,24 +20,19 @@ __all__ = ["ConstructionConfig", "sum_vector", "pinv_vector", "solve_spd", "repr
 # Member floats gathered per batch. Larger batches are no faster, and the
 # temporaries they free stay resident in the heap.
 _BATCH_FLOATS = 1 << 16
+# A failed pinv solve is retried with ridge _FALLBACK_RIDGE * mean(diag Gram).
+_FALLBACK_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
 class ConstructionConfig:
-    """kind: "sum" | "pinv"; ridge applied to the Gram solve (default 0);
-    fallback_ridge_scale * mean(diag Gram) is used on solve failure."""
+    """kind: "sum" | "pinv"."""
 
     kind: str = "pinv"
-    ridge: float = 0.0
-    fallback_ridge_scale: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in ("sum", "pinv"):
             raise DomainError(f"unknown construction kind {self.kind!r}")
-        if not self.ridge >= 0.0:
-            raise DomainError("ridge must be non-negative")
-        if not self.fallback_ridge_scale > 0.0:
-            raise DomainError("fallback ridge must be positive")
 
 
 def _as_matrix(members) -> np.ndarray:
@@ -83,46 +78,42 @@ def solve_spd(A: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return z
 
 
-def pinv_vector(members, cfg: ConstructionConfig | None = None,
-                report: dict | None = None) -> np.ndarray:
+def pinv_vector(members, report: dict | None = None) -> np.ndarray:
     """Minimal-norm solution m* of X'm = 1_n via the Gram system.
 
-    With ridge = 0 and independent members (n <= d) the constraints
-    inner(m*, x_i) = 1 hold to 1e-8. A singular Gram or n > d retries once
-    with the fallback ridge; ``report["ridge_used"]`` records the value
-    actually applied when a dict is passed.
+    With independent members (n <= d) the constraints inner(m*, x_i) = 1
+    hold to 1e-8. A singular Gram or n > d retries once with the fallback
+    ridge; ``report["ridge_used"]`` records the ridge applied (0 when none)
+    when a dict is passed.
     """
-    cfg = cfg or ConstructionConfig()
     X = _as_matrix(members)  # (n, d)
     n, d = X.shape
     gram = X @ X.T
     ones = np.ones(n)
+    ridge = 0.0
     try:
         if n > d:
             raise SingularGramError("more members than dimensions")
-        ridge_used, z = cfg.ridge, solve_spd(gram, ones, ridge=cfg.ridge)
+        z = solve_spd(gram, ones)
     except SingularGramError:
-        ridge_used = cfg.fallback_ridge_scale * float(np.mean(np.diag(gram)))
-        z = solve_spd(gram, ones, ridge=ridge_used)
+        ridge = _FALLBACK_RIDGE * float(np.mean(np.diag(gram)))
+        z = solve_spd(gram, ones, ridge=ridge)
     if report is not None:
-        report.update(ridge_used=ridge_used, fallback=ridge_used != cfg.ridge)
+        report.update(ridge_used=ridge, fallback=ridge > 0.0)
     return X.T @ z
 
 
-def _pinv_batch(block: np.ndarray, ridge: float):
+def _pinv_batch(block: np.ndarray):
     """pinv of a (b, n, d) batch, n <= d: representatives, which units meet the
     solve_spd bound, and each unit's worst |<m, x_i> - 1|. Raises LinAlgError
     when a Gram is not positive definite."""
     n = block.shape[1]
     gram = block @ block.transpose(0, 2, 1)
-    system = gram if ridge == 0.0 else gram + ridge * np.eye(n)
-    np.linalg.cholesky(system)
-    z = np.linalg.solve(system, np.ones(n))
-    constraint = np.max(np.abs(gram @ z[..., None] - 1.0), axis=(1, 2))
-    resid = constraint if ridge == 0.0 else np.max(
-        np.abs(system @ z[..., None] - 1.0), axis=(1, 2))
+    np.linalg.cholesky(gram)
+    z = np.linalg.solve(gram, np.ones(n))
+    resid = np.max(np.abs(gram @ z[..., None] - 1.0), axis=(1, 2))
     # solve_spd's bound 1e-8 (1 + max|b|) with b = 1; NaN fails it
-    return np.einsum("bi,bid->bd", z, block), resid <= 2e-8, constraint
+    return np.einsum("bi,bid->bd", z, block), resid <= 2e-8, resid
 
 
 def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
@@ -160,13 +151,13 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
             ok = np.zeros(js.size, dtype=bool)
             if n <= d:
                 try:
-                    reps[js], ok, resid = _pinv_batch(block, cfg.ridge)
+                    reps[js], ok, resid = _pinv_batch(block)
                     worst = max(worst, float(resid[ok].max(initial=0.0)))
                 except np.linalg.LinAlgError:
                     pass
             for k in np.flatnonzero(~ok):
                 unit = {}
-                reps[js[k]] = pinv_vector(block[k], cfg, unit)
+                reps[js[k]] = pinv_vector(block[k], unit)
                 fallbacks += unit["fallback"]
                 worst = max(worst, float(np.max(np.abs(block[k] @ reps[js[k]] - 1.0))))
     if report is not None:

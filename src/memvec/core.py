@@ -116,9 +116,10 @@ class MemoryIndex:
     def __post_init__(self):
         if self.construction not in ("sum", "pinv"):
             raise ModelError(f"unknown construction tag {self.construction!r}")
-        reps = np.asarray(self.representatives, dtype=np.float64)
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        ids = np.asarray(self.member_ids, dtype=np.int64)
+        # views, so the caller's arrays stay writeable when they are not copied
+        reps = np.asarray(self.representatives, dtype=np.float64).view()
+        offsets = np.asarray(self.offsets, dtype=np.int64).view()
+        ids = np.asarray(self.member_ids, dtype=np.int64).view()
         if (reps.ndim != 2 or ids.ndim != 1 or offsets.shape != (len(reps) + 1,)
                 or offsets[0] != 0 or offsets[-1] != ids.size):
             raise ModelError("offsets do not delimit the member ids")

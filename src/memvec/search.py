@@ -8,6 +8,8 @@ query is M + sum of the sizes of the positive units.
 from __future__ import annotations
 
 import logging
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +88,14 @@ def _select_units(unit_scores: np.ndarray, tau: float | None,
                   top_units: int | None) -> np.ndarray:
     if (tau is None) == (top_units is None):
         raise DomainError("exactly one of tau / top_units must be given")
-    if tau is not None and np.isnan(tau):
-        raise DomainError("tau is NaN")
-    if tau is not None:
-        return np.flatnonzero(unit_scores > tau)
-    k = min(top_units, unit_scores.size)
+    try:  # tau must convert to a float, top_units be an integer
+        if tau is not None:
+            if math.isnan(tau):
+                raise DomainError("tau is NaN")
+            return np.flatnonzero(unit_scores > tau)
+        k = min(operator.index(top_units), unit_scores.size)
+    except TypeError as exc:
+        raise DomainError(f"bad unit selector: {exc}") from exc
     if k < 0:
         raise DomainError("top_units must be non-negative")
     # highest scores, deterministic tie-break by lower unit id
@@ -163,15 +168,14 @@ def _code_bytes(d: int) -> int:
 
 @dataclass(frozen=True)
 class BinaryIndex:
-    """Sign codes of all dataset vectors and unit representatives, packed
-    eight bits to a byte by ``np.packbits`` (bit k of a code is bit 7 - k % 8
-    of byte k // 8; the pad bits of the last byte are 0).
+    """Sign codes of the unit representatives, packed eight bits to a byte
+    by ``np.packbits`` (bit k of a code is bit 7 - k % 8 of byte k // 8; the
+    pad bits of the last byte are 0).
 
-    Real vectors are retained via ``index``/``dataset`` references so
-    re-ranking can use true inner products.
+    The dataset is kept by reference: candidates re-rank by true inner
+    products, or by the codes of their rows, packed when gathered.
     """
 
-    codes: np.ndarray       # (N, ceil(d / 8)) uint8
     unit_codes: np.ndarray  # (M, ceil(d / 8)) uint8
     index: MemoryIndex
     dataset: Dataset
@@ -180,18 +184,15 @@ class BinaryIndex:
         d, nb = self.index.dim, _code_bytes(self.index.dim)
         if self.dataset.vectors.shape != (self.index.total, d):
             raise DimensionError("dataset does not match the index")
-        pad = np.uint8(0xFF >> (d - 8 * (nb - 1)))  # pad bits of the last byte
-        for name, rows in (("codes", self.index.total),
-                           ("unit_codes", self.index.num_units)):
-            arr = np.asarray(getattr(self, name)).view()
-            if arr.dtype != np.uint8:
-                raise ModelError(f"{name} must be packed uint8 bytes")
-            if arr.shape != (rows, nb):
-                raise DimensionError(f"{name} must have shape {(rows, nb)}")
-            if np.any(arr[:, -1] & pad):
-                raise ModelError(f"{name} has pad bits set")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        codes = np.asarray(self.unit_codes).view()
+        if codes.dtype != np.uint8:
+            raise ModelError("unit_codes must be packed uint8 bytes")
+        if codes.shape != (self.index.num_units, nb):
+            raise DimensionError(f"unit_codes must have shape {(self.index.num_units, nb)}")
+        if np.any(codes[:, -1] & np.uint8(0xFF >> (d - 8 * (nb - 1)))):
+            raise ModelError("unit_codes has pad bits set")
+        codes.setflags(write=False)
+        object.__setattr__(self, "unit_codes", codes)
 
     @property
     def dim(self) -> int:
@@ -209,9 +210,8 @@ def _pack_signs(A: np.ndarray) -> np.ndarray:
 
 
 def binarize(index: MemoryIndex, dataset: Dataset) -> BinaryIndex:
-    """Sign-binarize every dataset vector and unit representative."""
-    return BinaryIndex(codes=_pack_signs(dataset.vectors),
-                       unit_codes=_pack_signs(index.representatives),
+    """Sign-binarize every unit representative."""
+    return BinaryIndex(unit_codes=_pack_signs(index.representatives),
                        index=index, dataset=dataset)
 
 
@@ -270,5 +270,5 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
     if rerank == "real":
         sims = lambda ids: bindex.dataset.vectors[ids] @ y
     else:
-        sims = lambda ids: score(bindex.codes[ids])
+        sims = lambda ids: score(_pack_signs(bindex.dataset.vectors[ids]))
     return _assemble(bindex.index, positive, unit_scores, sims)

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from memvec.assignment import (
     random_assignment,
     spherical_kmeans,
 )
-from memvec.construction import representatives
+from memvec.construction import ConstructionConfig, representatives
 from memvec.core import Dataset
 from memvec.errors import DomainError
 from memvec.sampling import Seed, make_clustered_dataset, sample_sphere
@@ -30,6 +29,15 @@ class TestPartition:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             Partition(unit_of=np.array([0, 3]), M=3)
+
+    def test_caller_array_stays_writeable(self):
+        u = np.array([0, 1, 0], dtype=np.int64)
+        p = Partition(unit_of=u, M=2)
+        assert np.shares_memory(p.unit_of, u)  # a view, not a copy
+        assert u.flags.writeable
+        for arr in (p.unit_of, p.order, p.offsets):
+            assert not arr.flags.writeable
+        u[0] = 1
 
     # the sort key narrows to uint8 up to M = 256, uint16 up to 65536, then uint32
     @pytest.mark.parametrize("M", [1, 256, 257, 65536, 65537])
@@ -141,7 +149,7 @@ def _kmeans_reference(dataset, cfg):
     X = dataset.vectors
     rng = cfg.seed.generator()
     reps = X[rng.choice(dataset.size, size=cfg.M, replace=False)]
-    construction = replace(cfg.construction, kind=cfg.mode)
+    construction = ConstructionConfig(kind=cfg.mode)
     labels = None
     for _ in range(cfg.max_iters):
         new_labels = np.argmax(X @ reps.T, axis=1)

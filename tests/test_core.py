@@ -177,6 +177,14 @@ class TestMemoryIndex:
         assert idx.representatives.shape == (2, 3)
         assert not idx.member_ids.flags.writeable
 
+    def test_caller_arrays_stay_writeable(self):
+        reps, offsets, ids = np.ones((2, 3)), np.array([0, 2, 3]), np.array([2, 0, 1])
+        idx = MemoryIndex(reps, offsets, ids, "sum")
+        for given, kept in ((reps, idx.representatives), (offsets, idx.offsets),
+                            (ids, idx.member_ids)):
+            assert np.shares_memory(kept, given)  # a view, not a copy
+            assert given.flags.writeable and not kept.flags.writeable
+
     def test_gap_rejected(self):
         with pytest.raises(ModelError):
             self._index([[0, 2]])

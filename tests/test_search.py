@@ -91,7 +91,8 @@ class TestBuildIndex:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert index.member_ids is part.order and index.offsets is part.offsets
+        # the index keeps views of the partition's arrays, not copies
+        assert index.member_ids.base is part.order and index.offsets.base is part.offsets
         kept = sum(a.nbytes for a in (index.representatives, part.unit_of,
                                       part.order, part.offsets))
         assert peak - kept < 2**19
@@ -222,6 +223,16 @@ class TestQueryBoundary:
         with pytest.raises(DimensionError):  # the sketch checks when built
             binarize(index, other)
 
+    def test_bad_selector_types_rejected(self, small_index):
+        data, index = small_index
+        bindex = binarize(index, data)
+        y = sample_sphere(32, Seed(49).generator())
+        for run in (lambda **kw: query(index, data, y, **kw),
+                    lambda **kw: query_binary(bindex, y, **kw)):
+            for bad in ({"top_units": 2.5}, {"top_units": "3"}, {"tau": "0.5"}):
+                with pytest.raises(DomainError):
+                    run(**bad)
+
 
 class TestBinaryPrimitives:
     def test_hand_coded_bits(self):
@@ -231,12 +242,12 @@ class TestBinaryPrimitives:
         # packed most significant bit first, pad bits 0
         v13 = np.concatenate([v, [0.1, -0.3, -0.2, 0.5, 0.6]])
         bindex = _binary_index(np.vstack([v13, -v13]), [0, 0])
-        assert bindex.codes.tolist() == [[0b10110010, 0b10011000],
-                                         [0b01001101, 0b01100000]]
+        assert search._pack_signs(bindex.dataset.vectors).tolist() == [
+            [0b10110010, 0b10011000], [0b01001101, 0b01100000]]
         # the sum of a row and its negation is 0, whose 13 bits are all set
         assert bindex.unit_codes.tolist() == [[0b11111111, 0b11111000]]
         bindex = _binary_index(np.array([[1.0], [-1.0]]), [0, 1])
-        assert bindex.codes.tolist() == [[0b10000000], [0]]
+        assert search._pack_signs(bindex.dataset.vectors).tolist() == [[0b10000000], [0]]
         assert bindex.unit_codes.tolist() == [[0b10000000], [0]]
 
     def test_zero_maps_to_positive_bit(self):
@@ -298,8 +309,7 @@ class TestQueryBinary:
         res = query_binary(bindex, y, tau=-2.0, mode="symmetric", rerank="binary")
         cy = sign_code(y)
         for i, s in res.candidates[:10]:
-            bits = np.unpackbits(bindex.codes[i], count=32)
-            expect = hamming_inner(bits, cy) / 32
+            expect = hamming_inner(sign_code(data.vectors[i]), cy) / 32
             assert s == pytest.approx(expect, abs=1e-12)
 
     def test_unknown_modes(self, small_index):
@@ -332,7 +342,7 @@ def _oracle(bindex, y, mode, rerank, tau, top_units):
     if rerank == "real":
         sims = bindex.dataset.vectors[ids] @ y
     else:
-        sims = score(bits(bindex.codes)[ids])
+        sims = score(sign_code(bindex.dataset.vectors[ids]))
     order = sorted(range(ids.size), key=lambda k: (-sims[k], ids[k]))
     return pos, units[pos], ids[order], sims[order]
 
@@ -366,10 +376,25 @@ class TestPackedLayer:
     def test_code_memory(self, d):
         rng = Seed(41).generator()
         bindex = _binary_index(rng.standard_normal((12, d)), np.arange(12) // 3)
-        nb = -(-d // 8)
-        assert bindex.codes.dtype == np.uint8 and bindex.unit_codes.dtype == np.uint8
-        assert bindex.codes.nbytes == 12 * nb and bindex.unit_codes.nbytes == 4 * nb
+        assert bindex.unit_codes.dtype == np.uint8
+        assert bindex.unit_codes.nbytes == 4 * -(-d // 8)
         assert bindex.dim == d
+
+    def test_binarize_packs_only_the_units(self):
+        # N = 20000 rows of d = 256 would pack to 640 KB, M = 1000 units to 32 KB;
+        # packing takes 128 KB of signs at a time
+        N, d, n = 20_000, 256, 20
+        data = Dataset(sample_sphere(d, Seed(50).generator(), size=N))
+        index = build_index(data, random_assignment(N, n, Seed(51).generator()),
+                            ConstructionConfig(kind="sum"))
+        tracemalloc.start()
+        try:
+            bindex = binarize(index, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bindex.unit_codes.shape == (N // n, d // 8)
+        assert peak < N * d // 8 // 2
 
     def test_binarize_across_chunks(self, monkeypatch):
         rng = Seed(42).generator()
@@ -382,8 +407,7 @@ class TestPackedLayer:
         # 3 rows of 13 bits per binarize chunk, 3 rows of 2 bytes per lookup chunk
         monkeypatch.setattr(search, "_CHUNK_BITS", 48)
         chunked = _binary_index(X, np.arange(10) // 2)
-        assert np.array_equal(chunked.codes, whole.codes)
-        assert np.array_equal(chunked.codes, np.packbits(X >= 0, axis=1))
+        assert np.array_equal(search._pack_signs(X), np.packbits(X >= 0, axis=1))
         assert np.array_equal(chunked.unit_codes, whole.unit_codes)
         for r, e in zip(("real", "binary"), expect):
             got = query_binary(chunked, y, tau=-np.inf, mode="asymmetric", rerank=r)
@@ -410,37 +434,32 @@ class TestPackedLayer:
 class TestBinaryIndexInvariants:
     def test_rejects_bad_codes(self, small_index):
         data, index = small_index
-        good = binarize(index, data)
-        codes, unit_codes = np.array(good.codes), np.array(good.unit_codes)
-        make = lambda c, u, ds=data: BinaryIndex(codes=c, unit_codes=u, index=index,
-                                                 dataset=ds)
+        unit_codes = np.array(binarize(index, data).unit_codes)
+        make = lambda u, ds=data: BinaryIndex(unit_codes=u, index=index, dataset=ds)
         with pytest.raises(ModelError):  # one bool per bit
-            make(sign_code(data.vectors), sign_code(index.representatives))
+            make(sign_code(index.representatives))
         with pytest.raises(ModelError):
-            make(codes.astype(np.int16), unit_codes)
+            make(unit_codes.astype(np.int16))
         with pytest.raises(DimensionError):
-            make(codes[:-1], unit_codes)
+            make(unit_codes[:-1])
         with pytest.raises(DimensionError):
-            make(codes, unit_codes[:, :-1])
+            make(unit_codes[:, :-1])
         with pytest.raises(DimensionError):
-            make(codes, unit_codes, Dataset(data.vectors[:100]))
-        assert make(codes, unit_codes).codes.tolist() == codes.tolist()
+            make(unit_codes, Dataset(data.vectors[:100]))
+        assert make(unit_codes).unit_codes.tolist() == unit_codes.tolist()
 
     def test_rejects_set_pad_bits(self):
         X = Seed(46).generator().standard_normal((4, 13))
         good = _binary_index(X, [0, 0, 1, 1])
-        for name in ("codes", "unit_codes"):
-            arrays = {"codes": np.array(good.codes), "unit_codes": np.array(good.unit_codes)}
-            arrays[name][0, -1] |= 0b00000001
-            with pytest.raises(ModelError):
-                BinaryIndex(index=good.index, dataset=good.dataset, **arrays)
+        unit_codes = np.array(good.unit_codes)
+        unit_codes[0, -1] |= 0b00000001
+        with pytest.raises(ModelError):
+            BinaryIndex(unit_codes=unit_codes, index=good.index, dataset=good.dataset)
 
     def test_frozen(self, small_index):
         data, index = small_index
-        codes = np.packbits(data.vectors >= 0, axis=1)
-        bindex = BinaryIndex(codes=codes, unit_codes=np.packbits(
-            index.representatives >= 0, axis=1), index=index, dataset=data)
-        for arr in (bindex.codes, bindex.unit_codes):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0
-        codes[0, 0] ^= 1  # the caller's array stays writeable
+        unit_codes = np.packbits(index.representatives >= 0, axis=1)
+        bindex = BinaryIndex(unit_codes=unit_codes, index=index, dataset=data)
+        with pytest.raises(ValueError):
+            bindex.unit_codes[0, 0] = 0
+        unit_codes[0, 0] ^= 1  # the caller's array stays writeable
