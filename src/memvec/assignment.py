@@ -28,7 +28,11 @@ __all__ = [
 @dataclass(frozen=True)
 class Partition:
     """Assignment of N dataset ids to M units, also held in CSR form:
-    unit j's ids, ascending, are ``order[offsets[j]:offsets[j + 1]]``."""
+    unit j's ids, ascending, are ``order[offsets[j]:offsets[j + 1]]``.
+
+    ``Partition(unit_of, M)`` checks the labels and derives the CSR from
+    them. ``random_assignment`` builds the CSR while it assigns and hands
+    all three arrays to ``_from_csr``."""
 
     unit_of: np.ndarray  # (N,) int64, values in [0, M)
     M: int
@@ -44,7 +48,20 @@ class Partition:
             raise DomainError("unit ids out of range")
         order = _stable_order(u, self.M)
         offsets = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=self.M))))
-        for name, arr in (("unit_of", u), ("order", order), ("offsets", offsets)):
+        self._freeze(u, order, offsets)
+
+    @classmethod
+    def _from_csr(cls, unit_of: np.ndarray, M: int, order: np.ndarray,
+                  offsets: np.ndarray) -> Partition:
+        """A partition from int64 arrays its caller built consistent with
+        each other, frozen as given: nothing is checked or derived again."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "M", M)
+        part._freeze(unit_of, order, offsets)
+        return part
+
+    def _freeze(self, unit_of: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> None:
+        for name, arr in (("unit_of", unit_of), ("order", order), ("offsets", offsets)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -107,19 +124,27 @@ def _stable_order(unit_of: np.ndarray, M: int) -> np.ndarray:
 
 def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     """Seeded uniform permutation of [0, N) chunked into units of size n
-    (the last unit may be smaller)."""
+    (the last unit may be smaller).
+
+    Unit k holds the k-th chunk of ``rng.permutation(N)``. Each chunk is
+    sorted in place, so the permutation becomes the partition's ``order``
+    and ``offsets[k] = min(k n, N)``; no N labels are sorted."""
     if n < 1 or n > N:
         raise DomainError("need 1 <= n <= N")
-    perm = rng.permutation(N)
+    order = rng.permutation(N)
     full = N // n
-    # unit_of[perm[k]] = k // n, written through a (full, n) view of perm so
-    # no N-length position or quotient array is made; perm is freed before
-    # the partition sorts
+    chunks = order[:full * n].reshape(full, n)  # a view of order
+    chunks.sort(axis=1)
+    order[full * n:].sort()
+    # unit_of[order[k]] = k // n, written through the (full, n) view, so no
+    # N-length position or quotient array is made
     unit_of = np.empty(N, dtype=np.int64)
-    unit_of[perm[:full * n].reshape(full, n)] = np.arange(full)[:, None]
-    unit_of[perm[full * n:]] = full
-    del perm
-    return Partition(unit_of=unit_of, M=-(-N // n))
+    unit_of[chunks] = np.arange(full)[:, None]
+    unit_of[order[full * n:]] = full
+    M = -(-N // n)
+    offsets = np.arange(0, M * n + 1, n)
+    offsets[-1] = N  # offsets[k] = min(k n, N): only the last unit may be short
+    return Partition._from_csr(unit_of, M, order, offsets)
 
 
 def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np.ndarray]:

@@ -103,14 +103,13 @@ def pinv_vector(members, report: dict | None = None) -> np.ndarray:
     return X.T @ z
 
 
-def _pinv_batch(block: np.ndarray):
-    """pinv of a (b, n, d) batch, n <= d: representatives, which units meet the
-    solve_spd bound, and each unit's worst |<m, x_i> - 1|. Raises LinAlgError
-    when a Gram is not positive definite."""
-    n = block.shape[1]
+def _pinv_batch(block: np.ndarray, ones: np.ndarray):
+    """pinv of a (b, n, d) batch, n <= d, with ``ones`` = 1_n: representatives,
+    which units meet the solve_spd bound, and each unit's worst |<m, x_i> - 1|.
+    Raises LinAlgError when a Gram is not positive definite."""
     gram = block @ block.transpose(0, 2, 1)
     np.linalg.cholesky(gram)
-    z = np.linalg.solve(gram, np.ones(n))
+    z = np.linalg.solve(gram, ones)
     resid = np.max(np.abs(gram @ z[..., None] - 1.0), axis=(1, 2))
     # solve_spd's bound 1e-8 (1 + max|b|) with b = 1; NaN fails it
     return np.einsum("bi,bid->bd", z, block), resid <= 2e-8, resid
@@ -140,18 +139,18 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     for n in np.unique(sizes):
         units = np.flatnonzero(sizes == n)
         step = max(1, _BATCH_FLOATS // (n * d))
+        cols, ones = np.arange(n), np.ones(n)
         for s in range(0, units.size, step):
             js = units[s:s + step]
             block = None  # free the last batch, so two are never alive at once
-            block = X[member_ids[offsets[js, None] + np.arange(n)]].astype(
-                np.float64, copy=False)
+            block = X[member_ids[offsets[js, None] + cols]].astype(np.float64, copy=False)
             if cfg.kind == "sum":
                 reps[js] = block.sum(axis=1)
                 continue
             ok = np.zeros(js.size, dtype=bool)
             if n <= d:
                 try:
-                    reps[js], ok, resid = _pinv_batch(block)
+                    reps[js], ok, resid = _pinv_batch(block, ones)
                     worst = max(worst, float(resid[ok].max(initial=0.0)))
                 except np.linalg.LinAlgError:
                     pass

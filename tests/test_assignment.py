@@ -73,6 +73,58 @@ class TestRandomAssignment:
             random_assignment(5, 6, Seed(0).generator())
 
 
+def _assert_same_as_rederived(p):
+    """p equals the partition Partition(unit_of, M) derives from its labels."""
+    ref = Partition(unit_of=p.unit_of.copy(), M=p.M)
+    assert p.M == ref.M and type(p.M) is int
+    for name in ("unit_of", "order", "offsets"):
+        got, want = getattr(p, name), getattr(ref, name)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want), name
+
+
+class TestAssignmentCSR:
+    """random_assignment builds the CSR itself; it, and the CSR of the
+    partitions batch_assignment returns, must be the one Partition derives
+    from unit_of."""
+
+    # N % n == 0, N % n != 0, n = 1, n = N
+    SHAPES = [(60, 6), (1003, 10), (17, 1), (17, 17), (1, 1)]
+
+    @pytest.mark.parametrize("N, n", SHAPES)
+    def test_random_assignment(self, N, n):
+        p = random_assignment(N, n, Seed(44).generator())
+        assert p.M == -(-N // n)
+        _assert_same_as_rederived(p)
+
+    @pytest.mark.parametrize("N, n", SHAPES)
+    def test_random_assignment_draws_one_permutation(self, N, n):
+        rng, ref = Seed(45).generator(), Seed(45).generator()
+        p = random_assignment(N, n, rng)
+        perm = ref.permutation(N)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # unit k holds the k-th chunk of the permutation
+        for k in range(p.M):
+            assert np.array_equal(p.members(k), np.sort(perm[k * n:(k + 1) * n]))
+
+    @pytest.mark.parametrize("batch_size, unit_size", [(20, 5), (23, 5), (7, 1),
+                                                       (60, 60), (25, 25)])
+    def test_batch_random_inner(self, batch_size, unit_size):
+        ds = Dataset(sample_sphere(8, Seed(46).generator(), size=60))
+        p, reps = batch_assignment(ds, BatchConfig(
+            batch_size=batch_size, inner="random", unit_size=unit_size, seed=Seed(47)))
+        assert reps.shape == (p.M, 8)
+        _assert_same_as_rederived(p)
+
+    @pytest.mark.parametrize("batch_size, M", [(20, 4), (23, 5), (60, 7), (7, 7)])
+    def test_batch_kmeans_inner(self, batch_size, M):
+        ds = Dataset(sample_sphere(8, Seed(48).generator(), size=60))
+        p, _ = batch_assignment(ds, BatchConfig(
+            batch_size=batch_size, inner=KMeansConfig(M=M, mode="sum", max_iters=3),
+            seed=Seed(49)))
+        _assert_same_as_rederived(p)
+
+
 class TestImbalance:
     def test_hand_value(self):
         # sizes (3, 1): delta = 2 * ((3/4)^2 + (1/4)^2) = 1.25

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from memvec import construction
 from memvec.assignment import KMeansConfig, spherical_kmeans
 from memvec.construction import (
     ConstructionConfig,
@@ -148,3 +149,65 @@ class TestRepresentativesKernel:
         X, ids, _ = layout
         with pytest.raises(EmptyUnitError):
             representatives(X, ids, np.array([0, 0, ids.size]))
+
+
+class TestNearDependentUnits:
+    """Every sixth unit's second member nearly repeats ("near") or nearly
+    negates ("antipodal") its first. All units have size 4, so they form
+    one batch. A batch whose Cholesky fails retries every unit through
+    pinv_vector; a solved batch retries only its units over the bound."""
+
+    D, UNITS = 16, 24
+
+    @pytest.mark.parametrize("pair, noise", [("near", 1e-10), ("near", 1e-14),
+                                             ("antipodal", 1e-6)])
+    def test_retried_units_equal_pinv_vector(self, monkeypatch, pair, noise):
+        X = sample_sphere(self.D, Seed(20).generator(), size=4 * self.UNITS)
+        ids, offsets = np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4)
+        dependent = np.arange(0, self.UNITS, 6)
+        rng = Seed(21).generator()
+        for j in dependent:
+            x = (1.0 if pair == "near" else -1.0) * X[4 * j]
+            x = x + noise * rng.standard_normal(self.D)
+            X[4 * j + 1] = x / np.linalg.norm(x)
+
+        batches = []  # per _pinv_batch call: (ok, resid), or None when it raised
+
+        def spy(*args):
+            try:
+                out = batch(*args)
+            except np.linalg.LinAlgError:
+                batches.append(None)
+                raise
+            batches.append(out[1:])
+            return out
+
+        batch = construction._pinv_batch
+        monkeypatch.setattr(construction, "_pinv_batch", spy)
+        report = {}
+        reps = representatives(X, ids, offsets, ConstructionConfig(kind="pinv"), report)
+        assert len(batches) == 1
+        if batches[0] is None:
+            retried, worst = np.ones(self.UNITS, dtype=bool), 0.0
+        else:
+            ok, resid = batches[0]
+            retried, worst = ~ok, float(resid[ok].max(initial=0.0))
+        if pair == "antipodal":  # the batch solves; some units miss the bound
+            assert batches[0] is not None and 0 < retried.sum() < self.UNITS
+
+        fallbacks = 0
+        for j in range(self.UNITS):
+            unit = X[4 * j:4 * j + 4]
+            unit_report = {}
+            expect = pinv_vector(unit, unit_report)
+            if retried[j]:
+                assert np.array_equal(reps[j], expect)
+                fallbacks += unit_report["fallback"]
+                worst = max(worst, float(np.max(np.abs(unit @ expect - 1.0))))
+            elif j in dependent:
+                # accepted ill-conditioned units meet the bound, not pinv_vector
+                assert np.max(np.abs(unit @ reps[j] - 1.0)) <= 1e-7
+            else:
+                assert np.max(np.abs(reps[j] - expect)) <= 1e-12
+        assert report["fallbacks"] == fallbacks > 0
+        assert report["max_residual"] == worst
