@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Assignment of N dataset ids to M units, also held in CSR form:
     unit j's ids, ascending, are ``order[offsets[j]:offsets[j + 1]]``.
@@ -36,8 +36,8 @@ class Partition:
 
     unit_of: np.ndarray  # (N,) int64, values in [0, M)
     M: int
-    order: np.ndarray = field(init=False, repr=False, compare=False)  # (N,)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (M + 1,)
+    order: np.ndarray = field(init=False, repr=False)  # (N,)
+    offsets: np.ndarray = field(init=False, repr=False)  # (M + 1,)
 
     def __post_init__(self):
         # a view, so the caller's array stays writeable when it is not copied

@@ -1,9 +1,10 @@
 """Memory-vector construction: sum and minimal-norm pseudo-inverse.
 
 The pinv representative solves X'm = 1_n with minimal norm via the n x n
-Gram system (n << d in all intended regimes). A singular Gram or n > d
-falls back to a ridge-regularized solve; the retry is recorded on the
-returned metadata when requested. ``representatives`` builds all units.
+Gram system (n << d in all intended regimes). One batched kernel solves
+every unit. A unit whose Gram is singular, whose solve misses the bound,
+or that has n > d members takes a ridge-regularized solve instead, and the
+number of such units is reported. ``representatives`` builds all units.
 """
 
 from __future__ import annotations
@@ -11,17 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
 
-__all__ = ["ConstructionConfig", "sum_vector", "pinv_vector", "solve_spd", "representatives"]
+__all__ = ["ConstructionConfig", "sum_vector", "pinv_vector", "representatives"]
 
 # Member floats gathered per batch. Larger batches are no faster, and the
 # temporaries they free stay resident in the heap.
 _BATCH_FLOATS = 1 << 16
-# A failed pinv solve is retried with ridge _FALLBACK_RIDGE * mean(diag Gram).
+# A failed pinv solve is redone with ridge _FALLBACK_RIDGE * mean(diag Gram).
 _FALLBACK_RIDGE = 1e-6
+# A plain solve is kept when max |G z - 1| is at most this.
+_RESIDUAL_BOUND = 2e-8
 
 
 @dataclass(frozen=True)
@@ -53,66 +55,46 @@ def sum_vector(members) -> np.ndarray:
     return _as_matrix(members).sum(axis=0)
 
 
-def solve_spd(A: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Solve (A + ridge I) z = b by Cholesky factorization.
-
-    A must be symmetric (within 1e-10). Raises SingularGramError when the
-    factorization breaks down, so the caller can retry with a ridge.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
-        raise DimensionError("A must be n x n and b length n")
-    if np.max(np.abs(A - A.T)) > 1e-10:
-        raise DimensionError("A is not symmetric")
-    M = A if ridge == 0.0 else A + ridge * np.eye(n)
-    try:
-        cho = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGramError(str(exc)) from exc
-    z = scipy.linalg.cho_solve(cho, b, check_finite=False)
-    resid = np.max(np.abs(M @ z - b))
-    if not np.isfinite(resid) or resid > 1e-8 * (1.0 + np.max(np.abs(b))):
-        raise SingularGramError(f"solve residual too large: {resid:.3e}")
-    return z
-
-
 def pinv_vector(members, report: dict | None = None) -> np.ndarray:
-    """Minimal-norm solution m* of X'm = 1_n via the Gram system.
-
-    With independent members (n <= d) the constraints inner(m*, x_i) = 1
-    hold to 1e-8. A singular Gram or n > d retries once with the fallback
-    ridge; ``report["ridge_used"]`` records the ridge applied (0 when none)
-    when a dict is passed.
-    """
-    X = _as_matrix(members)  # (n, d)
-    n, d = X.shape
-    gram = X @ X.T
-    ones = np.ones(n)
-    ridge = 0.0
-    try:
-        if n > d:
-            raise SingularGramError("more members than dimensions")
-        z = solve_spd(gram, ones)
-    except SingularGramError:
-        ridge = _FALLBACK_RIDGE * float(np.mean(np.diag(gram)))
-        z = solve_spd(gram, ones, ridge=ridge)
-    if report is not None:
-        report.update(ridge_used=ridge, fallback=ridge > 0.0)
-    return X.T @ z
+    """Minimal-norm solution m* of X'm = 1_n: ``representatives`` on one
+    unit, so a passed dict receives the same ``fallbacks`` and
+    ``max_residual``, and a unit of all-zero members raises
+    SingularGramError."""
+    X = _as_matrix(members)
+    n = X.shape[0]
+    return representatives(X, np.arange(n), np.array([0, n]), report=report)[0]
 
 
-def _pinv_batch(block: np.ndarray, ones: np.ndarray):
-    """pinv of a (b, n, d) batch, n <= d, with ``ones`` = 1_n: representatives,
-    which units meet the solve_spd bound, and each unit's worst |<m, x_i> - 1|.
-    Raises LinAlgError when a Gram is not positive definite."""
+def _pinv_batch(block: np.ndarray, ones: np.ndarray, ridge: bool = False):
+    """pinv of a (b, n, d) batch with ``ones`` = 1_n, each Gram G plus
+    ``_FALLBACK_RIDGE * mean(diag G)`` I when ``ridge``: representatives and
+    each unit's worst |<m, x_i> - 1|, taken as |G z - 1|. Raises LinAlgError
+    when a (regularized) Gram is not positive definite."""
     gram = block @ block.transpose(0, 2, 1)
-    np.linalg.cholesky(gram)
-    z = np.linalg.solve(gram, ones)
+    system = gram
+    if ridge:
+        system = gram.copy()
+        diag = system.reshape(block.shape[0], -1)[:, ::ones.size + 1]
+        diag += _FALLBACK_RIDGE * diag.mean(axis=1, keepdims=True)
+    np.linalg.cholesky(system)
+    z = np.linalg.solve(system, ones)
     resid = np.max(np.abs(gram @ z[..., None] - 1.0), axis=(1, 2))
-    # solve_spd's bound 1e-8 (1 + max|b|) with b = 1; NaN fails it
-    return np.einsum("bi,bid->bd", z, block), resid <= 2e-8, resid
+    return np.einsum("bi,bid->bd", z, block), resid
+
+
+def _pinv_units(block: np.ndarray, ones: np.ndarray, ridge: bool = False):
+    """``_pinv_batch``, unit by unit when the batch's Cholesky raises, so a
+    unit's result does not depend on its batch. A plain unit that fails gets
+    an infinite residual; a ridge unit that fails raises SingularGramError."""
+    try:
+        return _pinv_batch(block, ones, ridge)
+    except np.linalg.LinAlgError:
+        if block.shape[0] > 1:
+            parts = [_pinv_units(unit[None], ones, ridge) for unit in block]
+            return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        if ridge:
+            raise SingularGramError("Gram not positive definite even with the ridge") from None
+        return np.zeros((1, block.shape[2])), np.array([np.inf])
 
 
 def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
@@ -123,11 +105,13 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     X is used as stored (float32 or float64); each batch is widened to
     float64, so sums and solves are float64 whatever X holds.
 
-    Sums equal ``sum_vector`` bit for bit. pinv solves a batch at once; a
-    batch whose Cholesky fails, a unit over the solve_spd bound and every
-    unit with n > d go through ``pinv_vector``. A passed dict receives
-    ``fallbacks``, the units that took the fallback ridge, and
-    ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
+    Sums equal ``sum_vector`` bit for bit. pinv keeps a unit's plain Gram
+    solution when its Cholesky succeeds and max |<m, x_i> - 1| is within
+    2e-8; the other units, and every unit with n > d, are solved again with
+    the fallback ridge. Which units fall back, and their representatives,
+    do not depend on the batch. A passed dict receives ``fallbacks``, the
+    units that took the ridge, and ``max_residual``, the worst
+    |<m_j, x_i> - 1| (0 for sum)."""
     cfg = cfg or ConstructionConfig()
     X = np.asarray(X)
     sizes = np.diff(offsets)
@@ -136,7 +120,7 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     d = X.shape[1]
     reps = np.empty((sizes.size, d))
     fallbacks, worst = 0, 0.0
-    for n in np.unique(sizes):
+    for n in np.flatnonzero(np.bincount(sizes)):  # not np.unique, which imports np.ma
         units = np.flatnonzero(sizes == n)
         step = max(1, _BATCH_FLOATS // (n * d))
         cols, ones = np.arange(n), np.ones(n)
@@ -149,16 +133,14 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
                 continue
             ok = np.zeros(js.size, dtype=bool)
             if n <= d:
-                try:
-                    reps[js], ok, resid = _pinv_batch(block, ones)
-                    worst = max(worst, float(resid[ok].max(initial=0.0)))
-                except np.linalg.LinAlgError:
-                    pass
-            for k in np.flatnonzero(~ok):
-                unit = {}
-                reps[js[k]] = pinv_vector(block[k], unit)
-                fallbacks += unit["fallback"]
-                worst = max(worst, float(np.max(np.abs(block[k] @ reps[js[k]] - 1.0))))
+                reps[js], resid = _pinv_units(block, ones)
+                ok = resid <= _RESIDUAL_BOUND
+                worst = max(worst, float(resid[ok].max(initial=0.0)))
+            redo = np.flatnonzero(~ok)
+            if redo.size:
+                reps[js[redo]], resid = _pinv_units(block[redo], ones, ridge=True)
+                fallbacks += redo.size
+                worst = max(worst, float(resid.max()))
     if report is not None:
         report.update(fallbacks=fallbacks, max_residual=worst)
     return reps

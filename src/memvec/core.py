@@ -56,7 +56,7 @@ def inner(a, b) -> float:
     return float(np.dot(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An ordered collection of N unit vectors of common dimension d.
 
@@ -101,7 +101,7 @@ class Dataset:
         return self.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemoryIndex:
     """M memory units in CSR layout: unit j holds the dataset ids
     ``member_ids[offsets[j]:offsets[j + 1]]`` and is summarized by

@@ -46,7 +46,7 @@ class Seed:
         return np.random.default_rng(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapSpec:
     """Spherical cap {x : x'axis > eta}; eta = -1 is the full sphere."""
 

@@ -166,7 +166,7 @@ def _code_bytes(d: int) -> int:
     return -(-d // 8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryIndex:
     """Sign codes of the unit representatives, packed eight bits to a byte
     by ``np.packbits`` (bit k of a code is bit 7 - k % 8 of byte k // 8; the

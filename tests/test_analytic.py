@@ -72,19 +72,27 @@ class TestNormal:
         assert out[0] == 1.0 and out[1] == 0.0 and np.isnan(out[2])
 
     def test_run_time_needs_no_scipy_special(self):
-        # the cost model is pure stdlib + numpy: a fresh interpreter that
-        # evaluates it must not have loaded scipy.special
-        code = ("import sys, memvec\n"
+        # the cost model and the index are pure stdlib + numpy: a fresh
+        # interpreter that evaluates the one and builds (with a ridge
+        # fallback) and queries the other must not have loaded any of scipy
+        code = ("import sys, numpy as np, memvec\n"
                 "from memvec import analytic as A\n"
+                "from memvec.assignment import Partition\n"
+                "from memvec.core import Dataset\n"
+                "from memvec.search import build_index, query\n"
                 "A.threshold_for('pinv', 0.5, 50, 1000, 0.01)\n"
                 "A.error_rates('sum', 0.3, 0.5, 10, 128)\n"
                 "A.expected_cost_ratio('pinv', 10, 128, 0.5, 0.01)\n"
-                "print('scipy.special' in sys.modules)\n")
+                "data = Dataset(np.eye(8)[[0, 0, 1, 2, 3, 4]])\n"
+                "part = Partition(unit_of=np.array([0, 0, 0, 1, 1, 1]), M=2)\n"
+                "query(build_index(data, part), data, np.eye(8)[0], tau=0.5)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(A.__file__).parents[1])] + sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        assert "1 of 2 units took the pinv ridge fallback" in out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_quantile_against_scipy(self):
         ps = np.concatenate([np.linspace(1e-12, 1 - 1e-12, 201),

@@ -123,6 +123,21 @@ class TestTheory:
         assert lines[0] == "construction,tau,pfp,tpr"
         assert len(lines) == 11
 
+    def test_mp_quadrature_matches_limit(self, capsys):
+        assert run(["theory", "mp", "--cs", 0.1, 0.5, 0.9]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [float(r["c"]) for r in rows] == [0.1, 0.5, 0.9]
+        for r in rows:
+            assert float(r["quadrature"]) == pytest.approx(float(r["limit"]), rel=1e-6)
+
+    def test_cap_stats_csv(self, capsys):
+        assert run(["theory", "cap-stats", "--d", 100, "--n", 10, "--alpha", 0.7,
+                    "--etas", 0.0, 0.5, "--constructions", "sum", "pinv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == ("construction,eta,d,n,alpha,mu1,mu2,h0_mean,h0_var,"
+                            "h1_mean,h1_var,kl,bound_based")
+        assert len(lines) == 5
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):

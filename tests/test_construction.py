@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from memvec import construction
 from memvec.assignment import KMeansConfig, spherical_kmeans
 from memvec.construction import (
     ConstructionConfig,
     pinv_vector,
     representatives,
-    solve_spd,
     sum_vector,
 )
 from memvec.core import Dataset
@@ -35,29 +33,6 @@ class TestSumVector:
             sum_vector([[1.0, 2.0], [1.0]])
 
 
-class TestSolveSpd:
-    def test_matches_dense_solver(self):
-        rng = np.random.default_rng(0)
-        B = rng.standard_normal((8, 8))
-        A = B @ B.T + 8 * np.eye(8)
-        b = rng.standard_normal(8)
-        assert np.allclose(solve_spd(A, b), np.linalg.solve(A, b), atol=1e-10)
-
-    def test_ridge_applied(self):
-        A = np.eye(3)
-        z = solve_spd(A, np.ones(3), ridge=1.0)
-        assert np.allclose(z, 0.5)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DimensionError):
-            solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
-
-    def test_singular_raises(self):
-        A = np.ones((3, 3))  # rank 1
-        with pytest.raises(SingularGramError):
-            solve_spd(A, np.ones(3))
-
-
 class TestPinvVector:
     def test_unit_constraints_hold(self):
         rng = Seed(1).generator()
@@ -83,15 +58,18 @@ class TestPinvVector:
         X = np.vstack([x, x, sample_sphere(20, rng)])
         report = {}
         m = pinv_vector(X, report=report)
-        assert report["fallback"] and report["ridge_used"] > 0.0
-        assert np.all(np.isfinite(m))
+        assert report["fallbacks"] == 1
+        gram = X @ X.T
+        ridge = 1e-6 * np.mean(np.diag(gram))  # the fallback ridge
+        assert np.allclose(m, X.T @ np.linalg.solve(gram + ridge * np.eye(3), np.ones(3)),
+                           rtol=1e-8, atol=0.0)
 
     def test_more_members_than_dims_uses_ridge(self):
         rng = Seed(4).generator()
         X = sample_sphere(4, rng, size=9)
         report = {}
         m = pinv_vector(X, report=report)
-        assert report["fallback"]
+        assert report["fallbacks"] == 1
         # ridge keeps the constraints nearly satisfied in aggregate
         assert np.all(np.isfinite(m)) and m.shape == (4,)
 
@@ -99,8 +77,18 @@ class TestPinvVector:
         rng = Seed(5).generator()
         X = sample_sphere(30, rng, size=4)
         report = {}
-        pinv_vector(X, report=report)
-        assert report == {"ridge_used": 0.0, "fallback": False}
+        m = pinv_vector(X, report=report)
+        assert report["fallbacks"] == 0
+        assert report["max_residual"] == pytest.approx(np.max(np.abs(X @ m - 1.0)), abs=1e-14)
+
+    def test_zero_members_raise_singular_gram(self):
+        # the ridge is relative to the Gram's diagonal, so it cannot save them
+        with pytest.raises(SingularGramError):
+            pinv_vector(np.zeros((3, 8)))
+        X = sample_sphere(8, Seed(8).generator(), size=9)
+        X[3:6] = 0.0
+        with pytest.raises(SingularGramError):
+            representatives(X, np.arange(9), np.array([0, 3, 6, 9]))
 
 
 class TestRepresentativesKernel:
@@ -138,12 +126,11 @@ class TestRepresentativesKernel:
         fallbacks, worst = 0, 0.0
         for rep, unit in zip(reps, self._units(*layout)):
             unit_report = {}
-            expect = pinv_vector(unit, unit_report)
-            assert np.max(np.abs(rep - expect)) <= 1e-12
-            fallbacks += unit_report["fallback"]
-            worst = max(worst, float(np.max(np.abs(unit @ expect - 1.0))))
+            assert np.array_equal(rep, pinv_vector(unit, unit_report))
+            fallbacks += unit_report["fallbacks"]
+            worst = max(worst, unit_report["max_residual"])
         assert report["fallbacks"] == fallbacks > 0
-        assert report["max_residual"] == pytest.approx(worst, rel=1e-6)
+        assert report["max_residual"] == worst
 
     def test_empty_unit_rejected(self, layout):
         X, ids, _ = layout
@@ -152,62 +139,34 @@ class TestRepresentativesKernel:
 
 
 class TestNearDependentUnits:
-    """Every sixth unit's second member nearly repeats ("near") or nearly
-    negates ("antipodal") its first. All units have size 4, so they form
-    one batch. A batch whose Cholesky fails retries every unit through
-    pinv_vector; a solved batch retries only its units over the bound."""
+    """Every unit's second member nearly repeats ("near") or nearly negates
+    ("antipodal") its first. All units have size 4, so they form one batch;
+    each unit must come out as it does alone: whether it falls back, and
+    its representative bit for bit."""
 
-    D, UNITS = 16, 24
+    D, UNITS = 16, 295
 
-    @pytest.mark.parametrize("pair, noise", [("near", 1e-10), ("near", 1e-14),
-                                             ("antipodal", 1e-6)])
-    def test_retried_units_equal_pinv_vector(self, monkeypatch, pair, noise):
+    @pytest.mark.parametrize("pair, noise", [("near", 1e-14), ("near", 1e-10),
+                                             ("near", 1e-8), ("antipodal", 1e-6)])
+    def test_units_do_not_depend_on_their_batch(self, pair, noise):
         X = sample_sphere(self.D, Seed(20).generator(), size=4 * self.UNITS)
-        ids, offsets = np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4)
-        dependent = np.arange(0, self.UNITS, 6)
         rng = Seed(21).generator()
-        for j in dependent:
+        for j in range(self.UNITS):
             x = (1.0 if pair == "near" else -1.0) * X[4 * j]
             x = x + noise * rng.standard_normal(self.D)
             X[4 * j + 1] = x / np.linalg.norm(x)
-
-        batches = []  # per _pinv_batch call: (ok, resid), or None when it raised
-
-        def spy(*args):
-            try:
-                out = batch(*args)
-            except np.linalg.LinAlgError:
-                batches.append(None)
-                raise
-            batches.append(out[1:])
-            return out
-
-        batch = construction._pinv_batch
-        monkeypatch.setattr(construction, "_pinv_batch", spy)
+        ids, offsets = np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4)
         report = {}
         reps = representatives(X, ids, offsets, ConstructionConfig(kind="pinv"), report)
-        assert len(batches) == 1
-        if batches[0] is None:
-            retried, worst = np.ones(self.UNITS, dtype=bool), 0.0
-        else:
-            ok, resid = batches[0]
-            retried, worst = ~ok, float(resid[ok].max(initial=0.0))
-        if pair == "antipodal":  # the batch solves; some units miss the bound
-            assert batches[0] is not None and 0 < retried.sum() < self.UNITS
 
-        fallbacks = 0
+        fallbacks, worst = 0, 0.0
         for j in range(self.UNITS):
-            unit = X[4 * j:4 * j + 4]
-            unit_report = {}
-            expect = pinv_vector(unit, unit_report)
-            if retried[j]:
-                assert np.array_equal(reps[j], expect)
-                fallbacks += unit_report["fallback"]
-                worst = max(worst, float(np.max(np.abs(unit @ expect - 1.0))))
-            elif j in dependent:
-                # accepted ill-conditioned units meet the bound, not pinv_vector
-                assert np.max(np.abs(unit @ reps[j] - 1.0)) <= 1e-7
-            else:
-                assert np.max(np.abs(reps[j] - expect)) <= 1e-12
-        assert report["fallbacks"] == fallbacks > 0
+            unit = {}
+            alone = representatives(X, ids[4 * j:4 * j + 4], np.array([0, 4]),
+                                    ConstructionConfig(kind="pinv"), unit)
+            assert np.array_equal(reps[j], alone[0])
+            fallbacks += unit["fallbacks"]
+            worst = max(worst, unit["max_residual"])
+        assert report["fallbacks"] == fallbacks
+        assert 0 < fallbacks < self.UNITS
         assert report["max_residual"] == worst

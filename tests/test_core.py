@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memvec import core
+from memvec.assignment import Partition
 from memvec.core import Dataset, MemoryIndex, QueryModel, inner, normalize
 from memvec.errors import (
     DimensionError,
@@ -11,6 +12,8 @@ from memvec.errors import (
     ModelError,
     NormalizationError,
 )
+from memvec.sampling import CapSpec
+from memvec.search import binarize
 
 
 class TestNormalize:
@@ -235,3 +238,20 @@ class TestQueryModel:
     def test_unknown_hypothesis(self):
         with pytest.raises(ModelError):
             QueryModel("H2")
+
+
+
+@pytest.mark.parametrize("name", ["Partition", "Dataset", "MemoryIndex", "BinaryIndex",
+                                  "CapSpec"])
+def test_array_dataclasses_compare_by_identity(name):
+    # field-wise == would ask numpy for the truth value of an array
+    X = np.eye(3)
+    index = MemoryIndex(X[:2], np.array([0, 2, 3]), np.arange(3), "sum")
+    make = {"Partition": lambda: Partition(unit_of=np.array([0, 1, 0]), M=2),
+            "Dataset": lambda: Dataset(X),
+            "MemoryIndex": lambda: MemoryIndex(X[:2], index.offsets, index.member_ids, "sum"),
+            "BinaryIndex": lambda: binarize(index, Dataset(X)),
+            "CapSpec": lambda: CapSpec(axis=X[0], eta=0.5)}[name]
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
