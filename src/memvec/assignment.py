@@ -1,6 +1,9 @@
 """Dataset-to-unit assignment: random chunking, spherical k-means with
 sum/pinv representatives (optionally normalized for the assignment step),
-batch-wise clustering for streaming data, and imbalance diagnostics."""
+batch-wise clustering for streaming data, and imbalance diagnostics.
+
+Each assignment returns a ``Partition``, which holds only the CSR member
+lists the index shares: no per-id label array stays resident."""
 
 from __future__ import annotations
 
@@ -21,60 +24,61 @@ __all__ = [
     "spherical_kmeans",
     "batch_assignment",
     "imbalance_factor",
-    "partition_size_stats",
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Partition:
-    """Assignment of N dataset ids to M units, also held in CSR form:
+    """Assignment of N dataset ids to M units, held only in CSR form:
     unit j's ids, ascending, are ``order[offsets[j]:offsets[j + 1]]``.
 
     ``Partition(unit_of, M)`` checks the labels and derives the CSR from
-    them. ``random_assignment`` builds the CSR while it assigns and hands
-    all three arrays to ``_from_csr``."""
+    them; the labels are not kept, and ``unit_of`` rebuilds them from the
+    CSR on each access. ``random_assignment`` and ``batch_assignment``
+    build the CSR themselves and hand it to ``_from_csr``."""
 
-    unit_of: np.ndarray  # (N,) int64, values in [0, M)
     M: int
-    order: np.ndarray = field(init=False, repr=False)  # (N,)
-    offsets: np.ndarray = field(init=False, repr=False)  # (M + 1,)
+    order: np.ndarray = field(repr=False)  # (N,) int64
+    offsets: np.ndarray = field(repr=False)  # (M + 1,) int64
 
-    def __post_init__(self):
-        # a view, so the caller's array stays writeable when it is not copied
-        u = np.asarray(self.unit_of, dtype=np.int64).view()
+    def __init__(self, unit_of: np.ndarray, M: int):
+        u = np.asarray(unit_of, dtype=np.int64)
         if u.ndim != 1 or u.size == 0:
             raise DomainError("unit_of must be a non-empty 1-d array")
-        if self.M < 1 or u.min() < 0 or u.max() >= self.M:
+        if M < 1 or u.min() < 0 or u.max() >= M:
             raise DomainError("unit ids out of range")
-        order = _stable_order(u, self.M)
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=self.M))))
-        self._freeze(u, order, offsets)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=M))))
+        self._freeze(M, _stable_order(u, M), offsets)
 
     @classmethod
-    def _from_csr(cls, unit_of: np.ndarray, M: int, order: np.ndarray,
-                  offsets: np.ndarray) -> Partition:
+    def _from_csr(cls, M: int, order: np.ndarray, offsets: np.ndarray) -> Partition:
         """A partition from int64 arrays its caller built consistent with
         each other, frozen as given: nothing is checked or derived again."""
         part = object.__new__(cls)
-        object.__setattr__(part, "M", M)
-        part._freeze(unit_of, order, offsets)
+        part._freeze(M, order, offsets)
         return part
 
-    def _freeze(self, unit_of: np.ndarray, order: np.ndarray, offsets: np.ndarray) -> None:
-        for name, arr in (("unit_of", unit_of), ("order", order), ("offsets", offsets)):
+    def _freeze(self, M: int, order: np.ndarray, offsets: np.ndarray) -> None:
+        object.__setattr__(self, "M", M)
+        for name, arr in (("order", order), ("offsets", offsets)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def N(self) -> int:
-        return self.unit_of.size
+        return int(self.offsets[-1])
 
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def members(self, j: int) -> np.ndarray:
-        return self.order[self.offsets[j]:self.offsets[j + 1]]
+    @property
+    def unit_of(self) -> np.ndarray:
+        """(N,) int64 unit label of each dataset id, a fresh array rebuilt
+        from the CSR."""
+        unit_of = np.empty(self.N, dtype=np.int64)
+        unit_of[self.order] = np.repeat(np.arange(self.M), self.sizes)
+        return unit_of
 
 
 @dataclass(frozen=True)
@@ -136,15 +140,10 @@ def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     chunks = order[:full * n].reshape(full, n)  # a view of order
     chunks.sort(axis=1)
     order[full * n:].sort()
-    # unit_of[order[k]] = k // n, written through the (full, n) view, so no
-    # N-length position or quotient array is made
-    unit_of = np.empty(N, dtype=np.int64)
-    unit_of[chunks] = np.arange(full)[:, None]
-    unit_of[order[full * n:]] = full
     M = -(-N // n)
     offsets = np.arange(0, M * n + 1, n)
     offsets[-1] = N  # offsets[k] = min(k n, N): only the last unit may be short
-    return Partition._from_csr(unit_of, M, order, offsets)
+    return Partition._from_csr(M, order, offsets)
 
 
 def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np.ndarray]:
@@ -282,13 +281,17 @@ def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.
 
     Batch i uses the derived seed ``cfg.seed.child(f"batch{i}")``; the
     global partition is the disjoint union with per-batch unit id offsets.
-    Returns the partition and the stacked per-batch representatives.
+    Its CSR is the batches' CSRs laid end to end, each batch's ids and
+    offsets shifted by its first dataset id: the stable sort of the global
+    labels, without making them. Returns the partition and the stacked
+    per-batch representatives.
     """
     N = dataset.size
     B = cfg.batch_size
-    unit_of = np.empty(N, dtype=np.int64)
+    order = np.empty(N, dtype=np.int64)
+    offsets_blocks = [np.zeros(1, dtype=np.int64)]
     reps_blocks = []
-    offset = 0
+    M = 0
     for i, start in enumerate(range(0, N, B)):
         stop = min(start + B, N)
         block = Dataset(dataset.vectors[start:stop])
@@ -301,20 +304,15 @@ def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.
         else:
             inner = replace(cfg.inner, M=min(cfg.inner.M, block.size), seed=seed)
             part, reps = spherical_kmeans(block, inner)
-        unit_of[start:stop] = part.unit_of + offset
-        offset += part.M
+        np.add(part.order, start, out=order[start:stop])
+        offsets_blocks.append(part.offsets[1:] + start)
+        M += part.M
         reps_blocks.append(np.atleast_2d(reps))
-    return Partition(unit_of=unit_of, M=offset), np.vstack(reps_blocks)
+    part = Partition._from_csr(M, order, np.concatenate(offsets_blocks))
+    return part, np.vstack(reps_blocks)
 
 
 def imbalance_factor(p: Partition) -> float:
     """delta = M * sum_i (n_i / N)^2; 1 iff perfectly balanced."""
     freqs = p.sizes / p.N
     return float(p.M * np.sum(freqs**2))
-
-
-def partition_size_stats(p: Partition) -> tuple[float, float]:
-    """(E[n_i], V[n_i]) implied by the imbalance factor:
-    N/M and (delta - 1) N^2 / M^2."""
-    delta = imbalance_factor(p)
-    return p.N / p.M, (delta - 1.0) * p.N**2 / p.M**2

@@ -22,7 +22,7 @@ __all__ = ["ConstructionConfig", "sum_vector", "pinv_vector", "representatives"]
 _BATCH_FLOATS = 1 << 16
 # A failed pinv solve is redone with ridge _FALLBACK_RIDGE * mean(diag Gram).
 _FALLBACK_RIDGE = 1e-6
-# A plain solve is kept when max |G z - 1| is at most this.
+# A plain solve is kept when max |<m, x_i> - 1| is at most this.
 _RESIDUAL_BOUND = 2e-8
 
 
@@ -68,18 +68,16 @@ def pinv_vector(members, report: dict | None = None) -> np.ndarray:
 def _pinv_batch(block: np.ndarray, ones: np.ndarray, ridge: bool = False):
     """pinv of a (b, n, d) batch with ``ones`` = 1_n, each Gram G plus
     ``_FALLBACK_RIDGE * mean(diag G)`` I when ``ridge``: representatives and
-    each unit's worst |<m, x_i> - 1|, taken as |G z - 1|. Raises LinAlgError
+    each unit's worst constraint residual |<m, x_i> - 1|. Raises LinAlgError
     when a (regularized) Gram is not positive definite."""
     gram = block @ block.transpose(0, 2, 1)
-    system = gram
     if ridge:
-        system = gram.copy()
-        diag = system.reshape(block.shape[0], -1)[:, ::ones.size + 1]
+        diag = gram.reshape(block.shape[0], -1)[:, ::ones.size + 1]
         diag += _FALLBACK_RIDGE * diag.mean(axis=1, keepdims=True)
-    np.linalg.cholesky(system)
-    z = np.linalg.solve(system, ones)
-    resid = np.max(np.abs(gram @ z[..., None] - 1.0), axis=(1, 2))
-    return np.einsum("bi,bid->bd", z, block), resid
+    np.linalg.cholesky(gram)
+    reps = np.einsum("bi,bid->bd", np.linalg.solve(gram, ones), block)
+    resid = np.max(np.abs(block @ reps[..., None] - 1.0), axis=(1, 2))
+    return reps, resid
 
 
 def _pinv_units(block: np.ndarray, ones: np.ndarray, ridge: bool = False):

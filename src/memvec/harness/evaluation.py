@@ -76,8 +76,12 @@ def evaluate_results(retrieved: list[np.ndarray], matches: list[np.ndarray],
     at_r = {r: [] for r in RECALL_RANKS}
     for ids, gt in zip(retrieved, matches):
         ids = np.asarray(ids, dtype=np.int64)
-        gt = np.unique(np.asarray(gt, dtype=np.int64))  # repeats count once
-        found = np.isin(ids, gt)
+        # sorted set logic: np.unique and np.isin would import numpy.ma
+        gt = np.sort(np.asarray(gt, dtype=np.int64))
+        first = np.ones(gt.size, dtype=bool)
+        first[1:] = gt[1:] != gt[:-1]
+        gt = gt[first]  # repeats count once
+        found = np.searchsorted(gt, ids, "right") > np.searchsorted(gt, ids)
         total_matches += gt.size
         total_retrieved += ids.size
         hit += int(np.count_nonzero(found))

@@ -192,7 +192,8 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
                 raise DomainError(f"unknown assignment method {method!r}")
             index = build_index(dataset, part, cfg)
             sizes = index.sizes
-            unit_matches = np.stack([np.bincount(part.unit_of[m], minlength=part.M)
+            unit_of = part.unit_of  # rebuilt on each access: once per index
+            unit_matches = np.stack([np.bincount(unit_of[m], minlength=part.M)
                                      for m in matches])
             scores = queries @ index.representatives.T  # (Q, M)
             visited = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]

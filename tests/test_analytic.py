@@ -72,21 +72,30 @@ class TestNormal:
         assert out[0] == 1.0 and out[1] == 0.0 and np.isnan(out[2])
 
     def test_run_time_needs_no_scipy_special(self):
-        # the cost model and the index are pure stdlib + numpy: a fresh
-        # interpreter that evaluates the one and builds (with a ridge
-        # fallback) and queries the other must not have loaded any of scipy
-        code = ("import sys, numpy as np, memvec\n"
+        # the cost model, the index and evaluation are pure stdlib + numpy: a
+        # fresh interpreter that evaluates the one, builds (with a ridge
+        # fallback) and queries the other, scores the answer and runs
+        # `theory mp` must not have loaded any of scipy, nor numpy.ma
+        code = ("import os, sys, numpy as np, memvec\n"
                 "from memvec import analytic as A\n"
                 "from memvec.assignment import Partition\n"
                 "from memvec.core import Dataset\n"
+                "from memvec.harness.cli import main\n"
+                "from memvec.harness.evaluation import cosine_ground_truth, "
+                "evaluate_results\n"
                 "from memvec.search import build_index, query\n"
                 "A.threshold_for('pinv', 0.5, 50, 1000, 0.01)\n"
                 "A.error_rates('sum', 0.3, 0.5, 10, 128)\n"
                 "A.expected_cost_ratio('pinv', 10, 128, 0.5, 0.01)\n"
                 "data = Dataset(np.eye(8)[[0, 0, 1, 2, 3, 4]])\n"
                 "part = Partition(unit_of=np.array([0, 0, 0, 1, 1, 1]), M=2)\n"
-                "query(build_index(data, part), data, np.eye(8)[0], tau=0.5)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                "res = query(build_index(data, part), data, np.eye(8)[0], tau=0.5)\n"
+                "gt = cosine_ground_truth(data, np.eye(8)[:1], 0.5)\n"
+                "ids = np.array([i for i, _ in res.candidates])\n"
+                "assert evaluate_results([ids], gt, [0.5]).recall_of_matches == 1.0\n"
+                "assert main(['theory', 'mp', '--cs', '0.5', '--out', os.devnull]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                " or m.split('.')[:2] == ['numpy', 'ma']))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(A.__file__).parents[1])] + sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

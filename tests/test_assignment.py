@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from memvec.assignment import (
     Partition,
     batch_assignment,
     imbalance_factor,
-    partition_size_stats,
     random_assignment,
     spherical_kmeans,
 )
@@ -20,11 +20,15 @@ from memvec.errors import DomainError
 from memvec.sampling import Seed, make_clustered_dataset, sample_sphere
 
 
+def _members(p, j):
+    return p.order[p.offsets[j]:p.offsets[j + 1]]
+
+
 class TestPartition:
     def test_sizes_and_members(self):
         p = Partition(unit_of=np.array([0, 1, 0, 2, 0]), M=3)
         assert np.array_equal(p.sizes, [3, 1, 1])
-        assert np.array_equal(p.members(0), [0, 2, 4])
+        assert np.array_equal(_members(p, 0), [0, 2, 4])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -33,11 +37,11 @@ class TestPartition:
     def test_caller_array_stays_writeable(self):
         u = np.array([0, 1, 0], dtype=np.int64)
         p = Partition(unit_of=u, M=2)
-        assert np.shares_memory(p.unit_of, u)  # a view, not a copy
         assert u.flags.writeable
-        for arr in (p.unit_of, p.order, p.offsets):
+        for arr in (p.order, p.offsets):
             assert not arr.flags.writeable
         u[0] = 1
+        assert np.array_equal(p.unit_of, [0, 1, 0])  # the labels are not kept
 
     # the sort key narrows to uint8 up to M = 256, uint16 up to 65536, then uint32
     @pytest.mark.parametrize("M", [1, 256, 257, 65536, 65537])
@@ -75,9 +79,9 @@ class TestRandomAssignment:
 
 def _assert_same_as_rederived(p):
     """p equals the partition Partition(unit_of, M) derives from its labels."""
-    ref = Partition(unit_of=p.unit_of.copy(), M=p.M)
+    ref = Partition(unit_of=p.unit_of, M=p.M)
     assert p.M == ref.M and type(p.M) is int
-    for name in ("unit_of", "order", "offsets"):
+    for name in ("order", "offsets"):
         got, want = getattr(p, name), getattr(ref, name)
         assert got.dtype == np.int64 and not got.flags.writeable
         assert np.array_equal(got, want), name
@@ -105,7 +109,7 @@ class TestAssignmentCSR:
         assert rng.bit_generator.state == ref.bit_generator.state
         # unit k holds the k-th chunk of the permutation
         for k in range(p.M):
-            assert np.array_equal(p.members(k), np.sort(perm[k * n:(k + 1) * n]))
+            assert np.array_equal(_members(p, k), np.sort(perm[k * n:(k + 1) * n]))
 
     @pytest.mark.parametrize("batch_size, unit_size", [(20, 5), (23, 5), (7, 1),
                                                        (60, 60), (25, 25)])
@@ -125,6 +129,58 @@ class TestAssignmentCSR:
         _assert_same_as_rederived(p)
 
 
+def _random_labels(N, n, seed):
+    """The labels of random_assignment(N, n, seed.generator()): unit k
+    holds the k-th chunk of the permutation."""
+    labels = np.empty(N, dtype=np.int64)
+    labels[seed.generator().permutation(N)] = np.arange(N) // n
+    return labels
+
+
+class TestLabelsNotKept:
+    """A Partition holds its CSR and no N-length array besides ``order``;
+    ``unit_of``, rebuilt from the CSR, is the labels the assignment made
+    (k-means: TestKMeansAgainstReference)."""
+
+    @pytest.mark.parametrize("make", ["labels", "random", "kmeans", "batch"])
+    def test_holds_only_the_csr(self, make):
+        ds = Dataset(sample_sphere(8, Seed(50).generator(), size=60))
+        p = {"labels": lambda: Partition(unit_of=np.arange(60) % 7, M=7),
+             "random": lambda: random_assignment(60, 7, Seed(51).generator()),
+             "kmeans": lambda: spherical_kmeans(ds, KMeansConfig(M=7, mode="sum",
+                                                                 max_iters=3))[0],
+             "batch": lambda: batch_assignment(ds, BatchConfig(
+                 batch_size=23, inner="random", unit_size=5))[0]}[make]()
+        arrays = {name for name, v in vars(p).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"order", "offsets"}
+        assert p.order.size == 60 and p.offsets.size == p.M + 1
+        # neither is a view that pins a larger buffer
+        assert p.order.base is None and p.offsets.base is None
+
+    @pytest.mark.parametrize("N, n", TestAssignmentCSR.SHAPES)
+    def test_random_labels(self, N, n):
+        p = random_assignment(N, n, Seed(52).generator())
+        assert np.array_equal(p.unit_of, _random_labels(N, n, Seed(52)))
+
+    @pytest.mark.parametrize("inner", ["random", KMeansConfig(M=4, mode="sum", max_iters=3)])
+    def test_batch_labels(self, inner):
+        ds = Dataset(sample_sphere(8, Seed(53).generator(), size=60))
+        cfg = BatchConfig(batch_size=23, inner=inner, unit_size=5, seed=Seed(54))
+        p, _ = batch_assignment(ds, cfg)
+        labels, M = [], 0
+        for i, start in enumerate(range(0, 60, 23)):
+            block = Dataset(ds.vectors[start:start + 23])
+            seed = cfg.seed.child(f"batch{i}")
+            if inner == "random":
+                lab = _random_labels(block.size, 5, seed)
+            else:
+                lab, _ = _kmeans_reference(block, replace(inner, seed=seed))
+            labels.append(lab + M)
+            M += int(lab.max()) + 1
+        assert p.M == M
+        assert np.array_equal(p.unit_of, np.concatenate(labels))
+
+
 class TestImbalance:
     def test_hand_value(self):
         # sizes (3, 1): delta = 2 * ((3/4)^2 + (1/4)^2) = 1.25
@@ -132,9 +188,10 @@ class TestImbalance:
         assert imbalance_factor(p) == pytest.approx(1.25, abs=1e-14)
 
     def test_size_stats_match_empirical_variance(self):
+        # V[n_i] = (delta - 1) N^2 / M^2 around the mean N / M
         p = Partition(unit_of=np.array([0, 0, 0, 1, 2, 2]), M=3)
-        mean, var = partition_size_stats(p)
-        assert mean == pytest.approx(np.mean(p.sizes), abs=1e-12)
+        var = (imbalance_factor(p) - 1.0) * p.N**2 / p.M**2
+        assert p.N / p.M == pytest.approx(np.mean(p.sizes), abs=1e-12)
         assert var == pytest.approx(np.var(p.sizes), abs=1e-12)
 
 
@@ -146,7 +203,7 @@ class TestSphericalKMeans:
         # label-consistent partition: each found unit maps to one true cluster
         agreement = 0
         for j in range(5):
-            member_labels = labels[part.members(j)]
+            member_labels = labels[_members(part, j)]
             agreement += np.max(np.bincount(member_labels, minlength=5))
         assert agreement / ds.size > 0.95
         assert reps.shape == (5, 64)
@@ -175,7 +232,7 @@ class TestSphericalKMeans:
         rnd = random_assignment(ds.size, 30, Seed(11).generator())
         rnd_obj = []
         for j in range(rnd.M):
-            members = ds.vectors[rnd.members(j)]
+            members = ds.vectors[_members(rnd, j)]
             c = members.sum(axis=0)
             c /= np.linalg.norm(c)
             rnd_obj.append(np.sum(members * c, axis=1))
@@ -197,7 +254,8 @@ def _fill_empty_units_reference(labels, M, rng):
 
 def _kmeans_reference(dataset, cfg):
     """spherical_kmeans with the full (N, M) score matrix and the replaced
-    repair: the loop the library replaced."""
+    repair: the loop the library replaced. Returns its last labels, not a
+    partition, so they are compared with ``unit_of`` as made."""
     X = dataset.vectors
     rng = cfg.seed.generator()
     reps = X[rng.choice(dataset.size, size=cfg.M, replace=False)]
@@ -214,7 +272,7 @@ def _kmeans_reference(dataset, cfg):
         if cfg.normalize_representative:
             norms = np.linalg.norm(reps, axis=1, keepdims=True)
             reps = np.divide(reps, norms, out=reps, where=norms > 0.0)
-    return part, reps
+    return labels, reps
 
 
 class TestNearest:
@@ -352,8 +410,8 @@ class TestKMeansAgainstReference:
         cfg = KMeansConfig(M=120, mode=mode, normalize_representative=normalize,
                            max_iters=6, seed=Seed(39))
         part, reps = spherical_kmeans(clustered, cfg)
-        ref_part, ref_reps = _kmeans_reference(clustered, cfg)
-        assert np.array_equal(part.unit_of, ref_part.unit_of)
+        ref_labels, ref_reps = _kmeans_reference(clustered, cfg)
+        assert np.array_equal(part.unit_of, ref_labels)
         assert np.array_equal(reps, ref_reps)
 
     def test_empty_unit_repair_matches_reference(self, clustered):
@@ -392,8 +450,8 @@ class TestKMeansAgainstReference:
         small = Dataset(clustered.vectors[::10])
         cfg = KMeansConfig(M=small.size, mode="sum", max_iters=3, seed=Seed(42))
         part, reps = spherical_kmeans(small, cfg)
-        ref_part, ref_reps = _kmeans_reference(small, cfg)
-        assert np.array_equal(part.unit_of, ref_part.unit_of)
+        ref_labels, ref_reps = _kmeans_reference(small, cfg)
+        assert np.array_equal(part.unit_of, ref_labels)
         assert np.array_equal(reps, ref_reps)
         assert np.all(part.sizes == 1)
 

@@ -124,11 +124,17 @@ class TestTheory:
         assert len(lines) == 11
 
     def test_mp_quadrature_matches_limit(self, capsys):
-        assert run(["theory", "mp", "--cs", 0.1, 0.5, 0.9]) == 0
+        # near c = 1 the integrand peaks at lambda -> 0: c = 0.99 needs
+        # about four times the points of c <= 0.9
+        assert run(["theory", "mp", "--cs", 0.1, 0.5, 0.9, 0.99]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-        assert [float(r["c"]) for r in rows] == [0.1, 0.5, 0.9]
+        assert [float(r["c"]) for r in rows] == [0.1, 0.5, 0.9, 0.99]
         for r in rows:
-            assert float(r["quadrature"]) == pytest.approx(float(r["limit"]), rel=1e-6)
+            assert float(r["quadrature"]) == pytest.approx(float(r["limit"]), rel=1e-12)
+
+    def test_mp_refuses_c_it_cannot_integrate(self, capsys):
+        assert run(["theory", "mp", "--cs", 0.99999]) == 1
+        assert "too close to 1" in capsys.readouterr().err
 
     def test_cap_stats_csv(self, capsys):
         assert run(["theory", "cap-stats", "--d", 100, "--n", 10, "--alpha", 0.7,

@@ -93,8 +93,7 @@ class TestBuildIndex:
             tracemalloc.stop()
         # the index keeps views of the partition's arrays, not copies
         assert index.member_ids.base is part.order and index.offsets.base is part.offsets
-        kept = sum(a.nbytes for a in (index.representatives, part.unit_of,
-                                      part.order, part.offsets))
+        kept = sum(a.nbytes for a in (index.representatives, part.order, part.offsets))
         assert peak - kept < 2**19
 
     def test_set_up_stages_make_no_index_sized_temporaries(self):
@@ -114,7 +113,7 @@ class TestBuildIndex:
         _, p = peak(lambda: Dataset(X))
         assert p < N * 4
         part, p = peak(lambda: random_assignment(N, n, Seed(48).generator()))
-        assert p - (part.unit_of.nbytes + part.order.nbytes + part.offsets.nbytes) < N * 4
+        assert p - (part.order.nbytes + part.offsets.nbytes) < N * 4
         reps = np.zeros((part.M, 64))  # an (M, d) bool mask would be 1.28 MB
         _, p = peak(lambda: MemoryIndex(reps, part.offsets, part.order, "pinv"))
         assert p < N * 4
