@@ -9,7 +9,7 @@ pipeline; `harness` adds file formats, evaluation and experiment drivers.
 """
 
 from . import analytic, assignment, construction, sampling, search
-from .core import Dataset, MemoryIndex, QueryModel, normalize
+from .core import Dataset, MemoryIndex, QueryModel, inner, normalize
 from .errors import (
     DegenerateCapError,
     DimensionError,
@@ -35,6 +35,7 @@ __all__ = [
     "MemoryIndex",
     "QueryModel",
     "normalize",
+    "inner",
     "MemvecError",
     "NormalizationError",
     "DimensionError",

@@ -441,6 +441,15 @@ def gaussian_kl(mean0: float, var0: float, mean1: float, var1: float) -> float:
                  + (var0 + (mean0 - mean1) ** 2) / (2.0 * var1) - 0.5)
 
 
+def _cap_moments(eta: float, d: int, n: int, alpha: float) -> tuple[float, float, float]:
+    """Checked cap-stats arguments: (mu1, mu2, beta^2 = 1 - alpha^2)."""
+    if n < 2 or d <= n:
+        raise DomainError("need 2 <= n < d")
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError("alpha must lie in [0, 1]")
+    return cap_moment(1, eta, d), cap_moment(2, eta, d), 1.0 - alpha * alpha
+
+
 def sum_cap_stats(eta: float, d: int, n: int, alpha: float) -> CapStats:
     """Score statistics of the sum construction when unit members are
     uniform on a cap of cosine threshold eta.
@@ -449,13 +458,7 @@ def sum_cap_stats(eta: float, d: int, n: int, alpha: float) -> CapStats:
     orthogonal-noise interference, and the two projections of the query
     noise), treated as uncorrelated.
     """
-    if n < 2 or d <= n:
-        raise DomainError("need 2 <= n < d")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
-    mu1 = cap_moment(1, eta, d)
-    mu2 = cap_moment(2, eta, d)
-    beta2 = 1.0 - alpha * alpha
+    mu1, mu2, beta2 = _cap_moments(eta, d, n, alpha)
 
     h0_mean = 0.0
     h0_var = (n + n * (n - 1) * mu1**2) / d
@@ -481,13 +484,7 @@ def pinv_cap_stats(eta: float, d: int, n: int, alpha: float) -> CapStats:
     bound on E||m*||^2; they are approximations, flagged by
     ``bound_based``.
     """
-    if n < 2 or d <= n:
-        raise DomainError("need 2 <= n < d")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
-    mu1 = cap_moment(1, eta, d)
-    mu2 = cap_moment(2, eta, d)
-    beta2 = 1.0 - alpha * alpha
+    mu1, mu2, beta2 = _cap_moments(eta, d, n, alpha)
 
     h0_var = n / (d * (1.0 + (n - 1) * mu2))
     h1_var = beta2 / (d - 1) * (n - 1) * (1.0 - mu2) / (1.0 + (n - 1) * mu2)
@@ -512,7 +509,6 @@ def mp_pdf(lam, c: float):
     lo = (1.0 - math.sqrt(c)) ** 2
     hi = (1.0 + math.sqrt(c)) ** 2
     inside = (lam >= lo) & (lam <= hi)
-    val = np.zeros_like(lam)
     lam_in = np.where(inside, lam, 1.0)
     val = np.where(
         inside,

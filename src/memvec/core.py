@@ -21,6 +21,7 @@ _NORM_ROWS = 1 << 13  # rows per squared-norm chunk in the Dataset check
 __all__ = [
     "UNIT_NORM_TOL",
     "normalize",
+    "inner",
     "Dataset",
     "MemoryIndex",
     "QueryModel",
@@ -44,6 +45,15 @@ def normalize(v) -> np.ndarray:
     # one refinement pass keeps |norm - 1| well inside 1e-9
     out = out / float(np.linalg.norm(out))
     return out
+
+
+def inner(a, b) -> float:
+    """Inner product with a fixed (numpy pairwise) accumulation order."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
+    return float(np.dot(a, b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,16 +78,14 @@ def evaluate_results(retrieved: list[np.ndarray], matches: list[np.ndarray],
         ids = np.asarray(ids, dtype=np.int64)
         # sorted set logic: np.unique and np.isin would import numpy.ma
         gt = np.sort(np.asarray(gt, dtype=np.int64))
-        first = np.ones(gt.size, dtype=bool)
-        first[1:] = gt[1:] != gt[:-1]
-        gt = gt[first]  # repeats count once
+        n_gt = gt.size - int(np.count_nonzero(gt[1:] == gt[:-1]))  # repeats count once
         found = np.searchsorted(gt, ids, "right") > np.searchsorted(gt, ids)
-        total_matches += gt.size
+        total_matches += n_gt
         total_retrieved += ids.size
         hit += int(np.count_nonzero(found))
-        if gt.size:
+        if n_gt:
             for r in RECALL_RANKS:
-                at_r[r].append(int(np.count_nonzero(found[:r])) / min(r, gt.size))
+                at_r[r].append(int(np.count_nonzero(found[:r])) / min(r, n_gt))
     ratios = np.asarray(complexity_ratios, dtype=np.float64)
     return EvalReport(
         recall_of_matches=hit / total_matches if total_matches else 0.0,

@@ -132,8 +132,15 @@ class TestTheory:
         for r in rows:
             assert float(r["quadrature"]) == pytest.approx(float(r["limit"]), rel=1e-12)
 
+    def test_mp_close_to_one_is_summed_in_chunks(self, capsys):
+        # c = 0.9999 takes about 400k points, several chunks of the sum
+        assert run(["theory", "mp", "--cs", 0.9999]) == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert float(row["quadrature"]) == pytest.approx(float(row["limit"]), rel=1e-7)
+
     def test_mp_refuses_c_it_cannot_integrate(self, capsys):
-        assert run(["theory", "mp", "--cs", 0.99999]) == 1
+        # 40 million points, beyond the cap
+        assert run(["theory", "mp", "--cs", 0.999999]) == 1
         assert "too close to 1" in capsys.readouterr().err
 
     def test_cap_stats_csv(self, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from memvec import core
 from memvec.assignment import Partition
-from memvec.core import Dataset, MemoryIndex, QueryModel, normalize
+from memvec.core import Dataset, MemoryIndex, QueryModel, inner, normalize
 from memvec.errors import (
     DimensionError,
     EmptyUnitError,
@@ -47,6 +47,15 @@ class TestNormalize:
         v = normalize(arr)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
         assert np.allclose(normalize(v), v, atol=1e-12)
+
+
+class TestInner:
+    def test_value(self):
+        assert inner([1.0, 2.0], [3.0, -1.0]) == pytest.approx(1.0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            inner([1.0], [1.0, 2.0])
 
 
 class TestDataset:
