@@ -9,7 +9,7 @@ pipeline; `harness` adds file formats, evaluation and experiment drivers.
 """
 
 from . import analytic, assignment, construction, sampling, search
-from .core import Dataset, MemoryIndex, QueryModel, inner, normalize
+from .core import Dataset, MemoryIndex, normalize
 from .errors import (
     DegenerateCapError,
     DimensionError,
@@ -33,9 +33,7 @@ __all__ = [
     "search",
     "Dataset",
     "MemoryIndex",
-    "QueryModel",
     "normalize",
-    "inner",
     "MemvecError",
     "NormalizationError",
     "DimensionError",

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
+from .errors import DomainError, EmptyUnitError, SingularGramError
 
-__all__ = ["ConstructionConfig", "sum_vector", "pinv_vector", "representatives"]
+__all__ = ["ConstructionConfig", "representatives"]
 
 # Member floats gathered per batch. Larger batches are no faster, and the
 # temporaries they free stay resident in the heap.
@@ -35,34 +35,6 @@ class ConstructionConfig:
     def __post_init__(self):
         if self.kind not in ("sum", "pinv"):
             raise DomainError(f"unknown construction kind {self.kind!r}")
-
-
-def _as_matrix(members) -> np.ndarray:
-    """Stack members into an (n, d) float64 matrix."""
-    try:
-        mat = np.asarray(members, dtype=np.float64)
-    except ValueError as exc:  # ragged rows
-        raise DimensionError("members disagree on dimension") from exc
-    if mat.size == 0:
-        raise EmptyUnitError("empty member set")
-    if mat.ndim != 2:
-        raise DimensionError("members must form an (n, d) matrix")
-    return mat
-
-
-def sum_vector(members) -> np.ndarray:
-    """Coordinate-wise sum of the members; no normalization."""
-    return _as_matrix(members).sum(axis=0)
-
-
-def pinv_vector(members, report: dict | None = None) -> np.ndarray:
-    """Minimal-norm solution m* of X'm = 1_n: ``representatives`` on one
-    unit, so a passed dict receives the same ``fallbacks`` and
-    ``max_residual``, and a unit of all-zero members raises
-    SingularGramError."""
-    X = _as_matrix(members)
-    n = X.shape[0]
-    return representatives(X, np.arange(n), np.array([0, n]), report=report)[0]
 
 
 def _pinv_batch(block: np.ndarray, ones: np.ndarray, ridge: bool = False):
@@ -103,13 +75,13 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     X is used as stored (float32 or float64); each batch is widened to
     float64, so sums and solves are float64 whatever X holds.
 
-    Sums equal ``sum_vector`` bit for bit. pinv keeps a unit's plain Gram
-    solution when its Cholesky succeeds and max |<m, x_i> - 1| is within
-    2e-8; the other units, and every unit with n > d, are solved again with
-    the fallback ridge. Which units fall back, and their representatives,
-    do not depend on the batch. A passed dict receives ``fallbacks``, the
-    units that took the ridge, and ``max_residual``, the worst
-    |<m_j, x_i> - 1| (0 for sum)."""
+    A unit's sum equals ``sum(axis=0)`` of its widened rows bit for bit.
+    pinv keeps a unit's plain Gram solution when its Cholesky succeeds and
+    max |<m, x_i> - 1| is within 2e-8; the other units, and every unit with
+    n > d, are solved again with the fallback ridge. Which units fall
+    back, and their representatives, do not depend on the batch. A passed
+    dict receives ``fallbacks``, the units that took the ridge, and
+    ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
     cfg = cfg or ConstructionConfig()
     X = np.asarray(X)
     sizes = np.diff(offsets)

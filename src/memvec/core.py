@@ -1,4 +1,4 @@
-"""Core data model: unit vectors, datasets, the memory index and query models.
+"""Core data model: unit vectors, datasets and the memory index.
 
 All vectors live on the d-dimensional unit hypersphere and similarity is
 the plain inner product. Dataset coefficients are stored as read (float32
@@ -8,7 +8,7 @@ widens the rows it gathers, so all arithmetic is float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +21,8 @@ _NORM_ROWS = 1 << 13  # rows per squared-norm chunk in the Dataset check
 __all__ = [
     "UNIT_NORM_TOL",
     "normalize",
-    "inner",
     "Dataset",
     "MemoryIndex",
-    "QueryModel",
 ]
 
 
@@ -45,15 +43,6 @@ def normalize(v) -> np.ndarray:
     # one refinement pass keeps |norm - 1| well inside 1e-9
     out = out / float(np.linalg.norm(out))
     return out
-
-
-def inner(a, b) -> float:
-    """Inner product with a fixed (numpy pairwise) accumulation order."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,29 +145,3 @@ class MemoryIndex:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-
-@dataclass(frozen=True)
-class QueryModel:
-    """Generative model of a query: H0 (unrelated) or H1 (planted match).
-
-    Under H1 the query is alpha * x_planted + beta * Z with Z a unit vector
-    orthogonal to the planted match; beta = sqrt(1 - alpha^2) always.
-    """
-
-    hypothesis: str  # "H0" | "H1"
-    alpha: float = 0.0
-    planted_id: int | None = field(default=None)
-
-    def __post_init__(self):
-        if self.hypothesis not in ("H0", "H1"):
-            raise ModelError(f"unknown hypothesis {self.hypothesis!r}")
-        if self.hypothesis == "H1":
-            if self.planted_id is None:
-                raise ModelError("H1 requires a planted id")
-            if not 0.0 <= self.alpha <= 1.0:
-                raise ModelError("alpha must lie in [0, 1]")
-
-    @property
-    def beta(self) -> float:
-        return float(np.sqrt(max(0.0, 1.0 - self.alpha**2)))

@@ -2,7 +2,7 @@
 
 Uniform hypersphere vectors, spherical-cap vectors (1-d inverse-CDF on the
 axis correlation plus a uniform orthogonal direction), planted-cluster
-datasets and H0/H1 query vectors. Every operation is deterministic given
+datasets and H1 query vectors. Every operation is deterministic given
 the generator state; parallel workers derive independent generators by
 seed splitting.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import score_sf_log
-from .core import Dataset, QueryModel, normalize
-from .errors import DegenerateCapError, DimensionError, DomainError, ModelError
+from .core import Dataset, normalize
+from .errors import DegenerateCapError, DimensionError, DomainError
 
 __all__ = [
     "Seed",
@@ -24,7 +24,6 @@ __all__ = [
     "sample_sphere",
     "sample_cap_correlation",
     "sample_cap",
-    "make_query",
     "h1_queries",
     "make_clustered_dataset",
 ]
@@ -140,25 +139,18 @@ def sample_cap(spec: CapSpec, rng: np.random.Generator, size: int | None = None)
     return out[0] if size is None else out
 
 
-def make_query(dataset: Dataset, model: QueryModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw one query: uniform under H0; alpha x + beta Z under H1, with Z
-    uniform on the sphere orthogonal to the planted vector."""
-    if model.hypothesis == "H0":
-        return sample_sphere(dataset.dim, rng)
-    if model.planted_id is None or not 0 <= model.planted_id < dataset.size:
-        raise ModelError("H1 planted id outside the dataset")
-    return h1_queries(dataset.vectors[[model.planted_id]], model.alpha, rng)[0]
-
-
 def h1_queries(planted: np.ndarray, alpha: float, rng: np.random.Generator) -> np.ndarray:
     """One H1 query per row x of ``planted``: alpha x + beta z, with z
     uniform on the unit sphere orthogonal to x, renormalized. float32 rows
-    are widened first, so the queries are computed in float64."""
+    are widened first, so the queries are computed in float64. alpha must
+    lie in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     planted = np.asarray(planted, dtype=np.float64)
     g = rng.standard_normal(planted.shape)
     g -= np.sum(g * planted, axis=1, keepdims=True) * planted
     z = g / np.linalg.norm(g, axis=1, keepdims=True)
-    y = alpha * planted + np.sqrt(max(0.0, 1.0 - alpha * alpha)) * z
+    y = alpha * planted + np.sqrt(1.0 - alpha * alpha) * z
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 

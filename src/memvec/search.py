@@ -26,9 +26,6 @@ __all__ = [
     "query",
     "binarize",
     "query_binary",
-    "sign_code",
-    "hamming_inner",
-    "asymmetric_inner",
 ]
 
 
@@ -129,29 +126,6 @@ def query(index: MemoryIndex, dataset: Dataset, y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def sign_code(v: np.ndarray) -> np.ndarray:
-    """Sign bits of v: bit k is True iff coefficient k >= 0."""
-    return np.asarray(v) >= 0.0
-
-
-def hamming_inner(a: np.ndarray, b: np.ndarray) -> int:
-    """Inner product of the +/-1 vectors behind two codes: d - 2 hamming."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise DimensionError("code length mismatch")
-    return int(a.size - 2 * np.count_nonzero(a != b))
-
-
-def asymmetric_inner(y: np.ndarray, code: np.ndarray) -> float:
-    """Real query against a +/-1 code: sum of +/- y_k (unnormalized)."""
-    y = np.asarray(y, dtype=np.float64)
-    code = np.asarray(code, dtype=bool)
-    if y.shape != code.shape:
-        raise DimensionError("code length mismatch")
-    return float(np.sum(np.where(code, y, -y)))
-
-
 # Sign bits handled per chunk: rows binarized, or codes looked up, at once.
 # Small chunks keep the temporaries from staying resident in the heap.
 _CHUNK_BITS = 1 << 17
@@ -173,7 +147,7 @@ class BinaryIndex:
     pad bits of the last byte are 0).
 
     The dataset is kept by reference: candidates re-rank by true inner
-    products, or by the codes of their rows, packed when gathered.
+    products.
     """
 
     unit_codes: np.ndarray  # (M, ceil(d / 8)) uint8
@@ -205,7 +179,7 @@ def _pack_signs(A: np.ndarray) -> np.ndarray:
     out = np.empty((n, _code_bytes(d)), dtype=np.uint8)
     step = max(1, _CHUNK_BITS // d)
     for s in range(0, n, step):
-        out[s:s + step] = np.packbits(sign_code(A[s:s + step]), axis=1)
+        out[s:s + step] = np.packbits(A[s:s + step] >= 0.0, axis=1)
     return out
 
 
@@ -241,34 +215,22 @@ def _asymmetric_scores(codes: np.ndarray, table: np.ndarray, y: np.ndarray) -> n
 
 
 def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
-                 mode: str = "asymmetric", top_units: int | None = None,
-                 rerank: str = "real") -> QueryResult:
+                 mode: str = "asymmetric", top_units: int | None = None) -> QueryResult:
     """Binary-sketch scan.
 
     symmetric: the query is binarized too; unit score is the normalized
     +/-1 inner product (d - 2 hamming) / d, by popcount. asymmetric: the
     real query scores against +/-1 unit codes, normalized by sqrt(d), by a
     per-query table of y summed over each byte value. Thresholds apply to
-    these normalized scores. Candidates re-rank with real inner products
-    by default; ``rerank="binary"`` uses the same mode's binarized score.
+    these normalized scores. Candidates re-rank with real inner products.
     """
     if mode not in ("symmetric", "asymmetric"):
         raise ModeError(f"unknown binary mode {mode!r}")
-    if rerank not in ("real", "binary"):
-        raise ModeError(f"unknown rerank mode {rerank!r}")
     y = _checked_query(bindex.index, bindex.dataset, y)
-
     if mode == "symmetric":
-        code_y = np.packbits(sign_code(y))
-        score = lambda codes: _symmetric_scores(codes, code_y, y.size)
+        unit_scores = _symmetric_scores(bindex.unit_codes, np.packbits(y >= 0.0), y.size)
     else:
-        table = _byte_table(y)
-        score = lambda codes: _asymmetric_scores(codes, table, y)
-
-    unit_scores = score(bindex.unit_codes)
+        unit_scores = _asymmetric_scores(bindex.unit_codes, _byte_table(y), y)
     positive = _select_units(unit_scores, tau, top_units)
-    if rerank == "real":
-        sims = lambda ids: bindex.dataset.vectors[ids] @ y
-    else:
-        sims = lambda ids: score(_pack_signs(bindex.dataset.vectors[ids]))
-    return _assemble(bindex.index, positive, unit_scores, sims)
+    return _assemble(bindex.index, positive, unit_scores,
+                     lambda ids: bindex.dataset.vectors[ids] @ y)

@@ -164,6 +164,13 @@ class TestExitCodes:
                     "--out", tmp_path / "o.mvix"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["1.5", "nan"])
+    def test_alpha_outside_unit_interval_is_1(self, alpha, capsys):
+        assert run(["experiment", "assignment", "--clusters", 4, "--per-cluster", 10,
+                    "--d", 16, "--M", 4, "--queries", 5, "--n-seeds", 1,
+                    "--alpha", alpha]) == 1
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
     def test_corrupt_input_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.fvecs"
         bad.write_bytes(b"\x01\x00")

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from memvec.assignment import KMeansConfig, spherical_kmeans
-from memvec.construction import (
-    ConstructionConfig,
-    pinv_vector,
-    representatives,
-    sum_vector,
-)
+from memvec.construction import ConstructionConfig, representatives
 from memvec.core import Dataset
-from memvec.errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
+from memvec.errors import DomainError, EmptyUnitError, SingularGramError
 from memvec.sampling import Seed, sample_sphere
+
+from oracles import pinv_vector
 
 
 class TestConstructionConfig:
@@ -21,16 +18,14 @@ class TestConstructionConfig:
 
 class TestSumVector:
     def test_plain_sum(self):
-        out = sum_vector([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        assert np.array_equal(out, [2.0, 3.0])
+        X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        out = representatives(X, np.arange(3), np.array([0, 3]), ConstructionConfig(kind="sum"))
+        assert np.array_equal(out, [[2.0, 3.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyUnitError):
-            sum_vector([])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            sum_vector([[1.0, 2.0], [1.0]])
+            representatives(np.zeros((0, 2)), np.arange(0), np.array([0, 0]),
+                            ConstructionConfig(kind="sum"))
 
 
 class TestPinvVector:
@@ -50,7 +45,7 @@ class TestPinvVector:
 
     def test_orthonormal_members_reduce_to_sum(self):
         X = np.eye(6)[:3]
-        assert np.allclose(pinv_vector(X), sum_vector(X), atol=1e-12)
+        assert np.allclose(pinv_vector(X), X.sum(axis=0), atol=1e-12)
 
     def test_duplicate_members_fall_back_to_ridge(self):
         rng = Seed(3).generator()
@@ -92,7 +87,8 @@ class TestPinvVector:
 
 
 class TestRepresentativesKernel:
-    """The batched kernel against per-unit sum_vector / pinv_vector."""
+    """The batched kernel against each unit alone: its row sum, or the
+    kernel run on that one unit (``oracles.pinv_vector``)."""
 
     D = 16
 
@@ -118,7 +114,7 @@ class TestRepresentativesKernel:
         report = {}
         reps = representatives(*layout, ConstructionConfig(kind="sum"), report)
         for rep, unit in zip(reps, self._units(*layout)):
-            assert np.array_equal(rep, sum_vector(unit))
+            assert np.array_equal(rep, unit.sum(axis=0))
         assert report == {"fallbacks": 0, "max_residual": 0.0}
 
     def test_pinv_matches_per_unit(self, layout):

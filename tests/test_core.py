@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from memvec import core
 from memvec.assignment import Partition
-from memvec.core import Dataset, MemoryIndex, QueryModel, inner, normalize
+from memvec.core import Dataset, MemoryIndex, normalize
 from memvec.errors import (
     DimensionError,
     EmptyUnitError,
@@ -47,15 +47,6 @@ class TestNormalize:
         v = normalize(arr)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
         assert np.allclose(normalize(v), v, atol=1e-12)
-
-
-class TestInner:
-    def test_value(self):
-        assert inner([1.0, 2.0], [3.0, -1.0]) == pytest.approx(1.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            inner([1.0], [1.0, 2.0])
 
 
 class TestDataset:
@@ -224,21 +215,6 @@ class TestMemoryIndex:
     def test_zero_width_rejected(self):
         with pytest.raises(DimensionError):
             self._index([[0, 1], [2]], d=0)
-
-
-class TestQueryModel:
-    def test_beta_complement(self):
-        q = QueryModel("H1", alpha=0.6, planted_id=0)
-        assert q.beta == pytest.approx(0.8)
-
-    def test_h1_requires_planted(self):
-        with pytest.raises(ModelError):
-            QueryModel("H1", alpha=0.5)
-
-    def test_unknown_hypothesis(self):
-        with pytest.raises(ModelError):
-            QueryModel("H2")
-
 
 
 @pytest.mark.parametrize("name", ["Partition", "Dataset", "MemoryIndex", "BinaryIndex",

@@ -3,14 +3,12 @@ import pytest
 from scipy.stats import kstest
 
 from memvec import analytic as A
-from memvec.core import Dataset, QueryModel
-from memvec.errors import DegenerateCapError, DimensionError, ModelError
+from memvec.errors import DegenerateCapError, DimensionError, DomainError
 from memvec.sampling import (
     CapSpec,
     Seed,
     h1_queries,
     make_clustered_dataset,
-    make_query,
     sample_cap,
     sample_cap_correlation,
     sample_sphere,
@@ -102,21 +100,12 @@ class TestCapSampling:
             CapSpec(axis=np.ones(4), eta=1.0)
 
 
-class TestMakeQuery:
-    def _dataset(self):
-        return Dataset(sample_sphere(32, Seed(9).generator(), size=20))
-
+class TestH1Queries:
     def test_h1_geometry(self):
-        ds = self._dataset()
-        model = QueryModel("H1", alpha=0.8, planted_id=4)
-        y = make_query(ds, model, Seed(10).generator())
+        X = sample_sphere(32, Seed(9).generator(), size=20)
+        (y,) = h1_queries(X[[4]], 0.8, Seed(10).generator())
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
-        assert float(y @ ds.vectors[4]) == pytest.approx(0.8, abs=1e-12)
-
-    def test_h0_uniform(self):
-        ds = self._dataset()
-        y = make_query(ds, QueryModel("H0"), Seed(11).generator())
-        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert float(y @ X[4]) == pytest.approx(0.8, abs=1e-12)
 
     def test_float32_rows_give_the_widened_queries(self):
         rows = sample_sphere(64, Seed(12).generator(), size=30).astype(np.float32)
@@ -124,17 +113,12 @@ class TestMakeQuery:
             y32 = h1_queries(rows, alpha, Seed(13).generator())
             y64 = h1_queries(rows.astype(np.float64), alpha, Seed(13).generator())
             assert y32.dtype == np.float64 and np.array_equal(y32, y64)
-        ds = Dataset(rows)
-        model = QueryModel("H1", alpha=0.8, planted_id=3)
-        assert np.array_equal(make_query(ds, model, Seed(14).generator()),
-                              make_query(Dataset(rows.astype(np.float64)), model,
-                                         Seed(14).generator()))
 
-    def test_planted_out_of_range(self):
-        ds = self._dataset()
-        with pytest.raises(ModelError):
-            make_query(ds, QueryModel("H1", alpha=0.5, planted_id=99),
-                       Seed(0).generator())
+    @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        X = sample_sphere(8, Seed(15).generator(), size=3)
+        with pytest.raises(DomainError):
+            h1_queries(X, alpha, Seed(16).generator())
 
 
 class TestClusteredDataset:

@@ -16,16 +16,9 @@ from memvec.errors import (
     NormalizationError,
 )
 from memvec.sampling import Seed, sample_sphere
-from memvec.search import (
-    BinaryIndex,
-    asymmetric_inner,
-    binarize,
-    build_index,
-    hamming_inner,
-    query,
-    query_binary,
-    sign_code,
-)
+from memvec.search import BinaryIndex, binarize, build_index, query, query_binary
+
+from oracles import asymmetric_inner, hamming_inner, sign_code
 
 
 def _units(index):
@@ -250,7 +243,7 @@ class TestBinaryPrimitives:
         assert bindex.unit_codes.tolist() == [[0b10000000], [0]]
 
     def test_zero_maps_to_positive_bit(self):
-        assert sign_code(np.array([0.0]))[0]
+        assert search._pack_signs(np.array([[0.0], [-0.0]])).tolist() == [[0b10000000]] * 2
 
     def test_hamming_identity_exhaustive_d8(self):
         rng = Seed(30).generator()
@@ -297,19 +290,9 @@ class TestQueryBinary:
         data, index = small_index
         bindex = binarize(index, data)
         y = sample_sphere(32, Seed(34).generator())
-        rb = query_binary(bindex, y, tau=-2.0, mode="symmetric", rerank="real")
+        rb = query_binary(bindex, y, tau=-2.0, mode="symmetric")
         rr = query(index, data, y, tau=-np.inf)
         assert rb.candidates == rr.candidates
-
-    def test_binary_rerank_uses_binarized_scores(self, small_index):
-        data, index = small_index
-        bindex = binarize(index, data)
-        y = sample_sphere(32, Seed(35).generator())
-        res = query_binary(bindex, y, tau=-2.0, mode="symmetric", rerank="binary")
-        cy = sign_code(y)
-        for i, s in res.candidates[:10]:
-            expect = hamming_inner(sign_code(data.vectors[i]), cy) / 32
-            assert s == pytest.approx(expect, abs=1e-12)
 
     def test_unknown_modes(self, small_index):
         data, index = small_index
@@ -317,11 +300,9 @@ class TestQueryBinary:
         y = sample_sphere(32, Seed(36).generator())
         with pytest.raises(ModeError):
             query_binary(bindex, y, tau=0.0, mode="hashy")
-        with pytest.raises(ModeError):
-            query_binary(bindex, y, tau=0.0, rerank="approximate")
 
 
-def _oracle(bindex, y, mode, rerank, tau, top_units):
+def _oracle(bindex, y, mode, tau, top_units):
     """query_binary recomputed on unpacked bool codes, as positive unit ids,
     unit scores, candidate ids and candidate scores."""
     d = bindex.dim
@@ -338,10 +319,7 @@ def _oracle(bindex, y, mode, rerank, tau, top_units):
         pos = sorted(sorted(range(units.size), key=lambda j: (-units[j], j))[:top_units])
     members = np.split(bindex.index.member_ids, bindex.index.offsets[1:-1])
     ids = np.concatenate([np.empty(0, dtype=np.int64)] + [members[j] for j in pos])
-    if rerank == "real":
-        sims = bindex.dataset.vectors[ids] @ y
-    else:
-        sims = score(sign_code(bindex.dataset.vectors[ids]))
+    sims = bindex.dataset.vectors[ids] @ y
     order = sorted(range(ids.size), key=lambda k: (-sims[k], ids[k]))
     return pos, units[pos], ids[order], sims[order]
 
@@ -351,17 +329,16 @@ class TestPackedLayer:
 
     @pytest.mark.parametrize("d", [1, 13, 32])
     @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
-    @pytest.mark.parametrize("rerank", ["real", "binary"])
     @pytest.mark.parametrize("select", [{"tau": 0.1}, {"top_units": 3}])
-    def test_query_binary_matches_unpacked_oracle(self, d, mode, rerank, select):
+    def test_query_binary_matches_unpacked_oracle(self, d, mode, select):
         rng = Seed(40 + d).generator()
         X = rng.standard_normal((90, d))
         bindex = _binary_index(X, np.arange(90) % 9)
         for k in range(5):
             y = sample_sphere(d, Seed(100 * d + k).generator())
-            res = query_binary(bindex, y, mode=mode, rerank=rerank, **select)
-            pos, units, ids, sims = _oracle(bindex, y, mode, rerank,
-                                            select.get("tau"), select.get("top_units"))
+            res = query_binary(bindex, y, mode=mode, **select)
+            pos, units, ids, sims = _oracle(bindex, y, mode, select.get("tau"),
+                                            select.get("top_units"))
             assert [j for j, _ in res.positive_units] == pos
             assert [i for i, _ in res.candidates] == ids.tolist()
             got_units = np.array([s for _, s in res.positive_units])
@@ -401,16 +378,13 @@ class TestPackedLayer:
         X[3, 5] = 0.0  # zero maps to a set bit
         whole = _binary_index(X, np.arange(10) // 2)
         y = sample_sphere(13, Seed(43).generator())
-        expect = [query_binary(whole, y, tau=-np.inf, mode="asymmetric", rerank=r)
-                  for r in ("real", "binary")]
+        expect = query_binary(whole, y, tau=-np.inf, mode="asymmetric")
         # 3 rows of 13 bits per binarize chunk, 3 rows of 2 bytes per lookup chunk
         monkeypatch.setattr(search, "_CHUNK_BITS", 48)
         chunked = _binary_index(X, np.arange(10) // 2)
         assert np.array_equal(search._pack_signs(X), np.packbits(X >= 0, axis=1))
         assert np.array_equal(chunked.unit_codes, whole.unit_codes)
-        for r, e in zip(("real", "binary"), expect):
-            got = query_binary(chunked, y, tau=-np.inf, mode="asymmetric", rerank=r)
-            assert got == e
+        assert query_binary(chunked, y, tau=-np.inf, mode="asymmetric") == expect
 
     def test_asymmetric_query_builds_no_unit_matrix(self):
         # M * d >= 1e6: the +/-1 float matrix of the unit codes would be 8 MB
