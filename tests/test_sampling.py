@@ -107,6 +107,29 @@ class TestH1Queries:
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
         assert float(y @ X[4]) == pytest.approx(0.8, abs=1e-12)
 
+    def test_each_query_pairs_with_its_own_row(self):
+        X = sample_sphere(32, Seed(9).generator(), size=20)
+        Y = h1_queries(X, 0.8, Seed(10).generator())
+        assert Y.shape == X.shape
+        assert np.allclose(np.linalg.norm(Y, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.sum(Y * X, axis=1), 0.8, atol=1e-12)
+
+    def test_beta_complement(self):
+        # the part of y orthogonal to its row has norm beta = sqrt(1 - alpha^2)
+        X = sample_sphere(32, Seed(17).generator(), size=20)
+        Y = h1_queries(X, 0.6, Seed(18).generator())
+        rest = Y - np.sum(Y * X, axis=1, keepdims=True) * X
+        assert np.allclose(np.linalg.norm(rest, axis=1), 0.8, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_at_the_edges_accepted(self, alpha):
+        X = sample_sphere(8, Seed(15).generator(), size=3)
+        Y = h1_queries(X, alpha, Seed(16).generator())
+        assert np.allclose(np.linalg.norm(Y, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.sum(Y * X, axis=1), alpha, atol=1e-12)
+        if alpha == 1.0:
+            assert np.allclose(Y, X, atol=1e-12)
+
     def test_float32_rows_give_the_widened_queries(self):
         rows = sample_sphere(64, Seed(12).generator(), size=30).astype(np.float32)
         for alpha in (0.3, 0.8, 0.9):

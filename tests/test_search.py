@@ -206,6 +206,17 @@ class TestQueryBoundary:
                 with pytest.raises(NormalizationError):
                     run(bad, 0.5)
 
+    def test_query_of_wrong_dimension_rejected(self, small_index):
+        # a unit vector, so only its length is at fault
+        for d in (31, 33):
+            y = sample_sphere(d, Seed(48).generator())
+            for run in self._paths(*small_index):
+                with pytest.raises(DimensionError):
+                    run(y, 0.5)
+        with pytest.raises(DimensionError):  # the symmetric path checks too
+            query_binary(binarize(small_index[1], small_index[0]),
+                         sample_sphere(31, Seed(48).generator()), tau=0.5, mode="symmetric")
+
     def test_dataset_must_match_index(self, small_index):
         data, index = small_index
         other = Dataset(data.vectors[:100])
