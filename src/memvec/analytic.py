@@ -323,7 +323,9 @@ def score_law(construction: str, hypothesis: str, alpha: float, n: int, d: int) 
         raise DomainError("need n >= 1 and d >= 2")
     if construction == "pinv" and n >= d:
         raise DomainError("pinv law requires n < d")
-    beta2 = max(0.0, 1.0 - alpha * alpha)
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise DomainError("alpha must lie in [0, 1]")
+    beta2 = 1.0 - alpha * alpha
     if hypothesis == "H0":
         var = n / d if construction == "sum" else n / (d - n)
         return ScoreLaw(0.0, var)
@@ -347,6 +349,8 @@ def error_rates(construction: str, tau: float, alpha: float, n: int, d: int) -> 
         raise DomainError("need n >= 1 and d >= 2")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
+    if math.isnan(tau):
+        raise DomainError("tau is NaN")
     if construction == "pinv" and n >= d:
         raise DomainError("pinv variance formula requires n < d")
 
@@ -360,7 +364,7 @@ def error_rates(construction: str, tau: float, alpha: float, n: int, d: int) -> 
 
     scale = math.sqrt(d / n - 1.0)
     pfp = 1.0 - std_normal_cdf(tau * scale)
-    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    beta = math.sqrt(1.0 - alpha * alpha)
     if beta == 0.0:  # exact copy: score is exactly 1
         pfn = 0.0 if tau < 1.0 else 1.0
     else:

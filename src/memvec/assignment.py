@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import Dataset
+from .core import ID_DTYPE, MAX_IDS, Dataset
 from .errors import DomainError
 from .sampling import Seed
 
@@ -35,24 +35,27 @@ class Partition:
     ``Partition(unit_of, M)`` checks the labels and derives the CSR from
     them; the labels are not kept, and ``unit_of`` rebuilds them from the
     CSR on each access. ``random_assignment`` and ``batch_assignment``
-    build the CSR themselves and hand it to ``_from_csr``."""
+    build the CSR themselves and hand it to ``_from_csr``. Both arrays
+    are ``core.ID_DTYPE``, so N is at most ``core.MAX_IDS``."""
 
     M: int
-    order: np.ndarray = field(repr=False)  # (N,) int64
-    offsets: np.ndarray = field(repr=False)  # (M + 1,) int64
+    order: np.ndarray = field(repr=False)  # (N,) ID_DTYPE
+    offsets: np.ndarray = field(repr=False)  # (M + 1,) ID_DTYPE
 
     def __init__(self, unit_of: np.ndarray, M: int):
         u = np.asarray(unit_of, dtype=np.int64)
         if u.ndim != 1 or u.size == 0:
             raise DomainError("unit_of must be a non-empty 1-d array")
+        _check_id_count(u.size)
         if M < 1 or u.min() < 0 or u.max() >= M:
             raise DomainError("unit ids out of range")
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=M))))
-        self._freeze(M, _stable_order(u, M), offsets)
+        offsets = np.zeros(M + 1, dtype=ID_DTYPE)
+        np.cumsum(np.bincount(u, minlength=M), out=offsets[1:])
+        self._freeze(M, _stable_order(u, M).astype(ID_DTYPE), offsets)
 
     @classmethod
     def _from_csr(cls, M: int, order: np.ndarray, offsets: np.ndarray) -> Partition:
-        """A partition from int64 arrays its caller built consistent with
+        """A partition from ID_DTYPE arrays its caller built consistent with
         each other, frozen as given: nothing is checked or derived again."""
         part = object.__new__(cls)
         part._freeze(M, order, offsets)
@@ -119,6 +122,11 @@ class BatchConfig:
             raise DomainError("inner must be a KMeansConfig or 'random'")
 
 
+def _check_id_count(N: int) -> None:
+    if N > MAX_IDS:
+        raise DomainError(f"N = {N} ids: a partition holds at most {MAX_IDS}")
+
+
 def _stable_order(unit_of: np.ndarray, M: int) -> np.ndarray:
     """``np.argsort(unit_of, kind="stable")`` for ids in [0, M), sorted on
     the narrowest unsigned key that holds M - 1: numpy radix-sorts keys of
@@ -130,18 +138,23 @@ def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     """Seeded uniform permutation of [0, N) chunked into units of size n
     (the last unit may be smaller).
 
-    Unit k holds the k-th chunk of ``rng.permutation(N)``. Each chunk is
-    sorted in place, so the permutation becomes the partition's ``order``
-    and ``offsets[k] = min(k n, N)``; no N labels are sorted."""
+    Unit k holds the k-th chunk of ``rng.permutation(N)``, drawn as an
+    ID_DTYPE ``arange`` shuffled in place (the same values and generator
+    state). Each chunk is sorted in place, so the permutation becomes the
+    partition's ``order`` and ``offsets[k] = min(k n, N)``; no N labels
+    are sorted."""
     if n < 1 or n > N:
         raise DomainError("need 1 <= n <= N")
-    order = rng.permutation(N)
+    _check_id_count(N)
+    order = np.arange(N, dtype=ID_DTYPE)
+    rng.shuffle(order)
     full = N // n
     chunks = order[:full * n].reshape(full, n)  # a view of order
     chunks.sort(axis=1)
     order[full * n:].sort()
     M = -(-N // n)
-    offsets = np.arange(0, M * n + 1, n)
+    offsets = np.arange(M + 1, dtype=ID_DTYPE)
+    offsets[:-1] *= n  # (M - 1) n < N, so no product overflows
     offsets[-1] = N  # offsets[k] = min(k n, N): only the last unit may be short
     return Partition._from_csr(M, order, offsets)
 
@@ -287,9 +300,10 @@ def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.
     per-batch representatives.
     """
     N = dataset.size
+    _check_id_count(N)
     B = cfg.batch_size
-    order = np.empty(N, dtype=np.int64)
-    offsets_blocks = [np.zeros(1, dtype=np.int64)]
+    order = np.empty(N, dtype=ID_DTYPE)
+    offsets_blocks = [np.zeros(1, dtype=ID_DTYPE)]
     reps_blocks = []
     M = 0
     for i, start in enumerate(range(0, N, B)):

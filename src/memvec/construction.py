@@ -20,6 +20,8 @@ __all__ = ["ConstructionConfig", "representatives"]
 # Member floats gathered per batch. Larger batches are no faster, and the
 # temporaries they free stay resident in the heap.
 _BATCH_FLOATS = 1 << 16
+# Units searched at once for those of one size, so no M-length id list is made.
+_UNIT_CHUNK = 1 << 12
 # A failed pinv solve is redone with ridge _FALLBACK_RIDGE * mean(diag Gram).
 _FALLBACK_RIDGE = 1e-6
 # A plain solve is kept when max |<m, x_i> - 1| is at most this.
@@ -67,6 +69,15 @@ def _pinv_units(block: np.ndarray, ones: np.ndarray, ridge: bool = False):
         return np.zeros((1, block.shape[2])), np.array([np.inf])
 
 
+def _batches(sizes: np.ndarray, n: int, step: int):
+    """Ids of the units of size n, ascending, in batches of at most step,
+    found one chunk of ``_UNIT_CHUNK`` units at a time."""
+    for first in range(0, sizes.size, _UNIT_CHUNK):
+        units = first + np.flatnonzero(sizes[first:first + _UNIT_CHUNK] == n)
+        for s in range(0, units.size, step):
+            yield units[s:s + step]
+
+
 def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
                     cfg: ConstructionConfig | None = None,
                     report: dict | None = None) -> np.ndarray:
@@ -91,11 +102,9 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     reps = np.empty((sizes.size, d))
     fallbacks, worst = 0, 0.0
     for n in np.flatnonzero(np.bincount(sizes)):  # not np.unique, which imports np.ma
-        units = np.flatnonzero(sizes == n)
         step = max(1, _BATCH_FLOATS // (n * d))
         cols, ones = np.arange(n), np.ones(n)
-        for s in range(0, units.size, step):
-            js = units[s:s + step]
+        for js in _batches(sizes, n, step):
             block = None  # free the last batch, so two are never alive at once
             block = X[member_ids[offsets[js, None] + cols]].astype(np.float64, copy=False)
             if cfg.kind == "sum":

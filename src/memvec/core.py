@@ -3,7 +3,9 @@
 All vectors live on the d-dimensional unit hypersphere and similarity is
 the plain inner product. Dataset coefficients are stored as read (float32
 from a file, float64 when generated) and widened per block: every kernel
-widens the rows it gathers, so all arithmetic is float64.
+widens the rows it gathers, so all arithmetic is float64. Dataset ids, and
+the CSR offsets that delimit them, are held as ``ID_DTYPE`` (int32), so a
+dataset holds fewer than 2^31 vectors.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ from .errors import DimensionError, EmptyUnitError, ModelError, NormalizationErr
 UNIT_NORM_TOL = 1e-9
 FILE_NORM_TOL = 1e-4  # loose bound for stored vectors: files hold float32
 _NORM_ROWS = 1 << 13  # rows per squared-norm chunk in the Dataset check
+ID_DTYPE = np.dtype(np.int32)  # member ids and CSR offsets; MVIX stores them as uint32
+MAX_IDS = int(np.iinfo(ID_DTYPE).max)  # N <= 2^31 - 1: offsets[-1] = N must fit too
 
 __all__ = [
     "UNIT_NORM_TOL",
+    "ID_DTYPE",
+    "MAX_IDS",
     "normalize",
     "Dataset",
     "MemoryIndex",
@@ -98,17 +104,20 @@ class MemoryIndex:
     is empty and ``member_ids`` is a permutation of [0, total)."""
 
     representatives: np.ndarray  # (M, d) float64
-    offsets: np.ndarray  # (M + 1,) int64
-    member_ids: np.ndarray  # (N,) int64
+    offsets: np.ndarray  # (M + 1,) ID_DTYPE
+    member_ids: np.ndarray  # (N,) ID_DTYPE
     construction: str  # "sum" | "pinv"
 
     def __post_init__(self):
         if self.construction not in ("sum", "pinv"):
             raise ModelError(f"unknown construction tag {self.construction!r}")
-        # views, so the caller's arrays stay writeable when they are not copied
+        # views, so the caller's arrays stay writeable when they are not copied;
+        # ids and offsets of another dtype are checked as int64, then narrowed
         reps = np.asarray(self.representatives, dtype=np.float64).view()
-        offsets = np.asarray(self.offsets, dtype=np.int64).view()
-        ids = np.asarray(self.member_ids, dtype=np.int64).view()
+        offsets, ids = (a if a.dtype == ID_DTYPE else a.astype(np.int64, copy=False)
+                        for a in map(np.asarray, (self.offsets, self.member_ids)))
+        if ids.size > MAX_IDS:
+            raise ModelError(f"{ids.size} member ids: an index holds at most {MAX_IDS}")
         if (reps.ndim != 2 or ids.ndim != 1 or offsets.shape != (len(reps) + 1,)
                 or offsets[0] != 0 or offsets[-1] != ids.size):
             raise ModelError("offsets do not delimit the member ids")
@@ -125,8 +134,10 @@ class MemoryIndex:
             seen[ids] = True
         if not seen.all():
             raise ModelError("unit members do not partition the dataset ids")
-        for name, arr in (("representatives", reps), ("offsets", offsets),
-                          ("member_ids", ids)):
+        # in range now: offsets run from 0 up to N, ids lie in [0, N)
+        for name, arr in (("representatives", reps),
+                          ("offsets", offsets.astype(ID_DTYPE, copy=False).view()),
+                          ("member_ids", ids.astype(ID_DTYPE, copy=False).view())):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

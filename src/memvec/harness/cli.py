@@ -130,16 +130,24 @@ def _cmd_eval(args) -> int:
 
 
 def _read_results(path: str) -> tuple[list[np.ndarray], list[float]]:
-    """Parse a `query` output CSV back into per-query ranked id lists."""
+    """Parse a `query` output CSV back into per-query ranked id lists.
+    A missing column or a value that does not parse raises MemvecError."""
     per_query: dict[int, list[int]] = {}
     ratios: dict[int, float] = {}
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            qid = int(row["query"])
-            per_query.setdefault(qid, [])
-            ratios[qid] = float(row["complexity_ratio"])
-            if row["dataset_id"] != "":
-                per_query[qid].append(int(row["dataset_id"]))
+        reader = csv.DictReader(handle)
+        for column in ("query", "dataset_id", "complexity_ratio"):
+            if column not in (reader.fieldnames or ()):
+                raise MemvecError(f"{path}: no {column!r} column")
+        for row in reader:
+            try:  # a short row holds None, a TypeError
+                qid = int(row["query"])
+                per_query.setdefault(qid, [])
+                ratios[qid] = float(row["complexity_ratio"])
+                if row["dataset_id"] != "":
+                    per_query[qid].append(int(row["dataset_id"]))
+            except (TypeError, ValueError) as exc:
+                raise MemvecError(f"{path}, line {reader.line_num}: {exc}") from None
     qids = sorted(per_query)
     return ([np.asarray(per_query[q], dtype=np.int64) for q in qids],
             [ratios[q] for q in qids])

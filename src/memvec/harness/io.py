@@ -10,7 +10,9 @@ MVIX index container: magic b"MVIX", version byte 1, little-endian uint32
 fields {d, N, M, construction tag (0 = sum, 1 = pinv)}, then the M
 representatives as d consecutive float32 each, then the M membership
 lists as uint32 count + uint32 ids. Representatives are widened to
-float64 on load.
+float64 on load. Member ids and offsets are int32 in memory
+(``core.ID_DTYPE``) and uint32 on disk, so N < 2^31: a header that declares
+more is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import struct
 
 import numpy as np
 
-from ..core import MemoryIndex
+from ..core import MAX_IDS, MemoryIndex
 from ..errors import FormatError
 
 __all__ = [
@@ -132,6 +134,9 @@ def read_index(path) -> MemoryIndex:
     d, n_total, m, tag = struct.unpack_from("<4I", head, 5)
     if d == 0:
         raise FormatError(f"{path}: zero dimension", offset=5)
+    if n_total > MAX_IDS:
+        raise FormatError(f"{path}: N = {n_total} exceeds the {MAX_IDS} ids an index "
+                          "holds", offset=9)
     if tag not in _TAG_NAMES:
         raise FormatError(f"{path}: unknown construction tag {tag}", offset=17)
     pos = 21
@@ -153,9 +158,12 @@ def read_index(path) -> MemoryIndex:
     if pos + 4 * at != size:
         raise FormatError(f"{path}: membership lists end at byte {pos + 4 * at} "
                           f"of {size}", offset=pos + 4 * at)
+    # summed in int64, so a corrupt count cannot wrap before it is compared
     offsets = np.concatenate(([0], np.cumsum(stream[heads], dtype=np.int64)))
     if offsets[-1] != n_total:
         raise FormatError(f"{path}: {offsets[-1]} member ids for N = {n_total}", offset=9)
+    # MemoryIndex narrows the offsets; the ids are read as int32 in place, and
+    # one of 2^31 or more reads as negative, rejected like any id outside [0, N)
     return MemoryIndex(representatives=reps, offsets=offsets,
-                       member_ids=np.delete(stream, heads).astype(np.int64),
+                       member_ids=np.delete(stream, heads).view("<i4"),
                        construction=_TAG_NAMES[tag])

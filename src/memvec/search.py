@@ -16,7 +16,7 @@ import numpy as np
 
 from .assignment import Partition
 from .construction import ConstructionConfig, representatives
-from .core import FILE_NORM_TOL, Dataset, MemoryIndex
+from .core import FILE_NORM_TOL, ID_DTYPE, Dataset, MemoryIndex
 from .errors import DimensionError, DomainError, ModeError, ModelError, NormalizationError
 
 __all__ = [
@@ -72,7 +72,7 @@ def _rank_candidates(ids: np.ndarray, sims: np.ndarray) -> tuple[tuple[int, floa
 def _assemble(index: MemoryIndex, positive: np.ndarray, unit_scores: np.ndarray,
               candidate_sims) -> QueryResult:
     pos_units = tuple((int(j), float(unit_scores[j])) for j in positive)
-    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [
+    ids = np.concatenate([np.empty(0, dtype=ID_DTYPE)] + [
         index.member_ids[index.offsets[j]:index.offsets[j + 1]] for j in positive])
     complexity = index.num_units + ids.size
     return QueryResult(positive_units=pos_units,

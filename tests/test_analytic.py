@@ -204,6 +204,18 @@ class TestErrorRates:
         with pytest.raises(DomainError):
             A.error_rates("pinv", 0.3, 0.5, 100, 100)
 
+    @pytest.mark.parametrize("construction", ["sum", "pinv"])
+    def test_nan_tau_rejected(self, construction):
+        with pytest.raises(DomainError, match="tau is NaN"):
+            A.error_rates(construction, math.nan, 0.5, 10, 100)
+
+    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+    @pytest.mark.parametrize("alpha", [2.0, -0.1, math.nan])
+    def test_score_law_alpha_outside_unit_interval_rejected(self, alpha, hypothesis):
+        for construction in ("sum", "pinv"):
+            with pytest.raises(DomainError, match=r"alpha must lie in \[0, 1\]"):
+                A.score_law(construction, hypothesis, alpha, 10, 100)
+
     def test_threshold_hits_target_fn_rate(self):
         for construction in ("sum", "pinv"):
             tau = A.threshold_for(construction, 0.8, 12, 800, 0.02)

@@ -34,6 +34,11 @@ class TestPartition:
         with pytest.raises(DomainError):
             Partition(unit_of=np.array([0, 3]), M=3)
 
+    def test_more_ids_than_int32_holds_rejected(self):
+        # 2^31 labels as a zero-stride view: nothing of that size is allocated
+        with pytest.raises(DomainError, match="at most 2147483647"):
+            Partition(unit_of=np.broadcast_to(np.int64(0), 2**31), M=1)
+
     def test_caller_array_stays_writeable(self):
         u = np.array([0, 1, 0], dtype=np.int64)
         p = Partition(unit_of=u, M=2)
@@ -49,7 +54,7 @@ class TestPartition:
         unit_of = np.random.default_rng(M).integers(0, M, size=3 * M + 5)
         unit_of[-1] = M - 1  # the largest id is present
         p = Partition(unit_of=unit_of, M=M)
-        assert p.order.dtype == np.int64 and p.unit_of.dtype == np.int64
+        assert p.order.dtype == np.int32 and p.unit_of.dtype == np.int64
         assert np.array_equal(p.order, np.argsort(unit_of, kind="stable"))
         assert np.array_equal(p.offsets, np.concatenate(
             ([0], np.cumsum(np.bincount(unit_of, minlength=M)))))
@@ -76,6 +81,18 @@ class TestRandomAssignment:
         with pytest.raises(DomainError):
             random_assignment(5, 6, Seed(0).generator())
 
+    def test_more_ids_than_int32_holds_rejected_before_allocating(self):
+        rng, ref = Seed(0).generator(), Seed(0).generator()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="at most 2147483647"):
+                random_assignment(2**31, 1, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # an int32 arange of 2^31 ids would be 8 GiB
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 def _assert_same_as_rederived(p):
     """p equals the partition Partition(unit_of, M) derives from its labels."""
@@ -83,7 +100,7 @@ def _assert_same_as_rederived(p):
     assert p.M == ref.M and type(p.M) is int
     for name in ("order", "offsets"):
         got, want = getattr(p, name), getattr(ref, name)
-        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.dtype == np.int32 and not got.flags.writeable
         assert np.array_equal(got, want), name
 
 

@@ -171,6 +171,27 @@ class TestExitCodes:
                     "--alpha", alpha]) == 1
         assert "alpha must lie in [0, 1]" in capsys.readouterr().err
 
+    def test_nan_tau_is_1(self, capsys):
+        assert run(["theory", "roc", "--d", 100, "--n", 10, "--alpha", 0.7,
+                    "--tau-min", "nan"]) == 1
+        assert "tau is NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("csv_text, says", [
+        ("query,rank,score,complexity,complexity_ratio\n0,1,0.5,20,0.1\n", "'dataset_id'"),
+        ("query,rank,dataset_id\n0,1,3\n", "'complexity_ratio'"),
+        ("", "'query'"),
+        ("query,rank,dataset_id,complexity_ratio\n0,1,3,0.1\n0,2,4.5,0.1\n",
+         "line 3: invalid literal for int() with base 10: '4.5'"),
+        ("query,rank,dataset_id,complexity_ratio\n0,1\n", "line 2"),
+    ], ids=["no-dataset_id", "no-complexity_ratio", "empty", "float-id", "short-row"])
+    def test_malformed_results_is_1(self, pipeline, csv_text, says, capsys):
+        db, q, _, tmp = pipeline
+        res = tmp / "bad.csv"
+        res.write_text(csv_text)
+        assert run(["eval", "--results", res, "--data", db, "--queries", q]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {res}") and says in err
+
     def test_corrupt_input_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.fvecs"
         bad.write_bytes(b"\x01\x00")

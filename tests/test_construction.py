@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from memvec import construction
 from memvec.assignment import KMeansConfig, spherical_kmeans
 from memvec.construction import ConstructionConfig, representatives
 from memvec.core import Dataset
@@ -128,6 +129,14 @@ class TestRepresentativesKernel:
             worst = max(worst, unit_report["max_residual"])
         assert report["fallbacks"] == fallbacks > 0
         assert report["max_residual"] == worst
+
+    @pytest.mark.parametrize("kind", ["sum", "pinv"])
+    def test_units_found_in_chunks(self, layout, kind, monkeypatch):
+        # sizes are searched one chunk of units at a time: chunks of 5 split
+        # the 24 units, and each size's units, across chunk boundaries
+        whole = representatives(*layout, ConstructionConfig(kind=kind))
+        monkeypatch.setattr(construction, "_UNIT_CHUNK", 5)
+        assert np.array_equal(representatives(*layout, ConstructionConfig(kind=kind)), whole)
 
     def test_empty_unit_rejected(self, layout):
         X, ids, _ = layout

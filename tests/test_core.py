@@ -172,12 +172,27 @@ class TestMemoryIndex:
         assert not idx.member_ids.flags.writeable
 
     def test_caller_arrays_stay_writeable(self):
-        reps, offsets, ids = np.ones((2, 3)), np.array([0, 2, 3]), np.array([2, 0, 1])
+        reps = np.ones((2, 3))
+        offsets, ids = np.array([0, 2, 3], np.int32), np.array([2, 0, 1], np.int32)
         idx = MemoryIndex(reps, offsets, ids, "sum")
         for given, kept in ((reps, idx.representatives), (offsets, idx.offsets),
                             (ids, idx.member_ids)):
             assert np.shares_memory(kept, given)  # a view, not a copy
             assert given.flags.writeable and not kept.flags.writeable
+
+    def test_other_integer_ids_are_checked_then_narrowed(self):
+        idx = MemoryIndex(np.ones((2, 3)), np.array([0, 2, 3], np.int64),
+                          np.array([2, 0, 1], np.uint64), "sum")
+        assert idx.offsets.dtype == idx.member_ids.dtype == np.int32
+        assert idx.offsets.tolist() == [0, 2, 3] and idx.member_ids.tolist() == [2, 0, 1]
+        # 2^32 + 1 would narrow to the valid id 1
+        with pytest.raises(ModelError):
+            self._index([[0, 2**32 + 1], [2]])
+
+    def test_more_ids_than_int32_holds_rejected(self):
+        ids = np.broadcast_to(np.int32(0), 2**31)  # zero-stride: not allocated
+        with pytest.raises(ModelError, match="at most 2147483647"):
+            MemoryIndex(np.ones((1, 3)), np.array([0, 2**31]), ids, "sum")
 
     def test_gap_rejected(self):
         with pytest.raises(ModelError):

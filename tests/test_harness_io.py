@@ -7,7 +7,7 @@ import pytest
 from memvec.assignment import random_assignment
 from memvec.construction import ConstructionConfig
 from memvec.core import Dataset, MemoryIndex
-from memvec.errors import FormatError
+from memvec.errors import FormatError, ModelError
 from memvec.harness import io
 from memvec.sampling import Seed, sample_sphere
 from memvec.search import build_index
@@ -203,6 +203,31 @@ class TestIndexContainer:
             assert np.array_equal(back.member_ids, index.member_ids)
             assert np.array_equal(back.representatives,
                                   index.representatives.astype(np.float32))
+
+    def test_ids_read_back_as_int32(self, tmp_path):
+        _, index = _make_index()
+        path = tmp_path / "w.mvix"
+        io.write_index(index, path)
+        back = io.read_index(path)
+        assert back.member_ids.dtype == back.offsets.dtype == np.int32
+        assert np.array_equal(back.member_ids, index.member_ids)
+
+    def test_more_ids_than_int32_holds_rejected(self, tmp_path):
+        # the header declares N = 2^31; one unit, as if its count said so
+        path = tmp_path / "big.mvix"
+        path.write_bytes(b"MVIX" + bytes([1]) + struct.pack("<4I", 1, 2**31, 1, 0)
+                         + struct.pack("<f", 1.0) + struct.pack("<2I", 2**31, 0))
+        with pytest.raises(FormatError, match="2147483648") as err:
+            io.read_index(path)
+        assert err.value.offset == 9
+
+    def test_id_of_2_to_the_31_rejected(self, tmp_path):
+        # uint32 ids read as int32: 2^31 would read as -2^31
+        path = tmp_path / "neg.mvix"
+        path.write_bytes(b"MVIX" + bytes([1]) + struct.pack("<4I", 1, 2, 1, 0)
+                         + struct.pack("<f", 1.0) + struct.pack("<3I", 2, 0, 2**31))
+        with pytest.raises(ModelError):
+            io.read_index(path)
 
     def test_write_read_write_bit_exact(self, tmp_path):
         _, index = _make_index()
