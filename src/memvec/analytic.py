@@ -51,15 +51,11 @@ _CF_FPMIN = 1e-300
 
 @dataclass(frozen=True)
 class ScoreLaw:
-    """Mean/variance of m'Y under one hypothesis.
-
-    ``degenerate`` flags the variance-0 limit (pinv with alpha = 1).
-    """
+    """Gaussian mean/variance of m'Y under one hypothesis; the variance
+    is 0 in the exact limits (sum with n = 1, pinv with alpha = 1)."""
 
     mean: float
     variance: float
-    family: str = "gaussian_approx"  # "gaussian_approx" | "exact_sphere"
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -231,42 +227,41 @@ def _check_score_args(m_norm: float, d: int):
         raise DomainError("m_norm must be positive")
 
 
+def _log_tail(t, a: float, b: float) -> np.ndarray:
+    """log(1 - sign(t) I_{t^2}(a, b)) for t in [-1, 1], elementwise.
+
+    For t >= 0 it is log I_{1-t^2}(b, a), so narrow-cap tail masses do
+    not underflow; for t < 0 it is log1p(I_{t^2}(a, b)).
+    """
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0.0
+    if np.any(pos):
+        out[pos] = _log_betainc(b, a, 1.0 - t[pos] ** 2)
+    if np.any(~pos):
+        out[~pos] = np.log1p(reg_inc_beta(t[~pos] ** 2, a, b))
+    return out
+
+
 def score_cdf_exact(s, m_norm: float, d: int):
     """CDF of Y'm for Y uniform on the sphere and a fixed m.
 
-    Uses the regularized incomplete beta representation together with the
-    antisymmetry F(-s) = 1 - F(s). Vectorized over s.
+    F(s) = P(Y'm > -s), so the left tail is as accurate as ``score_sf_log``
+    and does not underflow to 0. Vectorized over s.
     """
-    _check_score_args(m_norm, d)
     scalar = np.isscalar(s) or np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    t = np.clip(s / m_norm, -1.0, 1.0)
-    ib = reg_inc_beta(t * t, 0.5, (d - 1) / 2.0)
-    ib = np.atleast_1d(ib)
-    out = 0.5 * (1.0 + np.sign(t) * ib)
-    out[s <= -m_norm] = 0.0
-    out[s >= m_norm] = 1.0
+    out = np.exp(score_sf_log(-np.asarray(s, dtype=np.float64), m_norm, d))
     return float(out[0]) if scalar else out
 
 
 def score_sf_log(s, m_norm: float, d: int) -> np.ndarray:
-    """log of the survival function P(Y'm > s), stable near s = m_norm.
-
-    For s >= 0 it uses the symmetry 1 - I_{t^2}(1/2, b) = I_{1-t^2}(b, 1/2)
-    so narrow-cap tail masses do not underflow.
-    """
+    """log of the survival function P(Y'm > s), stable near s = m_norm:
+    P(Y'm > s) = (1 - sign(t) I_{t^2}(1/2, b)) / 2 with t = s / ||m|| and
+    b = (d - 1) / 2."""
     _check_score_args(m_norm, d)
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     t = np.clip(s / m_norm, -1.0, 1.0)
-    b = (d - 1) / 2.0
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    if np.any(pos):
-        out[pos] = _log_betainc(b, 0.5, 1.0 - t[pos] ** 2) - math.log(2.0)
-    if np.any(~pos):
-        ib = np.atleast_1d(reg_inc_beta(t[~pos] ** 2, 0.5, b))
-        out[~pos] = np.log1p(ib) - math.log(2.0)
-    return out
+    return _log_tail(t, 0.5, (d - 1) / 2.0) - math.log(2.0)
 
 
 def score_pdf_exact(s, m_norm: float, d: int):
@@ -311,64 +306,43 @@ def score_cdf_gauss(s, m_norm: float, d: int, simplified: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _check_construction(construction: str):
+def score_law(construction: str, hypothesis: str, alpha: float, n: int, d: int) -> ScoreLaw:
+    """Gaussian score law of m'Y for one construction and hypothesis.
+
+    sum:  H0 N(0, n/d),      H1 N(alpha, (n-1)/d)
+    pinv: H0 N(0, n/(d-n)),  H1 N(alpha, beta^2 n/(d-n)),  beta^2 = 1 - alpha^2
+    """
     if construction not in ("sum", "pinv"):
         raise DomainError(f"unknown construction {construction!r}")
-
-
-def score_law(construction: str, hypothesis: str, alpha: float, n: int, d: int) -> ScoreLaw:
-    """Gaussian score law of m'Y for one construction and hypothesis."""
-    _check_construction(construction)
     if n < 1 or d < 2:
         raise DomainError("need n >= 1 and d >= 2")
     if construction == "pinv" and n >= d:
         raise DomainError("pinv law requires n < d")
     if not 0.0 <= alpha <= 1.0:  # NaN fails too
         raise DomainError("alpha must lie in [0, 1]")
-    beta2 = 1.0 - alpha * alpha
     if hypothesis == "H0":
-        var = n / d if construction == "sum" else n / (d - n)
-        return ScoreLaw(0.0, var)
+        return ScoreLaw(0.0, n / d if construction == "sum" else n / (d - n))
     if hypothesis != "H1":
         raise DomainError(f"unknown hypothesis {hypothesis!r}")
     if construction == "sum":
-        var = (n - 1) / d
-        return ScoreLaw(alpha, var, degenerate=(var == 0.0))
-    var = beta2 * n / (d - n)
-    return ScoreLaw(alpha, var, degenerate=(var == 0.0))
+        return ScoreLaw(alpha, (n - 1) / d)
+    return ScoreLaw(alpha, (1.0 - alpha * alpha) * n / (d - n))
 
 
 def error_rates(construction: str, tau: float, alpha: float, n: int, d: int) -> tuple[float, float]:
-    """(P_fp, P_fn) of the thresholded unit test at threshold tau.
-
-    sum:  pfp = 1 - Phi(tau sqrt(d/n)),       pfn = Phi((tau-alpha) sqrt(d/(n-1)))
-    pinv: pfp = 1 - Phi(tau sqrt(d/n - 1)),   pfn = Phi((tau-alpha)/beta sqrt(d/n - 1))
+    """(P_fp, P_fn) of the thresholded unit test at threshold tau under the
+    ``score_law`` laws: P_fp = 1 - Phi(tau / sigma_H0) and
+    P_fn = Phi((tau - alpha) / sigma_H1), a step at alpha when sigma_H1 = 0.
     """
-    _check_construction(construction)
-    if n < 1 or d < 2:
-        raise DomainError("need n >= 1 and d >= 2")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
     if math.isnan(tau):
         raise DomainError("tau is NaN")
-    if construction == "pinv" and n >= d:
-        raise DomainError("pinv variance formula requires n < d")
-
-    if construction == "sum":
-        pfp = 1.0 - std_normal_cdf(tau * math.sqrt(d / n))
-        if n == 1:  # degenerate H1 variance: the score is exactly alpha
-            pfn = 0.0 if tau < alpha else 1.0
-        else:
-            pfn = std_normal_cdf((tau - alpha) * math.sqrt(d / (n - 1)))
-        return float(pfp), float(pfn)
-
-    scale = math.sqrt(d / n - 1.0)
-    pfp = 1.0 - std_normal_cdf(tau * scale)
-    beta = math.sqrt(1.0 - alpha * alpha)
-    if beta == 0.0:  # exact copy: score is exactly 1
-        pfn = 0.0 if tau < 1.0 else 1.0
+    h0 = score_law(construction, "H0", alpha, n, d)
+    h1 = score_law(construction, "H1", alpha, n, d)
+    pfp = 1.0 - std_normal_cdf(tau * math.sqrt(1.0 / h0.variance))
+    if h1.variance == 0.0:  # the H1 score is exactly alpha
+        pfn = 0.0 if tau < alpha else 1.0
     else:
-        pfn = std_normal_cdf((tau - alpha) / beta * scale)
+        pfn = std_normal_cdf((tau - alpha) * math.sqrt(1.0 / h1.variance))
     return float(pfp), float(pfn)
 
 
@@ -415,26 +389,15 @@ def cap_moment(kappa: int, eta: float, d: int) -> float:
         return 1.0
 
     b = (d - 1) / 2.0
-    eta2 = eta * eta
-
-    if eta >= 0.0:
-        # denominator 1 - sign(eta) I_{eta^2}(1/2, b) = I_{1-eta^2}(b, 1/2)
-        log_den = _log_betainc(b, 0.5, np.array(1.0 - eta2))[()]
-    else:
-        log_den = float(np.log1p(np.atleast_1d(reg_inc_beta(eta2, 0.5, b))[0]))
-
+    # each mass is 1 - sign(eta) I_{eta^2}(., b), up to its normalizing constant
+    log_den = _log_tail(eta, 0.5, b)
     if kappa == 1:
         if eta == -1.0:  # full sphere: odd moment vanishes
             return 0.0
-        log_num = (math.log(2.0) + b * math.log1p(-eta2)
+        log_num = (math.log(2.0) + b * math.log1p(-eta * eta)
                    - math.log(d - 1) - log_beta(0.5, b))
         return float(math.exp(log_num - log_den))
-
-    if eta >= 0.0:
-        log_num = _log_betainc(b, 1.5, np.array(1.0 - eta2))[()]
-    else:
-        log_num = float(np.log1p(np.atleast_1d(reg_inc_beta(eta2, 1.5, b))[0]))
-    return float(math.exp(log_num - log_den) / d)
+    return float(math.exp(_log_tail(eta, 1.5, b) - log_den) / d)
 
 
 def gaussian_kl(mean0: float, var0: float, mean1: float, var1: float) -> float:

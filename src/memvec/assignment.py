@@ -101,25 +101,18 @@ class KMeansConfig:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """Consecutive batches of size batch_size, clustered independently.
-
-    ``inner`` is a KMeansConfig applied per batch, or the string "random"
-    with ``unit_size`` for per-batch random assignment.
-    """
+    """Consecutive batches of size batch_size, each clustered independently
+    by the k-means of ``inner``."""
 
     batch_size: int
-    inner: KMeansConfig | str
-    unit_size: int | None = None
+    inner: KMeansConfig
     seed: Seed = field(default_factory=lambda: Seed(0))
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
-        if self.inner == "random":
-            if self.unit_size is None or self.unit_size < 1:
-                raise DomainError("random inner assignment needs unit_size >= 1")
-        elif not isinstance(self.inner, KMeansConfig):
-            raise DomainError("inner must be a KMeansConfig or 'random'")
+        if not isinstance(self.inner, KMeansConfig):
+            raise DomainError("inner must be a KMeansConfig")
 
 
 def _check_id_count(N: int) -> None:
@@ -309,19 +302,13 @@ def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.
     for i, start in enumerate(range(0, N, B)):
         stop = min(start + B, N)
         block = Dataset(dataset.vectors[start:stop])
-        seed = cfg.seed.child(f"batch{i}")
-        if cfg.inner == "random":
-            part = random_assignment(block.size, min(cfg.unit_size, block.size),
-                                     seed.generator())
-            reps = representatives(block.vectors, part.order, part.offsets,
-                                   ConstructionConfig(kind="sum"))
-        else:
-            inner = replace(cfg.inner, M=min(cfg.inner.M, block.size), seed=seed)
-            part, reps = spherical_kmeans(block, inner)
+        inner = replace(cfg.inner, M=min(cfg.inner.M, block.size),
+                        seed=cfg.seed.child(f"batch{i}"))
+        part, reps = spherical_kmeans(block, inner)
         np.add(part.order, start, out=order[start:stop])
         offsets_blocks.append(part.offsets[1:] + start)
         M += part.M
-        reps_blocks.append(np.atleast_2d(reps))
+        reps_blocks.append(reps)
     part = Partition._from_csr(M, order, np.concatenate(offsets_blocks))
     return part, np.vstack(reps_blocks)
 

@@ -156,6 +156,8 @@ def _read_results(path: str) -> tuple[list[np.ndarray], list[float]]:
 def _cmd_theory(args) -> int:
     rows: list[dict] = []
     if args.theory_cmd == "roc":
+        if args.tau_steps < 1:
+            raise DomainError("--tau-steps must be >= 1")
         taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
         for construction in args.constructions:
             for tau in taus:

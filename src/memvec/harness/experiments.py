@@ -39,6 +39,8 @@ def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
     """
     if construction == "pinv" and n >= d:
         raise DomainError("pinv requires n < d")
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     h0 = np.empty(trials)
     h1 = np.empty(trials)
     batch = max(1, _UNIT_BATCH_FLOATS // (n * d))
@@ -83,6 +85,8 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
     Member vectors are generated unit-by-unit and discarded after the
     representative is computed, so N can be large.
     """
+    if N < 1 or n_queries < 1:
+        raise DomainError("N and n_queries must be >= 1")
     tau = threshold_for(construction, alpha0, n, d, eps)
     M = -(-N // n)
     sizes = np.full(M, n, dtype=np.int64)
@@ -168,6 +172,8 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
     whose score exceeds the threshold is scanned (the production policy).
     ``kmeans_iters`` overrides the k-means iteration budget.
     """
+    if n_queries < 1 or not 1 <= top_k <= M:
+        raise DomainError("need n_queries >= 1 and 1 <= top_k <= M")
     N = dataset.size
     qrng = seed.child("queries").generator()
     planted = qrng.integers(N, size=n_queries)

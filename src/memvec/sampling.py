@@ -1,10 +1,10 @@
 """Seeded synthetic data generation.
 
 Uniform hypersphere vectors, spherical-cap vectors (1-d inverse-CDF on the
-axis correlation plus a uniform orthogonal direction), planted-cluster
-datasets and H1 query vectors. Every operation is deterministic given
-the generator state; parallel workers derive independent generators by
-seed splitting.
+axis correlation, then the H1 perturbation of the axis by it),
+planted-cluster datasets and H1 query vectors. Every operation is
+deterministic given the generator state; parallel workers derive
+independent generators by seed splitting.
 """
 
 from __future__ import annotations
@@ -113,29 +113,24 @@ def sample_cap_correlation(eta: float, d: int, rng: np.random.Generator,
     return float(out[0]) if size is None else out
 
 
-def _orthogonal_direction(axis: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform unit vectors in the subspace orthogonal to axis."""
-    d = axis.size
-    g = rng.standard_normal((n, d))
-    g -= np.outer(g @ axis, axis)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    while np.any(norms == 0.0):
-        bad = norms[:, 0] == 0.0
-        fresh = rng.standard_normal((int(bad.sum()), d))
-        fresh -= np.outer(fresh @ axis, axis)
-        g[bad] = fresh
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-    return g / norms
+def _perturb(x: np.ndarray, alpha, rng: np.random.Generator) -> np.ndarray:
+    """alpha x + sqrt(1 - alpha^2) z per row x of ``x``, with z uniform on
+    the unit sphere orthogonal to x, renormalized: the H1 perturbation.
+    ``alpha`` is a scalar or an (n, 1) column, one value per row."""
+    g = rng.standard_normal(x.shape)
+    g -= np.sum(g * x, axis=1, keepdims=True) * x
+    z = g / np.linalg.norm(g, axis=1, keepdims=True)
+    y = alpha * x + np.sqrt(1.0 - alpha * alpha) * z
+    return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
 def sample_cap(spec: CapSpec, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Uniform sample from the cap: S' u + sqrt(1 - S'^2) W with W
-    uniform on the unit sphere orthogonal to u."""
+    """Uniform sample from the cap: S' u + sqrt(1 - S'^2) W with W uniform
+    on the unit sphere orthogonal to u, the H1 perturbation of the axis u
+    with alpha = S'."""
     n = 1 if size is None else size
     s = np.atleast_1d(sample_cap_correlation(spec.eta, spec.dim, rng, size=n))
-    w = _orthogonal_direction(spec.axis, rng, n)
-    out = s[:, None] * spec.axis[None, :] + np.sqrt(1.0 - s * s)[:, None] * w
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    out = _perturb(np.broadcast_to(spec.axis, (n, spec.dim)), s[:, None], rng)
     return out[0] if size is None else out
 
 
@@ -146,12 +141,7 @@ def h1_queries(planted: np.ndarray, alpha: float, rng: np.random.Generator) -> n
     lie in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:  # NaN fails too
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    planted = np.asarray(planted, dtype=np.float64)
-    g = rng.standard_normal(planted.shape)
-    g -= np.sum(g * planted, axis=1, keepdims=True) * planted
-    z = g / np.linalg.norm(g, axis=1, keepdims=True)
-    y = alpha * planted + np.sqrt(1.0 - alpha * alpha) * z
-    return y / np.linalg.norm(y, axis=1, keepdims=True)
+    return _perturb(np.asarray(planted, dtype=np.float64), alpha, rng)
 
 
 def make_clustered_dataset(K: int, per_cluster: int, d: int, eta: float,

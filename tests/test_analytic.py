@@ -146,6 +146,22 @@ class TestScoreDistribution:
         assert A.score_cdf_exact(-1.0, 1.0, 10) == 0.0
         assert A.score_cdf_exact(1.0, 1.0, 10) == 1.0
 
+    def test_cdf_against_scipy_betainc(self):
+        # for s < 0, F(s) = I_{1-t^2}(b, 1/2) / 2: the left tail keeps its
+        # relative accuracy instead of flushing to 0 below about 1e-17
+        s = np.linspace(-1.0, 1.0, 401)
+        for d in (20, 200, 5000):
+            b = (d - 1) / 2.0
+            ref = np.where(s < 0.0, 0.5 * sp.betainc(b, 0.5, 1.0 - s * s),
+                           0.5 * (1.0 + sp.betainc(0.5, b, s * s)))
+            F = A.score_cdf_exact(s, 1.0, d)
+            assert np.max(np.abs(F - ref)) < 1e-12
+            tail = (ref < 1e-20) & (ref > 1e-290)  # scipy's own subnormals excluded
+            assert np.max(np.abs(F[tail] / ref[tail] - 1.0)) < 1e-11
+        ref = 0.5 * sp.betainc(199 / 2.0, 0.5, 1.0 - 0.36)
+        assert ref == pytest.approx(2.42e-21, rel=1e-3)
+        assert A.score_cdf_exact(-0.6, 1.0, 200) == pytest.approx(ref, rel=1e-12)
+
     def test_sf_log_consistent(self):
         s = np.linspace(-0.95, 0.95, 39)
         F = A.score_cdf_exact(s, 1.0, 20)

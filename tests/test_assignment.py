@@ -128,21 +128,14 @@ class TestAssignmentCSR:
         for k in range(p.M):
             assert np.array_equal(_members(p, k), np.sort(perm[k * n:(k + 1) * n]))
 
-    @pytest.mark.parametrize("batch_size, unit_size", [(20, 5), (23, 5), (7, 1),
-                                                       (60, 60), (25, 25)])
-    def test_batch_random_inner(self, batch_size, unit_size):
-        ds = Dataset(sample_sphere(8, Seed(46).generator(), size=60))
-        p, reps = batch_assignment(ds, BatchConfig(
-            batch_size=batch_size, inner="random", unit_size=unit_size, seed=Seed(47)))
-        assert reps.shape == (p.M, 8)
-        _assert_same_as_rederived(p)
-
-    @pytest.mark.parametrize("batch_size, M", [(20, 4), (23, 5), (60, 7), (7, 7)])
+    @pytest.mark.parametrize("batch_size, M", [(20, 4), (23, 5), (60, 7), (7, 7),
+                                               (20, 5), (7, 1), (60, 60), (25, 25)])
     def test_batch_kmeans_inner(self, batch_size, M):
         ds = Dataset(sample_sphere(8, Seed(48).generator(), size=60))
-        p, _ = batch_assignment(ds, BatchConfig(
+        p, reps = batch_assignment(ds, BatchConfig(
             batch_size=batch_size, inner=KMeansConfig(M=M, mode="sum", max_iters=3),
             seed=Seed(49)))
+        assert reps.shape == (p.M, 8)
         _assert_same_as_rederived(p)
 
 
@@ -167,7 +160,7 @@ class TestLabelsNotKept:
              "kmeans": lambda: spherical_kmeans(ds, KMeansConfig(M=7, mode="sum",
                                                                  max_iters=3))[0],
              "batch": lambda: batch_assignment(ds, BatchConfig(
-                 batch_size=23, inner="random", unit_size=5))[0]}[make]()
+                 batch_size=23, inner=KMeansConfig(M=5, max_iters=3)))[0]}[make]()
         arrays = {name for name, v in vars(p).items() if isinstance(v, np.ndarray)}
         assert arrays == {"order", "offsets"}
         assert p.order.size == 60 and p.offsets.size == p.M + 1
@@ -179,19 +172,17 @@ class TestLabelsNotKept:
         p = random_assignment(N, n, Seed(52).generator())
         assert np.array_equal(p.unit_of, _random_labels(N, n, Seed(52)))
 
-    @pytest.mark.parametrize("inner", ["random", KMeansConfig(M=4, mode="sum", max_iters=3)])
+    @pytest.mark.parametrize("inner", [KMeansConfig(M=5, mode="pinv", max_iters=3),
+                                       KMeansConfig(M=4, mode="sum", max_iters=3)])
     def test_batch_labels(self, inner):
         ds = Dataset(sample_sphere(8, Seed(53).generator(), size=60))
-        cfg = BatchConfig(batch_size=23, inner=inner, unit_size=5, seed=Seed(54))
+        cfg = BatchConfig(batch_size=23, inner=inner, seed=Seed(54))
         p, _ = batch_assignment(ds, cfg)
         labels, M = [], 0
         for i, start in enumerate(range(0, 60, 23)):
             block = Dataset(ds.vectors[start:start + 23])
             seed = cfg.seed.child(f"batch{i}")
-            if inner == "random":
-                lab = _random_labels(block.size, 5, seed)
-            else:
-                lab, _ = _kmeans_reference(block, replace(inner, seed=seed))
+            lab, _ = _kmeans_reference(block, replace(inner, seed=seed))
             labels.append(lab + M)
             M += int(lab.max()) + 1
         assert p.M == M
@@ -496,15 +487,8 @@ class TestBatchAssignment:
         assert np.all((part.unit_of[40:80] >= 3) & (part.unit_of[40:80] < 6))
         assert np.all(part.unit_of[80:] >= 6)
 
-    def test_random_inner(self):
-        ds = Dataset(sample_sphere(8, Seed(16).generator(), size=50))
-        part, reps = batch_assignment(ds, BatchConfig(
-            batch_size=25, inner="random", unit_size=5, seed=Seed(17)))
-        assert part.M == 10 and np.all(part.sizes == 5)
-        assert reps.shape == (10, 8)
-
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            BatchConfig(batch_size=10, inner="random")  # missing unit_size
-        with pytest.raises(DomainError):
-            BatchConfig(batch_size=0, inner="random", unit_size=2)
+        with pytest.raises(DomainError, match="inner must be a KMeansConfig"):
+            BatchConfig(batch_size=10, inner="random")
+        with pytest.raises(DomainError, match="batch_size"):
+            BatchConfig(batch_size=0, inner=KMeansConfig(M=2))

@@ -167,7 +167,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("alpha", ["1.5", "nan"])
     def test_alpha_outside_unit_interval_is_1(self, alpha, capsys):
         assert run(["experiment", "assignment", "--clusters", 4, "--per-cluster", 10,
-                    "--d", 16, "--M", 4, "--queries", 5, "--n-seeds", 1,
+                    "--d", 16, "--M", 4, "--top-k", 4, "--queries", 5, "--n-seeds", 1,
                     "--alpha", alpha]) == 1
         assert "alpha must lie in [0, 1]" in capsys.readouterr().err
 
@@ -175,6 +175,34 @@ class TestExitCodes:
         assert run(["theory", "roc", "--d", 100, "--n", 10, "--alpha", 0.7,
                     "--tau-min", "nan"]) == 1
         assert "tau is NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, says", [
+        (["experiment", "roc", "--d", 16, "--n", 4, "--alpha", 0.8, "--trials", 0],
+         "trials must be >= 1"),
+        (["experiment", "roc", "--d", 16, "--n", 4, "--alpha", 0.8, "--trials", -3],
+         "trials must be >= 1"),
+        (["experiment", "cost", "--d", 32, "--eps", 0.05, "--alpha0", 0.8, "--n-max", 5,
+          "--queries", 0], "N and n_queries must be >= 1"),
+        (["experiment", "cost", "--d", 32, "--eps", 0.05, "--alpha0", 0.8, "--n-max", 5,
+          "--N", 0], "N and n_queries must be >= 1"),
+        (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
+          "--M", 4, "--n-seeds", 1, "--queries", 0], "n_queries >= 1"),
+        (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
+          "--M", 4, "--n-seeds", 1, "--top-k", 5], "1 <= top_k <= M"),
+        (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
+          "--M", 4, "--n-seeds", 1, "--top-k", -2], "1 <= top_k <= M"),
+        (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
+          "--M", 4, "--n-seeds", 1, "--top-k", 0], "1 <= top_k <= M"),
+        (["theory", "roc", "--d", 100, "--n", 10, "--alpha", 0.7, "--tau-steps", -1],
+         "--tau-steps must be >= 1"),
+        (["theory", "roc", "--d", 100, "--n", 10, "--alpha", 0.7, "--tau-steps", 0],
+         "--tau-steps must be >= 1"),
+    ], ids=["trials-0", "trials-neg", "cost-queries-0", "cost-N-0", "assignment-queries-0",
+            "top-k-above-M", "top-k-neg", "top-k-0", "tau-steps-neg", "tau-steps-0"])
+    def test_bad_count_is_1(self, argv, says, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err
 
     @pytest.mark.parametrize("csv_text, says", [
         ("query,rank,score,complexity,complexity_ratio\n0,1,0.5,20,0.1\n", "'dataset_id'"),
