@@ -128,8 +128,10 @@ class TestAssignmentCSR:
         for k in range(p.M):
             assert np.array_equal(_members(p, k), np.sort(perm[k * n:(k + 1) * n]))
 
+    # (23, 14): the last batch of 14 rows is exactly M units
     @pytest.mark.parametrize("batch_size, M", [(20, 4), (23, 5), (60, 7), (7, 7),
-                                               (20, 5), (7, 1), (60, 60), (25, 25)])
+                                               (20, 5), (7, 1), (60, 60), (25, 25),
+                                               (23, 14)])
     def test_batch_kmeans_inner(self, batch_size, M):
         ds = Dataset(sample_sphere(8, Seed(48).generator(), size=60))
         p, reps = batch_assignment(ds, BatchConfig(
