@@ -102,11 +102,10 @@ class KMeansConfig:
 @dataclass(frozen=True)
 class BatchConfig:
     """Consecutive batches of size batch_size, each clustered independently
-    by the k-means of ``inner``."""
+    by the k-means of ``inner``, seeded from ``inner.seed``."""
 
     batch_size: int
     inner: KMeansConfig
-    seed: Seed = field(default_factory=lambda: Seed(0))
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -285,7 +284,7 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
 def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.ndarray]:
     """Run the inner assignment independently on consecutive batches.
 
-    Batch i uses the derived seed ``cfg.seed.child(f"batch{i}")``; the
+    Batch i uses the derived seed ``cfg.inner.seed.child(f"batch{i}")``; the
     global partition is the disjoint union with per-batch unit id offsets.
     Its CSR is the batches' CSRs laid end to end, each batch's ids and
     offsets shifted by its first dataset id: the stable sort of the global
@@ -303,7 +302,7 @@ def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.
         stop = min(start + B, N)
         block = Dataset(dataset.vectors[start:stop])
         inner = replace(cfg.inner, M=min(cfg.inner.M, block.size),
-                        seed=cfg.seed.child(f"batch{i}"))
+                        seed=cfg.inner.seed.child(f"batch{i}"))
         part, reps = spherical_kmeans(block, inner)
         np.add(part.order, start, out=order[start:stop])
         offsets_blocks.append(part.offsets[1:] + start)

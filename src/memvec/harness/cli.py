@@ -80,9 +80,9 @@ def _cmd_build(args) -> int:
         if not (args.M and args.batch_size):
             raise MemvecError("--M and --batch-size required for batch-kmeans")
         inner = KMeansConfig(M=args.M, mode=args.construction,
-                             normalize_representative=args.normalize)
-        part, _ = batch_assignment(data, BatchConfig(
-            batch_size=args.batch_size, inner=inner, seed=seed))
+                             normalize_representative=args.normalize, seed=seed)
+        part, _ = batch_assignment(data, BatchConfig(batch_size=args.batch_size,
+                                                     inner=inner))
     index = build_index(data, part, cfg)
     io.write_index(index, args.out)
     return 0

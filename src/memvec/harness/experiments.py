@@ -125,6 +125,8 @@ def run_cost_curve(d: int, eps: float, alpha0s: list[float], n_values: list[int]
     ``mc`` takes {"N": ..., "queries": ...}; when given, a ``ratio_mc``
     column is filled at the argmin of each curve.
     """
+    if not n_values:
+        raise DomainError("need at least one n (n_max >= 1)")
     rows = []
     for construction in constructions:
         for alpha0 in alpha0s:
@@ -172,8 +174,8 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
     whose score exceeds the threshold is scanned (the production policy).
     ``kmeans_iters`` overrides the k-means iteration budget.
     """
-    if n_queries < 1 or not 1 <= top_k <= M:
-        raise DomainError("need n_queries >= 1 and 1 <= top_k <= M")
+    if n_queries < 1 or not seeds or not 1 <= top_k <= M:
+        raise DomainError("need n_queries >= 1, n_seeds >= 1 and 1 <= top_k <= M")
     N = dataset.size
     qrng = seed.child("queries").generator()
     planted = qrng.integers(N, size=n_queries)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assignment import Partition
 from .construction import ConstructionConfig, representatives
-from .core import FILE_NORM_TOL, ID_DTYPE, Dataset, MemoryIndex
+from .core import FILE_NORM_TOL, Dataset, MemoryIndex
 from .errors import DimensionError, DomainError, ModeError, ModelError, NormalizationError
 
 __all__ = [
@@ -63,24 +63,6 @@ def build_index(dataset: Dataset, partition: Partition,
                        member_ids=partition.order, construction=cfg.kind)
 
 
-def _rank_candidates(ids: np.ndarray, sims: np.ndarray) -> tuple[tuple[int, float], ...]:
-    # descending similarity, ties by lower id
-    order = np.lexsort((ids, -sims))
-    return tuple((int(ids[k]), float(sims[k])) for k in order)
-
-
-def _assemble(index: MemoryIndex, positive: np.ndarray, unit_scores: np.ndarray,
-              candidate_sims) -> QueryResult:
-    pos_units = tuple((int(j), float(unit_scores[j])) for j in positive)
-    ids = np.concatenate([np.empty(0, dtype=ID_DTYPE)] + [
-        index.member_ids[index.offsets[j]:index.offsets[j + 1]] for j in positive])
-    complexity = index.num_units + ids.size
-    return QueryResult(positive_units=pos_units,
-                       candidates=_rank_candidates(ids, candidate_sims(ids)),
-                       complexity=complexity,
-                       complexity_ratio=complexity / index.total)
-
-
 def _select_units(unit_scores: np.ndarray, tau: float | None,
                   top_units: int | None) -> np.ndarray:
     if (tau is None) == (top_units is None):
@@ -95,9 +77,29 @@ def _select_units(unit_scores: np.ndarray, tau: float | None,
         raise DomainError(f"bad unit selector: {exc}") from exc
     if k < 0:
         raise DomainError("top_units must be non-negative")
-    # highest scores, deterministic tie-break by lower unit id
-    order = np.lexsort((np.arange(unit_scores.size), -unit_scores))
-    return np.sort(order[:k])
+    # highest scores; the stable sort breaks ties by lower unit id
+    return np.sort(np.argsort(-unit_scores, kind="stable")[:k])
+
+
+def _scan(index: MemoryIndex, vectors: np.ndarray, y: np.ndarray, unit_scores: np.ndarray,
+          tau: float | None, top_units: int | None) -> QueryResult:
+    """Layers 2-4 of both query paths: select the positive units, gather their
+    members from the CSR arrays, re-rank them by true inner product, assemble."""
+    pos = _select_units(unit_scores, tau, top_units)
+    lo = index.offsets[pos]
+    n = index.offsets[pos + 1] - lo
+    # the k-th positive unit fills gather slots [ends[k] - n[k], ends[k]);
+    # slot t of it reads member_ids[t + lo[k] - (ends[k] - n[k])]
+    ends = np.cumsum(n)
+    ids = index.member_ids[np.arange(n.sum()) + np.repeat(lo - ends + n, n)]
+    sims = vectors[ids] @ y
+    order = np.lexsort((ids, -sims))
+    complexity = index.num_units + ids.size
+    return QueryResult(
+        positive_units=tuple(zip(pos.tolist(), unit_scores[pos].tolist())),
+        candidates=tuple(zip(ids[order].tolist(), sims[order].tolist())),
+        complexity=complexity,
+        complexity_ratio=complexity / index.total)
 
 
 def _checked_query(index: MemoryIndex, dataset: Dataset, y) -> np.ndarray:
@@ -115,10 +117,7 @@ def query(index: MemoryIndex, dataset: Dataset, y: np.ndarray,
     """Scan all memory vectors; re-rank members of units with score > tau
     (or of the top_units highest-scoring units) by true inner product."""
     y = _checked_query(index, dataset, y)
-    unit_scores = index.representatives @ y
-    positive = _select_units(unit_scores, tau, top_units)
-    return _assemble(index, positive, unit_scores,
-                     lambda ids: dataset.vectors[ids] @ y)
+    return _scan(index, dataset.vectors, y, index.representatives @ y, tau, top_units)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +230,4 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
         unit_scores = _symmetric_scores(bindex.unit_codes, np.packbits(y >= 0.0), y.size)
     else:
         unit_scores = _asymmetric_scores(bindex.unit_codes, _byte_table(y), y)
-    positive = _select_units(unit_scores, tau, top_units)
-    return _assemble(bindex.index, positive, unit_scores,
-                     lambda ids: bindex.dataset.vectors[ids] @ y)
+    return _scan(bindex.index, bindex.dataset.vectors, y, unit_scores, tau, top_units)

@@ -135,8 +135,8 @@ class TestAssignmentCSR:
     def test_batch_kmeans_inner(self, batch_size, M):
         ds = Dataset(sample_sphere(8, Seed(48).generator(), size=60))
         p, reps = batch_assignment(ds, BatchConfig(
-            batch_size=batch_size, inner=KMeansConfig(M=M, mode="sum", max_iters=3),
-            seed=Seed(49)))
+            batch_size=batch_size,
+            inner=KMeansConfig(M=M, mode="sum", max_iters=3, seed=Seed(49))))
         assert reps.shape == (p.M, 8)
         _assert_same_as_rederived(p)
 
@@ -174,16 +174,16 @@ class TestLabelsNotKept:
         p = random_assignment(N, n, Seed(52).generator())
         assert np.array_equal(p.unit_of, _random_labels(N, n, Seed(52)))
 
-    @pytest.mark.parametrize("inner", [KMeansConfig(M=5, mode="pinv", max_iters=3),
-                                       KMeansConfig(M=4, mode="sum", max_iters=3)])
+    @pytest.mark.parametrize("inner", [
+        KMeansConfig(M=5, mode="pinv", max_iters=3, seed=Seed(54)),
+        KMeansConfig(M=4, mode="sum", max_iters=3, seed=Seed(54))])
     def test_batch_labels(self, inner):
         ds = Dataset(sample_sphere(8, Seed(53).generator(), size=60))
-        cfg = BatchConfig(batch_size=23, inner=inner, seed=Seed(54))
-        p, _ = batch_assignment(ds, cfg)
+        p, _ = batch_assignment(ds, BatchConfig(batch_size=23, inner=inner))
         labels, M = [], 0
         for i, start in enumerate(range(0, 60, 23)):
             block = Dataset(ds.vectors[start:start + 23])
-            seed = cfg.seed.child(f"batch{i}")
+            seed = inner.seed.child(f"batch{i}")
             lab, _ = _kmeans_reference(block, replace(inner, seed=seed))
             labels.append(lab + M)
             M += int(lab.max()) + 1
@@ -470,9 +470,8 @@ class TestBatchAssignment:
     def test_single_batch_equals_plain_kmeans(self):
         ds = Dataset(sample_sphere(16, Seed(12).generator(), size=80))
         seed = Seed(13)
-        inner = KMeansConfig(M=5, mode="sum")
-        bpart, breps = batch_assignment(ds, BatchConfig(
-            batch_size=80, inner=inner, seed=seed))
+        inner = KMeansConfig(M=5, mode="sum", seed=seed)
+        bpart, breps = batch_assignment(ds, BatchConfig(batch_size=80, inner=inner))
         kpart, kreps = spherical_kmeans(ds, KMeansConfig(
             M=5, mode="sum", seed=seed.child("batch0")))
         assert np.array_equal(bpart.unit_of, kpart.unit_of)
@@ -481,13 +480,20 @@ class TestBatchAssignment:
     def test_batches_get_disjoint_unit_ids(self):
         ds = Dataset(sample_sphere(16, Seed(14).generator(), size=100))
         part, reps = batch_assignment(ds, BatchConfig(
-            batch_size=40, inner=KMeansConfig(M=3, mode="sum"), seed=Seed(15)))
+            batch_size=40, inner=KMeansConfig(M=3, mode="sum", seed=Seed(15))))
         assert part.M == 9  # 3 + 3 + 3 across batches of 40/40/20
         assert reps.shape == (9, 16)
         # batch i only uses unit ids [3i, 3i+3)
         assert np.all(part.unit_of[:40] < 3)
         assert np.all((part.unit_of[40:80] >= 3) & (part.unit_of[40:80] < 6))
         assert np.all(part.unit_of[80:] >= 6)
+
+    def test_inner_seed_is_used(self):
+        ds = Dataset(sample_sphere(16, Seed(16).generator(), size=100))
+        a, b = (batch_assignment(ds, BatchConfig(
+            batch_size=40, inner=KMeansConfig(M=8, mode="sum", seed=Seed(s))))[0]
+            for s in (17, 18))
+        assert not np.array_equal(a.unit_of, b.unit_of)
 
     def test_config_validation(self):
         with pytest.raises(DomainError, match="inner must be a KMeansConfig"):

@@ -197,8 +197,20 @@ class TestExitCodes:
          "--tau-steps must be >= 1"),
         (["theory", "roc", "--d", 100, "--n", 10, "--alpha", 0.7, "--tau-steps", 0],
          "--tau-steps must be >= 1"),
+        (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
+          "--M", 4, "--top-k", 4, "--n-seeds", 0], "n_seeds >= 1"),
+        (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
+          "--M", 4, "--top-k", 4, "--n-seeds", -2], "n_seeds >= 1"),
+        (["experiment", "cost", "--d", 32, "--eps", 0.05, "--alpha0", 0.8, "--n-max", 0],
+         "n_max >= 1"),
+        (["theory", "cost", "--d", 32, "--eps", 0.05, "--alpha0", 0.8, "--n-max", 0],
+         "n_max >= 1"),
+        (["theory", "cost", "--d", 32, "--eps", 0.05, "--alpha0", 0.8, "--n-max", -3],
+         "n_max >= 1"),
     ], ids=["trials-0", "trials-neg", "cost-queries-0", "cost-N-0", "assignment-queries-0",
-            "top-k-above-M", "top-k-neg", "top-k-0", "tau-steps-neg", "tau-steps-0"])
+            "top-k-above-M", "top-k-neg", "top-k-0", "tau-steps-neg", "tau-steps-0",
+            "n-seeds-0", "n-seeds-neg", "experiment-n-max-0", "theory-n-max-0",
+            "theory-n-max-neg"])
     def test_bad_count_is_1(self, argv, says, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err

@@ -182,6 +182,68 @@ class TestQuery:
         assert ids.index(1) < ids.index(3)
 
 
+class TestGather:
+    """Both query paths gather members from the CSR offsets: against one
+    slice per positive unit, on uneven units whose members are scattered."""
+
+    SIZES = (1, 2, 7, 40)
+
+    @pytest.fixture(scope="class", params=[np.float64, np.float32])
+    def uneven(self, request):
+        rng = Seed(60).generator()
+        N, d = sum(self.SIZES), 24
+        unit_of = rng.permutation(np.repeat(np.arange(len(self.SIZES)), self.SIZES))
+        rows = sample_sphere(d, rng, size=N).astype(request.param)
+        data = Dataset(rows)
+        index = build_index(data, Partition(unit_of=unit_of, M=len(self.SIZES)),
+                            ConstructionConfig(kind="sum"))
+        assert index.sizes.tolist() == list(self.SIZES)
+        return data, index, binarize(index, data)
+
+    @staticmethod
+    def _slice_oracle(index, vectors, y, pos):
+        members = [index.member_ids[index.offsets[j]:index.offsets[j + 1]] for j in pos]
+        ids = np.concatenate([np.empty(0, dtype=index.member_ids.dtype)] + members)
+        sims = vectors[ids] @ y
+        order = np.lexsort((ids, -sims))
+        return ids[order].tolist(), sims[order].tolist()
+
+    def _check(self, res, index, vectors, y):
+        pos = [j for j, _ in res.positive_units]
+        ids, sims = self._slice_oracle(index, vectors, y, pos)
+        assert [i for i, _ in res.candidates] == ids
+        assert [s for _, s in res.candidates] == sims
+        assert res.complexity == index.num_units + sum(self.SIZES[j] for j in pos)
+        assert res.complexity_ratio == res.complexity / index.total
+        # Python scalars, as the CLI writes them with repr
+        for pairs in (res.candidates, res.positive_units):
+            assert all(type(i) is int and type(s) is float for i, s in pairs)
+        return pos
+
+    @pytest.mark.parametrize("select", [{"tau": -np.inf}, {"tau": 0.0}, {"tau": 2.0},
+                                        {"top_units": 0}, {"top_units": 1},
+                                        {"top_units": len(SIZES)}])
+    def test_query(self, uneven, select):
+        data, index, _ = uneven
+        for k in range(8):
+            y = sample_sphere(24, Seed(61 + k).generator())
+            res = query(index, data, y, **select)
+            pos = self._check(res, index, data.vectors, y)
+            scores = index.representatives @ y
+            assert [s for _, s in res.positive_units] == scores[pos].tolist()
+            if "top_units" in select:
+                assert len(pos) == select["top_units"]
+
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("select", [{"tau": 0.0}, {"top_units": 2}])
+    def test_query_binary(self, uneven, mode, select):
+        data, _, bindex = uneven
+        for k in range(8):
+            y = sample_sphere(24, Seed(71 + k).generator())
+            res = query_binary(bindex, y, mode=mode, **select)
+            self._check(res, bindex.index, data.vectors, y)
+
+
 class TestQueryBoundary:
     """Both query paths reject bad input instead of answering."""
 
