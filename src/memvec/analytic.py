@@ -1,13 +1,14 @@
 """Closed-form theory for memory-vector scores.
 
 Everything here is a pure function of (construction, tau, alpha, n, d) or
-of the spherical-cap parameters (eta, d): special functions, the exact and
-Gaussian score distributions, error probabilities, the threshold/cost
-model, cap moments, cap-conditioned score statistics for both
-constructions, the Marcenko-Pastur norm limit and Gaussian KL divergence.
+of the spherical-cap parameters (eta, d): special functions, the log
+survival of the exact score law, the Gaussian H0/H1 score laws, error
+probabilities, the threshold/cost model, cap moments, cap-conditioned score
+statistics for both constructions, the Marcenko-Pastur norm limit and
+Gaussian KL divergence.
 
-All functions accept scalars; the special functions also accept numpy
-arrays in their first argument.
+All functions accept scalars; the normal CDF and quantile, ``score_sf_log``
+and ``mp_pdf`` also accept numpy arrays in their first argument.
 """
 
 from __future__ import annotations
@@ -24,14 +25,10 @@ __all__ = [
     "ScoreLaw",
     "CostReport",
     "CapStats",
-    "reg_inc_beta",
     "log_beta",
     "std_normal_cdf",
     "std_normal_quantile",
-    "score_cdf_exact",
     "score_sf_log",
-    "score_pdf_exact",
-    "score_cdf_gauss",
     "score_law",
     "error_rates",
     "threshold_for",
@@ -146,35 +143,12 @@ def _log_betainc_direct(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return np.where(pos, val, out)
 
 
-def reg_inc_beta(x, a: float, b: float):
-    """Regularized incomplete beta function I_x(a, b).
-
-    Continued-fraction evaluation with the symmetry switch at
-    x > (a + 1) / (a + b + 2); absolute error below 1e-12. Vectorized
-    over x.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("beta parameters must be positive")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise DomainError("x must lie in [0, 1]")
-    out = np.empty_like(x)
-    switch = (a + 1.0) / (a + b + 2.0)
-    lo = x < switch
-    if np.any(lo):
-        out[lo] = np.exp(_log_betainc_direct(a, b, x[lo]))
-    if np.any(~lo):
-        out[~lo] = 1.0 - np.exp(_log_betainc_direct(b, a, 1.0 - x[~lo]))
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
 def _log_betainc(a: float, b: float, x) -> np.ndarray:
-    """log I_x(a, b), accurate even when I underflows in linear space.
+    """log I_x(a, b), the regularized incomplete beta, for x in [0, 1];
+    accurate even when I underflows in linear space.
 
-    Requires x on the CF-convergent side; falls back to log of the
-    complement form otherwise.
+    The continued fraction runs on its convergent side: directly for
+    x < (a + 1) / (a + b + 2), else as log1p(-I_{1-x}(b, a)).
     """
     x = np.asarray(x, dtype=np.float64)
     switch = (a + 1.0) / (a + b + 2.0)
@@ -220,13 +194,6 @@ def std_normal_quantile(p):
 # ---------------------------------------------------------------------------
 
 
-def _check_score_args(m_norm: float, d: int):
-    if d < 2:
-        raise DomainError("score distribution requires d >= 2")
-    if m_norm <= 0.0:
-        raise DomainError("m_norm must be positive")
-
-
 def _log_tail(t, a: float, b: float) -> np.ndarray:
     """log(1 - sign(t) I_{t^2}(a, b)) for t in [-1, 1], elementwise.
 
@@ -239,66 +206,21 @@ def _log_tail(t, a: float, b: float) -> np.ndarray:
     if np.any(pos):
         out[pos] = _log_betainc(b, a, 1.0 - t[pos] ** 2)
     if np.any(~pos):
-        out[~pos] = np.log1p(reg_inc_beta(t[~pos] ** 2, a, b))
+        out[~pos] = np.log1p(np.exp(_log_betainc(a, b, t[~pos] ** 2)))
     return out
-
-
-def score_cdf_exact(s, m_norm: float, d: int):
-    """CDF of Y'm for Y uniform on the sphere and a fixed m.
-
-    F(s) = P(Y'm > -s), so the left tail is as accurate as ``score_sf_log``
-    and does not underflow to 0. Vectorized over s.
-    """
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    out = np.exp(score_sf_log(-np.asarray(s, dtype=np.float64), m_norm, d))
-    return float(out[0]) if scalar else out
 
 
 def score_sf_log(s, m_norm: float, d: int) -> np.ndarray:
     """log of the survival function P(Y'm > s), stable near s = m_norm:
     P(Y'm > s) = (1 - sign(t) I_{t^2}(1/2, b)) / 2 with t = s / ||m|| and
     b = (d - 1) / 2."""
-    _check_score_args(m_norm, d)
+    if d < 2:
+        raise DomainError("score distribution requires d >= 2")
+    if m_norm <= 0.0:
+        raise DomainError("m_norm must be positive")
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     t = np.clip(s / m_norm, -1.0, 1.0)
     return _log_tail(t, 0.5, (d - 1) / 2.0) - math.log(2.0)
-
-
-def score_pdf_exact(s, m_norm: float, d: int):
-    """Density of Y'm: (1 - s^2/||m||^2)^((d-3)/2) / (||m|| B(1/2,(d-1)/2))."""
-    _check_score_args(m_norm, d)
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    if np.any(np.abs(s) > m_norm * (1.0 + 1e-12)):
-        raise DomainError("score outside the support [-||m||, ||m||]")
-    t2 = np.clip(1.0 - (s / m_norm) ** 2, 0.0, 1.0)
-    lognorm = math.log(m_norm) + log_beta(0.5, (d - 1) / 2.0)
-    with np.errstate(divide="ignore"):
-        out = np.exp(((d - 3) / 2.0) * np.log(t2) - lognorm)
-    if d == 2:  # integrable endpoint singularity
-        out[t2 == 0.0] = np.inf
-    return float(out[0]) if scalar else out
-
-
-def score_cdf_gauss(s, m_norm: float, d: int, simplified: bool = False):
-    """Large-d Gaussian approximation of the score CDF.
-
-    ``simplified=True`` uses the small-s form Phi(s * sqrt(d) / ||m||);
-    otherwise the full asymptotic argument is applied. Saturates outside
-    the support.
-    """
-    _check_score_args(m_norm, d)
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    t = np.clip(s / m_norm, -1.0, 1.0)
-    if simplified:
-        arg = t * math.sqrt(d)
-    else:
-        arg = math.sqrt(d - 1) * 2.0 * t / (1.0 + np.sqrt(1.0 - t * t))
-    out = np.atleast_1d(std_normal_cdf(arg))
-    out[s <= -m_norm] = 0.0
-    out[s >= m_norm] = 1.0
-    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

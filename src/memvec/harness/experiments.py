@@ -14,7 +14,7 @@ from ..construction import ConstructionConfig, representatives
 from ..core import Dataset
 from ..errors import DomainError
 from ..sampling import Seed, h1_queries, sample_sphere
-from ..search import binarize, build_index, query, query_binary
+from ..search import build_index
 from .evaluation import cosine_ground_truth
 
 __all__ = [
@@ -23,10 +23,24 @@ __all__ = [
     "measure_cost",
     "run_cost_curve",
     "run_assignment_report",
-    "run_binary_comparison",
 ]
 
 _UNIT_BATCH_FLOATS = 4_000_000  # ~32 MB of member vectors per batch
+
+
+def _stream_units(d: int, n: int, units: int, construction: str,
+                  rng: np.random.Generator):
+    """Yield (first, X, reps) per batch of fresh units: X stacks b units of
+    n uniform rows, reps holds their b representatives and first is the
+    index of the batch's first unit. Lazy, so a caller's own draws from
+    ``rng`` between batches keep their place in the stream."""
+    batch = max(1, _UNIT_BATCH_FLOATS // (n * d))
+    cfg = ConstructionConfig(kind=construction)
+    for first in range(0, units, batch):
+        b = min(batch, units - first)
+        X = sample_sphere(d, rng, size=b * n)
+        yield first, X, representatives(X, np.arange(b * n),
+                                        np.arange(0, b * n + 1, n), cfg)
 
 
 def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
@@ -43,16 +57,11 @@ def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
         raise DomainError("trials must be >= 1")
     h0 = np.empty(trials)
     h1 = np.empty(trials)
-    batch = max(1, _UNIT_BATCH_FLOATS // (n * d))
-    cfg = ConstructionConfig(kind=construction)
-    for done in range(0, trials, batch):
-        b = min(batch, trials - done)
-        X = sample_sphere(d, rng, size=b * n)  # b stacked units of n rows
-        m = representatives(X, np.arange(b * n), np.arange(0, b * n + 1, n), cfg)
+    for first, X, m in _stream_units(d, n, trials, construction, rng):
         y1 = h1_queries(X[::n], alpha, rng)
-        y0 = sample_sphere(d, rng, size=b)
-        h1[done:done + b] = np.sum(m * y1, axis=1)
-        h0[done:done + b] = np.sum(m * y0, axis=1)
+        y0 = sample_sphere(d, rng, size=len(m))
+        h1[first:first + len(m)] = np.sum(m * y1, axis=1)
+        h0[first:first + len(m)] = np.sum(m * y0, axis=1)
     return h0, h1
 
 
@@ -94,13 +103,8 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
         sizes[-1] = N % n
     rng = seed.child(f"cost-{construction}-{n}").generator()
     reps = np.empty((M, d))
-    batch = max(1, _UNIT_BATCH_FLOATS // (n * d))
-    cfg = ConstructionConfig(kind=construction)
-    for done in range(0, M, batch):
-        b = min(batch, M - done)
-        X = sample_sphere(d, rng, size=b * n)  # b stacked units of n rows
-        reps[done:done + b] = representatives(X, np.arange(b * n),
-                                              np.arange(0, b * n + 1, n), cfg)
+    for first, _, m in _stream_units(d, n, M, construction, rng):
+        reps[first:first + len(m)] = m
     queries = sample_sphere(d, rng, size=n_queries)
     scores = queries @ reps.T  # (Q, M)
     scanned = np.where(scores > tau, sizes[None, :], 0).sum(axis=1)
@@ -150,6 +154,8 @@ def run_cost_curve(d: int, eps: float, alpha0s: list[float], n_values: list[int]
                                         mc["N"], mc["queries"], seed or Seed(0))
                 best["ratio_mc"] = measured["ratio_mc"]
             rows.extend(curve)
+    if not rows:
+        raise DomainError("no curve has a point (pinv needs n < d)")
     return rows
 
 
@@ -221,34 +227,3 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
                 row[f"p_match_rank{r + 1}"] = float(np.count_nonzero(hits[:, r]) / n_queries)
             rows.append(row)
     return rows
-
-
-def run_binary_comparison(d: int, N: int, n: int, alpha: float, n_queries: int,
-                          tau_real: float, tau_binary: float, seed: Seed) -> dict:
-    """Recall@10 of the planted match and complexity ratio for the real
-    pipeline vs both binary-sketch modes on synthetic data."""
-    rng = seed.child("data").generator()
-    data = Dataset(sample_sphere(d, rng, size=N))
-    part = random_assignment(N, n, seed.child("assign").generator())
-    index = build_index(data, part, ConstructionConfig(kind="pinv"))
-    bindex = binarize(index, data)
-
-    qrng = seed.child("queries").generator()
-    planted = qrng.integers(N, size=n_queries)
-    out = {}
-    results = {"real": [], "symmetric": [], "asymmetric": []}
-    ratios = {k: [] for k in results}
-    for q, y in enumerate(h1_queries(data.vectors[planted], alpha, qrng)):
-        runs = {
-            "real": query(index, data, y, tau=tau_real),
-            "symmetric": query_binary(bindex, y, tau=tau_binary, mode="symmetric"),
-            "asymmetric": query_binary(bindex, y, tau=tau_binary, mode="asymmetric"),
-        }
-        for k, res in runs.items():
-            top10 = [i for i, _ in res.candidates[:10]]
-            results[k].append(int(planted[q]) in top10)
-            ratios[k].append(res.complexity_ratio)
-    for k in results:
-        out[f"recall10_{k}"] = float(np.mean(results[k]))
-        out[f"ratio_{k}"] = float(np.mean(ratios[k]))
-    return out

@@ -23,15 +23,20 @@ from memvec.harness.cli import main as cli_main
 from memvec.harness.experiments import (
     measure_cost,
     run_assignment_report,
-    run_binary_comparison,
     run_cost_curve,
     simulate_unit_scores,
 )
-from memvec.sampling import Seed, make_clustered_dataset, sample_cap_correlation, \
-    sample_sphere
-from memvec.search import build_index, query
+from memvec.sampling import Seed, h1_queries, make_clustered_dataset, \
+    sample_cap_correlation, sample_sphere
+from memvec.search import binarize, build_index, query, query_binary
 
-from oracles import hamming_inner, pinv_vector, sign_code
+from oracles import (
+    hamming_inner,
+    pinv_vector,
+    score_cdf_exact,
+    score_pdf_exact,
+    sign_code,
+)
 
 _SUITE_START = time.monotonic()
 _SEED = Seed(20260823)
@@ -53,7 +58,7 @@ def test_01_exact_score_law():
             rng = _SEED.child(f"c1-{d}-{m_norm}").generator()
             y = sample_sphere(d, rng, size=100_000)
             scores = m_norm * y[:, 0]  # m = m_norm * e1 w.l.o.g.
-            ks = kstest(scores, lambda s: A.score_cdf_exact(s, m_norm, d)).statistic
+            ks = kstest(scores, lambda s: score_cdf_exact(s, m_norm, d)).statistic
             worst = max(worst, ks)
     _report(1, "exact score law", f"worst KS = {worst:.4f} (<= 0.02)")
     assert worst <= 0.02
@@ -68,9 +73,9 @@ def test_02_density_moments():
     worst_mass = worst_m2 = 0.0
     for d in (8, 128):
         for m_norm in (1.0, 3.0):
-            mass, _ = quad(A.score_pdf_exact, -m_norm, m_norm, args=(m_norm, d),
+            mass, _ = quad(score_pdf_exact, -m_norm, m_norm, args=(m_norm, d),
                            epsabs=1e-12, limit=400)
-            m2, _ = quad(lambda s: s * s * A.score_pdf_exact(s, m_norm, d),
+            m2, _ = quad(lambda s: s * s * score_pdf_exact(s, m_norm, d),
                          -m_norm, m_norm, epsabs=1e-12, limit=400)
             worst_mass = max(worst_mass, abs(mass - 1.0))
             worst_m2 = max(worst_m2, abs(m2 - m_norm**2 / d))
@@ -372,6 +377,37 @@ def test_10_assignment_trends():
 # ---------------------------------------------------------------------------
 
 
+def _binary_comparison(d: int, N: int, n: int, alpha: float, n_queries: int,
+                       tau_real: float, tau_binary: float, seed: Seed) -> dict:
+    """Recall@10 of the planted match and complexity ratio for the real
+    pipeline vs both binary-sketch modes on synthetic data."""
+    rng = seed.child("data").generator()
+    data = Dataset(sample_sphere(d, rng, size=N))
+    part = random_assignment(N, n, seed.child("assign").generator())
+    index = build_index(data, part, ConstructionConfig(kind="pinv"))
+    bindex = binarize(index, data)
+
+    qrng = seed.child("queries").generator()
+    planted = qrng.integers(N, size=n_queries)
+    out = {}
+    results = {"real": [], "symmetric": [], "asymmetric": []}
+    ratios = {k: [] for k in results}
+    for q, y in enumerate(h1_queries(data.vectors[planted], alpha, qrng)):
+        runs = {
+            "real": query(index, data, y, tau=tau_real),
+            "symmetric": query_binary(bindex, y, tau=tau_binary, mode="symmetric"),
+            "asymmetric": query_binary(bindex, y, tau=tau_binary, mode="asymmetric"),
+        }
+        for k, res in runs.items():
+            top10 = [i for i, _ in res.candidates[:10]]
+            results[k].append(int(planted[q]) in top10)
+            ratios[k].append(res.complexity_ratio)
+    for k in results:
+        out[f"recall10_{k}"] = float(np.mean(results[k]))
+        out[f"ratio_{k}"] = float(np.mean(ratios[k]))
+    return out
+
+
 def test_11_binary_identity_and_trend():
     rng = _SEED.child("c11-pairs").generator()
     for _ in range(100):
@@ -381,9 +417,9 @@ def test_11_binary_identity_and_trend():
         pm = lambda c: np.where(c, 1.0, -1.0)
         assert hamming_inner(ca, cb) == int(pm(ca) @ pm(cb))
 
-    out = run_binary_comparison(1024, 10_000, 10, 0.9, 50,
-                                tau_real=0.5, tau_binary=0.08,
-                                seed=_SEED.child("c11"))
+    out = _binary_comparison(1024, 10_000, 10, 0.9, 50,
+                             tau_real=0.5, tau_binary=0.08,
+                             seed=_SEED.child("c11"))
     for mode in ("symmetric", "asymmetric"):
         assert out[f"ratio_{mode}"] <= 0.5, out
         assert out[f"recall10_{mode}"] >= 0.9 * out["recall10_real"], out

@@ -207,10 +207,14 @@ class TestExitCodes:
          "n_max >= 1"),
         (["theory", "cost", "--d", 32, "--eps", 0.05, "--alpha0", 0.8, "--n-max", -3],
          "n_max >= 1"),
+        (["theory", "cost", "--d", 1, "--eps", 0.01, "--alpha0", 0.9, "--n-max", 5,
+          "--constructions", "pinv"], "no curve has a point"),
+        (["experiment", "cost", "--d", 1, "--eps", 0.01, "--alpha0", 0.9, "--n-max", 5,
+          "--constructions", "pinv"], "no curve has a point"),
     ], ids=["trials-0", "trials-neg", "cost-queries-0", "cost-N-0", "assignment-queries-0",
             "top-k-above-M", "top-k-neg", "top-k-0", "tau-steps-neg", "tau-steps-0",
             "n-seeds-0", "n-seeds-neg", "experiment-n-max-0", "theory-n-max-0",
-            "theory-n-max-neg"])
+            "theory-n-max-neg", "theory-pinv-n-ge-d", "experiment-pinv-n-ge-d"])
     def test_bad_count_is_1(self, argv, says, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err

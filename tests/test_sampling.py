@@ -14,6 +14,8 @@ from memvec.sampling import (
     sample_sphere,
 )
 
+from oracles import score_cdf_exact
+
 
 class TestSeed:
     def test_children_deterministic_and_distinct(self):
@@ -46,7 +48,7 @@ class TestSampleSphere:
         # first coordinate of a uniform unit vector follows the exact law
         rng = Seed(5).generator()
         x = sample_sphere(12, rng, size=20000)[:, 0]
-        stat = kstest(x, lambda s: A.score_cdf_exact(s, 1.0, 12)).statistic
+        stat = kstest(x, lambda s: score_cdf_exact(s, 1.0, 12)).statistic
         assert stat < 0.015
 
     def test_bad_dim(self):
@@ -65,10 +67,10 @@ class TestCapSampling:
         eta, d = 0.3, 32
         rng = Seed(2).generator()
         s = sample_cap_correlation(eta, d, rng, size=20000)
-        F_eta = A.score_cdf_exact(eta, 1.0, d)
+        F_eta = score_cdf_exact(eta, 1.0, d)
 
         def cond_cdf(x):
-            return (A.score_cdf_exact(x, 1.0, d) - F_eta) / (1.0 - F_eta)
+            return (score_cdf_exact(x, 1.0, d) - F_eta) / (1.0 - F_eta)
 
         assert kstest(s, cond_cdf).statistic < 0.015
 
