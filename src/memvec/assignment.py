@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import ID_DTYPE, MAX_IDS, Dataset
+from .core import BLOCK_FLOATS, ID_DTYPE, MAX_IDS, Dataset
 from .errors import DomainError
 from .sampling import Seed
 
@@ -187,7 +187,6 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     return part, reps
 
 
-_BLOCK_FLOATS = 1 << 17  # float64 score block, and gathered row block, of about 1 MB
 _PRUNE_SLACK = 1e-9  # relative margin over the Cauchy-Schwarz bound for rounding
 
 
@@ -222,7 +221,7 @@ def _nearest(X: np.ndarray, reps: np.ndarray) -> np.ndarray:
         ids = np.sort(order[first:last])
         band = reps[ids]
         count = len(X) if open_rows is None else open_rows.size
-        rows = max(1, _BLOCK_FLOATS // max(len(ids), X.shape[1]))
+        rows = max(1, BLOCK_FLOATS // max(len(ids), X.shape[1]))
         # one float64 row block and one score block per band, reused
         buf = np.empty((min(rows, count), X.shape[1]))
         score_buf = np.empty((len(buf), len(ids)))

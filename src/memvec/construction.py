@@ -2,9 +2,11 @@
 
 The pinv representative solves X'm = 1_n with minimal norm via the n x n
 Gram system (n << d in all intended regimes). One batched kernel solves
-every unit. A unit whose Gram is singular, whose solve misses the bound,
-or that has n > d members takes a ridge-regularized solve instead, and the
-number of such units is reported. ``representatives`` builds all units.
+every unit with one Gram and one solve, m = z X. A unit is kept when every
+member then scores within 2e-8 of 1: such an m lies in the members' row
+space, so it is the minimal-norm m that meets the constraint, up to
+sqrt(n) 2e-8 / sigma_min(X) in norm. The others are solved again from the
+same Gram plus a ridge, and counted. ``representatives`` builds all units.
 """
 
 from __future__ import annotations
@@ -39,34 +41,29 @@ class ConstructionConfig:
             raise DomainError(f"unknown construction kind {self.kind!r}")
 
 
-def _pinv_batch(block: np.ndarray, ones: np.ndarray, ridge: bool = False):
-    """pinv of a (b, n, d) batch with ``ones`` = 1_n, each Gram G plus
-    ``_FALLBACK_RIDGE * mean(diag G)`` I when ``ridge``: representatives and
-    each unit's worst constraint residual |<m, x_i> - 1|. Raises LinAlgError
-    when a (regularized) Gram is not positive definite."""
-    gram = block @ block.transpose(0, 2, 1)
+def _pinv(gram: np.ndarray, block: np.ndarray, ones: np.ndarray, ridge: bool = False):
+    """pinv of a (b, n, d) batch from its Grams G, each plus
+    ``_FALLBACK_RIDGE * mean(diag G)`` I (in place) when ``ridge``:
+    representatives m = z @ x for z solving G z = 1_n, and each unit's worst
+    constraint residual |<m, x_i> - 1|. When the batch's solve raises (an
+    exactly singular Gram) the units are solved one by one, so a unit's result
+    does not depend on its batch: a plain unit that raises gets m = 0,
+    residual 1; a ridge unit that raises raises SingularGramError."""
     if ridge:
-        diag = gram.reshape(block.shape[0], -1)[:, ::ones.size + 1]
+        diag = gram.reshape(gram.shape[0], -1)[:, ::ones.size + 1]
         diag += _FALLBACK_RIDGE * diag.mean(axis=1, keepdims=True)
-    np.linalg.cholesky(gram)
-    reps = np.einsum("bi,bid->bd", np.linalg.solve(gram, ones), block)
-    resid = np.max(np.abs(block @ reps[..., None] - 1.0), axis=(1, 2))
-    return reps, resid
-
-
-def _pinv_units(block: np.ndarray, ones: np.ndarray, ridge: bool = False):
-    """``_pinv_batch``, unit by unit when the batch's Cholesky raises, so a
-    unit's result does not depend on its batch. A plain unit that fails gets
-    an infinite residual; a ridge unit that fails raises SingularGramError."""
     try:
-        return _pinv_batch(block, ones, ridge)
+        z = np.linalg.solve(gram, ones)
     except np.linalg.LinAlgError:
-        if block.shape[0] > 1:
-            parts = [_pinv_units(unit[None], ones, ridge) for unit in block]
-            return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-        if ridge:
-            raise SingularGramError("Gram not positive definite even with the ridge") from None
-        return np.zeros((1, block.shape[2])), np.array([np.inf])
+        z = np.zeros(gram.shape[:2])
+        for k, g in enumerate(gram):
+            try:
+                z[k] = np.linalg.solve(g, ones)
+            except np.linalg.LinAlgError:
+                if ridge:
+                    raise SingularGramError("Gram singular even with the ridge") from None
+    reps = (z[:, None] @ block)[:, 0]
+    return reps, np.max(np.abs(block @ reps[..., None] - 1.0), axis=(1, 2))
 
 
 def _batches(sizes: np.ndarray, n: int, step: int):
@@ -87,11 +84,11 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     float64, so sums and solves are float64 whatever X holds.
 
     A unit's sum equals ``sum(axis=0)`` of its widened rows bit for bit.
-    pinv keeps a unit's plain Gram solution when its Cholesky succeeds and
-    max |<m, x_i> - 1| is within 2e-8; the other units, and every unit with
-    n > d, are solved again with the fallback ridge. Which units fall
-    back, and their representatives, do not depend on the batch. A passed
-    dict receives ``fallbacks``, the units that took the ridge, and
+    pinv keeps a unit's plain Gram solution when max |<m, x_i> - 1|, the
+    paper's constraint, is within 2e-8; the other units are solved again
+    from the same Gram plus the fallback ridge. Which units fall back, and
+    their representatives, do not depend on the batch. A passed dict
+    receives ``fallbacks``, the units that took the ridge, and
     ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
     cfg = cfg or ConstructionConfig()
     X = np.asarray(X)
@@ -110,14 +107,13 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
             if cfg.kind == "sum":
                 reps[js] = block.sum(axis=1)
                 continue
-            ok = np.zeros(js.size, dtype=bool)
-            if n <= d:
-                reps[js], resid = _pinv_units(block, ones)
-                ok = resid <= _RESIDUAL_BOUND
-                worst = max(worst, float(resid[ok].max(initial=0.0)))
+            gram = block @ block.transpose(0, 2, 1)
+            reps[js], resid = _pinv(gram, block, ones)
+            ok = resid <= _RESIDUAL_BOUND
+            worst = max(worst, float(resid[ok].max(initial=0.0)))
             redo = np.flatnonzero(~ok)
             if redo.size:
-                reps[js[redo]], resid = _pinv_units(block[redo], ones, ridge=True)
+                reps[js[redo]], resid = _pinv(gram[redo], block[redo], ones, ridge=True)
                 fallbacks += redo.size
                 worst = max(worst, float(resid.max()))
     if report is not None:

@@ -30,7 +30,7 @@ class EmptyUnitError(MemvecError):
 
 
 class SingularGramError(MemvecError):
-    """SPD factorization of the Gram matrix broke down."""
+    """A Gram stayed singular even with the ridge fallback (all-zero members)."""
 
 
 class FormatError(MemvecError):

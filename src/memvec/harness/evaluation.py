@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..assignment import _BLOCK_FLOATS
-from ..core import Dataset
+from ..core import BLOCK_FLOATS, Dataset
 from ..errors import DimensionError
 
 __all__ = ["EvalReport", "cosine_ground_truth", "evaluate_results"]
@@ -42,7 +41,7 @@ def cosine_ground_truth(dataset: Dataset, queries: np.ndarray,
     if queries.shape[1] != dataset.dim:
         raise DimensionError("query dimension mismatch")
     X = dataset.vectors
-    rows = max(1, _BLOCK_FLOATS // max(len(queries), X.shape[1]))
+    rows = max(1, BLOCK_FLOATS // max(len(queries), X.shape[1]))
     buf = np.empty((min(rows, len(X)), X.shape[1]))
     score_buf = np.empty(len(queries) * len(buf))  # flat: each view is contiguous
     q_hits, id_hits = [], []

@@ -93,7 +93,9 @@ def _scan(index: MemoryIndex, vectors: np.ndarray, y: np.ndarray, unit_scores: n
     ends = np.cumsum(n)
     ids = index.member_ids[np.arange(n.sum()) + np.repeat(lo - ends + n, n)]
     sims = vectors[ids] @ y
-    order = np.lexsort((ids, -sims))
+    order = np.argsort(-sims)
+    if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
+        order = np.lexsort((ids, -sims))
     complexity = index.num_units + ids.size
     return QueryResult(
         positive_units=tuple(zip(pos.tolist(), unit_scores[pos].tolist())),

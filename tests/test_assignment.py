@@ -291,7 +291,7 @@ class TestNearest:
     @pytest.fixture(params=[None, 7], ids=["one-block", "small-blocks"])
     def blocks(self, request, monkeypatch):
         if request.param is not None:
-            monkeypatch.setattr(assignment, "_BLOCK_FLOATS", request.param)
+            monkeypatch.setattr(assignment, "BLOCK_FLOATS", request.param)
 
     @staticmethod
     def _check(X, R):
@@ -385,7 +385,7 @@ class TestNearest:
 
     def test_small_bands_gather_small_blocks(self):
         # one unit per band and almost no pruning: every band is scored
-        # over nearly all rows, in blocks of about _BLOCK_FLOATS floats
+        # over nearly all rows, in blocks of about BLOCK_FLOATS floats
         X = sample_sphere(64, Seed(40).generator(), size=20_000)  # 10 MB
         R = sample_sphere(64, Seed(41).generator(), size=8) * 0.3 ** np.arange(8)[:, None]
         tracemalloc.start()

@@ -151,6 +151,7 @@ class TestNearDependentUnits:
     its representative bit for bit."""
 
     D, UNITS = 16, 295
+    LAYOUTS = [("near", 1e-14), ("near", 1e-10), ("near", 1e-8), ("antipodal", 1e-6)]
 
     def _data(self, pair, noise):
         X = sample_sphere(self.D, Seed(20).generator(), size=4 * self.UNITS)
@@ -161,8 +162,7 @@ class TestNearDependentUnits:
             X[4 * j + 1] = x / np.linalg.norm(x)
         return X
 
-    @pytest.mark.parametrize("pair, noise", [("near", 1e-14), ("near", 1e-10),
-                                             ("near", 1e-8), ("antipodal", 1e-6)])
+    @pytest.mark.parametrize("pair, noise", LAYOUTS)
     def test_units_do_not_depend_on_their_batch(self, pair, noise):
         X = self._data(pair, noise)
         ids, offsets = np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4)
@@ -185,10 +185,12 @@ class TestNearDependentUnits:
             assert 0 < fallbacks < self.UNITS
         assert report["max_residual"] == worst
 
-    @pytest.mark.parametrize("pair, noise", [("near", 1e-8), ("antipodal", 1e-6)])
+    @pytest.mark.parametrize("pair, noise", LAYOUTS)
     def test_accepted_units_meet_the_constraint(self, pair, noise):
         # the paper's promise is <m, x_i> = 1 for every member: a plain solve
-        # is kept only when it holds, however small its Gram residual
+        # is kept only when it holds. A kept m = z X lies in the members' row
+        # space, so its norm is the minimal norm up to what the residual
+        # allows: sqrt(n) 2e-8 / sigma_min(X)
         X = self._data(pair, noise)
         for j in range(self.UNITS):
             unit = X[4 * j:4 * j + 4]
@@ -198,3 +200,22 @@ class TestNearDependentUnits:
             assert report["max_residual"] == pytest.approx(resid, rel=1e-6, abs=1e-15)
             if report["fallbacks"] == 0:
                 assert resid <= 2e-8
+                least, _, _, sv = np.linalg.lstsq(unit, np.ones(4), rcond=None)
+                assert abs(np.linalg.norm(m) - np.linalg.norm(least)) <= 2 * 2e-8 / sv.min()
+
+    def test_singular_unit_leaves_its_batch_alone(self):
+        # unit 7 repeats a member exactly, so the batch's solve raises and its
+        # units are solved one by one: each comes out as it does alone
+        X = self._data("near", 1e-8)
+        X[29] = X[28]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(X[28:32] @ X[28:32].T, np.ones(4))
+        report = {}
+        reps = representatives(X, np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4),
+                               ConstructionConfig(kind="pinv"), report)
+        fallbacks = 0
+        for j in range(self.UNITS):
+            unit = {}
+            assert np.array_equal(reps[j], pinv_vector(X[4 * j:4 * j + 4], unit))
+            fallbacks += unit["fallbacks"]
+        assert report["fallbacks"] == fallbacks

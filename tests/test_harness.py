@@ -39,7 +39,7 @@ class TestGroundTruth:
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "small-blocks"])
     def test_matches_whole_score_matrix(self, dtype, block, monkeypatch):
         if block:  # about 7 floats per block: one row at a time
-            monkeypatch.setattr(evaluation, "_BLOCK_FLOATS", block)
+            monkeypatch.setattr(evaluation, "BLOCK_FLOATS", block)
         X = sample_sphere(16, Seed(50).generator(), size=300)
         # rows 0-2 score exactly 0.5 against e_0 in any summation order
         X[:3] = 0.0

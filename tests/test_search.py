@@ -243,6 +243,22 @@ class TestGather:
             res = query_binary(bindex, y, mode=mode, **select)
             self._check(res, bindex.index, data.vectors, y)
 
+    def test_equal_sims_rank_like_lexsort(self, uneven):
+        # two rows of unit 2 repeat three times each in unit 3: a scan over
+        # all units holds equal sims and takes the lexsort path, one over
+        # units 0-2 holds none and keeps the argsort order
+        data, index, _ = uneven
+        rows = data.vectors.copy()
+        two = index.member_ids[index.offsets[2]:index.offsets[3]]
+        three = index.member_ids[index.offsets[3]:index.offsets[4]]
+        rows[three[:6]] = rows[two[:2]].repeat(3, axis=0)
+        y = sample_sphere(24, Seed(80).generator())
+        for scores, ties in ((np.ones(4), True), (np.array([1.0, 1.0, 1.0, -1.0]), False)):
+            res = search._scan(index, rows, y, scores, 0.0, None)
+            sims = [s for _, s in res.candidates]
+            assert (len(set(sims)) < len(sims)) == ties
+            self._check(res, index, rows, y)
+
 
 class TestQueryBoundary:
     """Both query paths reject bad input instead of answering."""
