@@ -111,21 +111,16 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     h = d.copy()
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _CF_FPMIN, _CF_FPMIN, c)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _CF_FPMIN, _CF_FPMIN, c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd coefficient of step m, one Lentz update each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
+            c = 1.0 + aa / c
+            c = np.where(np.abs(c) < _CF_FPMIN, _CF_FPMIN, c)
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if np.all(np.abs(delta - 1.0) < _CF_EPS):
             break
     return h

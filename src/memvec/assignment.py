@@ -19,7 +19,6 @@ from .sampling import Seed
 __all__ = [
     "Partition",
     "KMeansConfig",
-    "BatchConfig",
     "random_assignment",
     "spherical_kmeans",
     "batch_assignment",
@@ -97,21 +96,6 @@ class KMeansConfig:
             raise DomainError(f"unknown k-means mode {self.mode!r}")
         if self.M < 1 or self.max_iters < 1:
             raise DomainError("M and max_iters must be >= 1")
-
-
-@dataclass(frozen=True)
-class BatchConfig:
-    """Consecutive batches of size batch_size, each clustered independently
-    by the k-means of ``inner``, seeded from ``inner.seed``."""
-
-    batch_size: int
-    inner: KMeansConfig
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise DomainError("batch_size must be >= 1")
-        if not isinstance(self.inner, KMeansConfig):
-            raise DomainError("inner must be a KMeansConfig")
 
 
 def _check_id_count(N: int) -> None:
@@ -280,29 +264,33 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
         sizes[j] += 1
 
 
-def batch_assignment(dataset: Dataset, cfg: BatchConfig) -> tuple[Partition, np.ndarray]:
-    """Run the inner assignment independently on consecutive batches.
+def batch_assignment(dataset: Dataset, batch_size: int,
+                     inner: KMeansConfig) -> tuple[Partition, np.ndarray]:
+    """Cluster consecutive batches of ``batch_size`` rows independently by
+    the k-means of ``inner``.
 
-    Batch i uses the derived seed ``cfg.inner.seed.child(f"batch{i}")``; the
+    Batch i uses the derived seed ``inner.seed.child(f"batch{i}")``; the
     global partition is the disjoint union with per-batch unit id offsets.
     Its CSR is the batches' CSRs laid end to end, each batch's ids and
     offsets shifted by its first dataset id: the stable sort of the global
     labels, without making them. Returns the partition and the stacked
     per-batch representatives.
     """
+    if batch_size < 1:
+        raise DomainError("batch_size must be >= 1")
+    if not isinstance(inner, KMeansConfig):
+        raise DomainError("inner must be a KMeansConfig")
     N = dataset.size
     _check_id_count(N)
-    B = cfg.batch_size
     order = np.empty(N, dtype=ID_DTYPE)
     offsets_blocks = [np.zeros(1, dtype=ID_DTYPE)]
     reps_blocks = []
     M = 0
-    for i, start in enumerate(range(0, N, B)):
-        stop = min(start + B, N)
+    for i, start in enumerate(range(0, N, batch_size)):
+        stop = min(start + batch_size, N)
         block = Dataset(dataset.vectors[start:stop])
-        inner = replace(cfg.inner, M=min(cfg.inner.M, block.size),
-                        seed=cfg.inner.seed.child(f"batch{i}"))
-        part, reps = spherical_kmeans(block, inner)
+        part, reps = spherical_kmeans(block, replace(
+            inner, M=min(inner.M, block.size), seed=inner.seed.child(f"batch{i}")))
         np.add(part.order, start, out=order[start:stop])
         offsets_blocks.append(part.offsets[1:] + start)
         M += part.M

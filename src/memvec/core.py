@@ -91,9 +91,6 @@ class Dataset:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def __len__(self) -> int:
-        return self.size
-
 
 @dataclass(frozen=True, eq=False)
 class MemoryIndex:

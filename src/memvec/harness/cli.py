@@ -16,8 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .. import analytic
-from ..assignment import BatchConfig, KMeansConfig, batch_assignment, random_assignment, \
-    spherical_kmeans
+from ..assignment import KMeansConfig, batch_assignment, random_assignment, spherical_kmeans
 from ..construction import ConstructionConfig
 from ..core import Dataset
 from ..errors import DomainError, MemvecError
@@ -30,6 +29,10 @@ __all__ = ["main", "build_parser"]
 
 _MP_CHUNK = 1 << 16  # `theory mp` quadrature points per chunk, 0.5 MB per float64 array
 _MP_MAX_POINTS = 1 << 24  # 0.9 s on a 2-core VM; enough for c up to 1 - 2.4e-6
+# the `build` options each --assign mode ignores; giving one is an error
+_IGNORED_BY = {"random": ("M", "normalize", "batch_size"),
+               "kmeans": ("unit_size", "batch_size"),
+               "batch-kmeans": ("unit_size",)}
 
 
 def _write_csv(rows: list[dict], out_path: str | None):
@@ -47,6 +50,8 @@ def _write_csv(rows: list[dict], out_path: str | None):
 
 
 def _cmd_gen(args) -> int:
+    if args.labels_out is not None and not args.clusters:
+        raise MemvecError("--labels-out needs --clusters: uniform data has no labels")
     seed = Seed(args.seed)
     if args.clusters:
         per = args.n // args.clusters
@@ -63,6 +68,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    for dest in _IGNORED_BY[args.assign]:
+        if getattr(args, dest):  # its default is 0 or False
+            raise MemvecError(f"--{dest.replace('_', '-')} has no effect with "
+                              f"--assign {args.assign}")
     data = Dataset(io.read_fvecs(args.data))
     seed = Seed(args.seed)
     cfg = ConstructionConfig(kind=args.construction)
@@ -81,8 +90,7 @@ def _cmd_build(args) -> int:
             raise MemvecError("--M and --batch-size required for batch-kmeans")
         inner = KMeansConfig(M=args.M, mode=args.construction,
                              normalize_representative=args.normalize, seed=seed)
-        part, _ = batch_assignment(data, BatchConfig(batch_size=args.batch_size,
-                                                     inner=inner))
+        part, _ = batch_assignment(data, args.batch_size, inner)
     index = build_index(data, part, cfg)
     io.write_index(index, args.out)
     return 0
@@ -226,11 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="memvec",
                                 description="memory-vector similarity search")
     sub = p.add_subparsers(dest="cmd", required=True)
+    # options several subcommands share, each declared once and handed to
+    # them through ``parents=``
+    out, seed, constructions, h1, cost = (argparse.ArgumentParser(add_help=False)
+                                          for _ in range(5))
+    out.add_argument("--out", default=None)
+    seed.add_argument("--seed", type=int, default=0)
+    constructions.add_argument("--constructions", nargs="+", default=["sum", "pinv"])
+    h1.add_argument("--d", type=int, required=True)
+    h1.add_argument("--n", type=int, required=True)
+    h1.add_argument("--alpha", type=float, required=True)
+    cost.add_argument("--d", type=int, required=True)
+    cost.add_argument("--eps", type=float, required=True)
+    cost.add_argument("--alpha0", type=float, required=True)
 
-    g = sub.add_parser("gen", help="generate a synthetic dataset (fvecs)")
+    g = sub.add_parser("gen", parents=[seed], help="generate a synthetic dataset (fvecs)")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--clusters", type=int, default=0,
                    help="planted cluster count (0 = uniform)")
     g.add_argument("--eta", type=float, default=0.9)
@@ -238,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--labels-out", default=None)
     g.set_defaults(func=_cmd_gen)
 
-    b = sub.add_parser("build", help="build an MVIX index")
+    b = sub.add_parser("build", parents=[seed], help="build an MVIX index")
     b.add_argument("--data", required=True)
     b.add_argument("--assign", choices=["random", "kmeans", "batch-kmeans"],
                    default="random")
@@ -247,88 +267,58 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--M", type=int, default=0)
     b.add_argument("--normalize", action="store_true")
     b.add_argument("--batch-size", type=int, default=0)
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_build)
 
-    q = sub.add_parser("query", help="run queries against an index")
+    q = sub.add_parser("query", parents=[out], help="run queries against an index")
     q.add_argument("--index", required=True)
     q.add_argument("--data", required=True)
     q.add_argument("--queries", required=True)
     sel = q.add_mutually_exclusive_group(required=True)
     sel.add_argument("--tau", type=float, default=None)
     sel.add_argument("--top-units", type=int, default=None)
-    q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_query)
 
-    e = sub.add_parser("eval", help="score query results against ground truth")
+    e = sub.add_parser("eval", parents=[out],
+                       help="score query results against ground truth")
     e.add_argument("--results", required=True)
     e.add_argument("--gt", default=None, help="ivecs match lists (-1 padded)")
     e.add_argument("--alpha0", type=float, default=0.5)
     e.add_argument("--data", default=None)
     e.add_argument("--queries", default=None)
-    e.add_argument("--out", default=None)
     e.set_defaults(func=_cmd_eval)
 
     t = sub.add_parser("theory", help="closed-form curves as CSV")
     tsub = t.add_subparsers(dest="theory_cmd", required=True)
 
-    troc = tsub.add_parser("roc")
-    troc.add_argument("--d", type=int, required=True)
-    troc.add_argument("--n", type=int, required=True)
-    troc.add_argument("--alpha", type=float, required=True)
-    troc.add_argument("--constructions", nargs="+", default=["sum", "pinv"])
+    troc = tsub.add_parser("roc", parents=[h1, constructions, out])
     troc.add_argument("--tau-min", type=float, default=0.0)
     troc.add_argument("--tau-max", type=float, default=0.9)
     troc.add_argument("--tau-steps", type=int, default=19)
-    troc.add_argument("--out", default=None)
 
-    tcost = tsub.add_parser("cost")
-    tcost.add_argument("--d", type=int, required=True)
-    tcost.add_argument("--eps", type=float, required=True)
-    tcost.add_argument("--alpha0", type=float, required=True)
+    tcost = tsub.add_parser("cost", parents=[cost, constructions, out])
     tcost.add_argument("--n-max", type=int, default=500)
-    tcost.add_argument("--constructions", nargs="+", default=["sum", "pinv"])
-    tcost.add_argument("--out", default=None)
 
-    tcap = tsub.add_parser("cap-stats")
-    tcap.add_argument("--d", type=int, required=True)
-    tcap.add_argument("--n", type=int, required=True)
-    tcap.add_argument("--alpha", type=float, required=True)
+    tcap = tsub.add_parser("cap-stats", parents=[h1, constructions, out])
     tcap.add_argument("--etas", type=float, nargs="+",
                       default=[-1.0, -0.5, 0.0, 0.3, 0.6, 0.9])
-    tcap.add_argument("--constructions", nargs="+", default=["sum", "pinv"])
-    tcap.add_argument("--out", default=None)
 
-    tmp = tsub.add_parser("mp")
+    tmp = tsub.add_parser("mp", parents=[out])
     tmp.add_argument("--cs", type=float, nargs="+", default=[0.1, 0.3, 0.5, 0.7])
-    tmp.add_argument("--out", default=None)
     t.set_defaults(func=_cmd_theory)
 
     x = sub.add_parser("experiment", help="Monte Carlo experiment drivers")
     xsub = x.add_subparsers(dest="exp_cmd", required=True)
 
-    xroc = xsub.add_parser("roc")
-    xroc.add_argument("--d", type=int, required=True)
-    xroc.add_argument("--n", type=int, required=True)
-    xroc.add_argument("--alpha", type=float, required=True)
+    xroc = xsub.add_parser("roc", parents=[h1, constructions, seed, out])
     xroc.add_argument("--trials", type=int, default=10000)
-    xroc.add_argument("--constructions", nargs="+", default=["sum", "pinv"])
-    xroc.add_argument("--seed", type=int, default=0)
-    xroc.add_argument("--out", default=None)
 
-    xcost = xsub.add_parser("cost")
-    xcost.add_argument("--d", type=int, required=True)
-    xcost.add_argument("--eps", type=float, required=True)
-    xcost.add_argument("--alpha0", type=float, required=True)
+    xcost = xsub.add_parser("cost", parents=[cost, constructions, seed, out])
     xcost.add_argument("--n-max", type=int, default=200)
     xcost.add_argument("--N", type=int, default=100000)
     xcost.add_argument("--queries", type=int, default=100)
-    xcost.add_argument("--constructions", nargs="+", default=["sum", "pinv"])
-    xcost.add_argument("--seed", type=int, default=0)
-    xcost.add_argument("--out", default=None)
 
-    xas = xsub.add_parser("assignment")
+    xas = xsub.add_parser("assignment", parents=[seed, out])
     xas.add_argument("--clusters", type=int, default=50)
     xas.add_argument("--per-cluster", type=int, default=50)
     xas.add_argument("--d", type=int, default=128)
@@ -344,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="threshold-scan complexity instead of top-k")
     xas.add_argument("--kmeans-iters", type=int, default=None)
     xas.add_argument("--n-seeds", type=int, default=5)
-    xas.add_argument("--seed", type=int, default=0)
-    xas.add_argument("--out", default=None)
     x.set_defaults(func=_cmd_experiment)
 
     return p
@@ -356,10 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MemvecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MemvecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

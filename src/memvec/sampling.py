@@ -1,10 +1,10 @@
 """Seeded synthetic data generation.
 
-Uniform hypersphere vectors, spherical-cap vectors (1-d inverse-CDF on the
-axis correlation, then the H1 perturbation of the axis by it),
-planted-cluster datasets and H1 query vectors. Every operation is
-deterministic given the generator state; parallel workers derive
-independent generators by seed splitting.
+Uniform hypersphere vectors, spherical-cap vectors (a cap is an axis and a
+floor eta on the correlation with it: 1-d inverse-CDF on that correlation,
+then the H1 perturbation of the axis by it), planted-cluster datasets and
+H1 query vectors. Every operation is deterministic given the generator
+state; parallel workers derive independent generators by seed splitting.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import DegenerateCapError, DimensionError, DomainError
 
 __all__ = [
     "Seed",
-    "CapSpec",
     "sample_sphere",
     "sample_cap_correlation",
     "sample_cap",
@@ -43,27 +42,6 @@ class Seed:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(self.value)
-
-
-@dataclass(frozen=True, eq=False)
-class CapSpec:
-    """Spherical cap {x : x'axis > eta}; eta = -1 is the full sphere."""
-
-    axis: np.ndarray
-    eta: float
-
-    def __post_init__(self):
-        axis = normalize(self.axis)
-        if self.eta >= 1.0:
-            raise DegenerateCapError("eta must be < 1")
-        if self.eta < -1.0:
-            raise DomainError("eta must be >= -1")
-        axis.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
-
-    @property
-    def dim(self) -> int:
-        return self.axis.size
 
 
 def sample_sphere(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -124,13 +102,16 @@ def _perturb(x: np.ndarray, alpha, rng: np.random.Generator) -> np.ndarray:
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
-def sample_cap(spec: CapSpec, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Uniform sample from the cap: S' u + sqrt(1 - S'^2) W with W uniform
-    on the unit sphere orthogonal to u, the H1 perturbation of the axis u
-    with alpha = S'."""
+def sample_cap(axis, eta: float, rng: np.random.Generator,
+               size: int | None = None) -> np.ndarray:
+    """Uniform sample from the spherical cap {x : x'u > eta}, u = axis / ||axis||
+    (eta = -1 is the full sphere): S' u + sqrt(1 - S'^2) W with W uniform
+    on the unit sphere orthogonal to u, the H1 perturbation of u with
+    alpha = S'. ``sample_cap_correlation`` checks eta."""
+    u = normalize(axis)
     n = 1 if size is None else size
-    s = np.atleast_1d(sample_cap_correlation(spec.eta, spec.dim, rng, size=n))
-    out = _perturb(np.broadcast_to(spec.axis, (n, spec.dim)), s[:, None], rng)
+    s = np.atleast_1d(sample_cap_correlation(eta, u.size, rng, size=n))
+    out = _perturb(np.broadcast_to(u, (n, u.size)), s[:, None], rng)
     return out[0] if size is None else out
 
 
@@ -153,9 +134,6 @@ def make_clustered_dataset(K: int, per_cluster: int, d: int, eta: float,
     if K < 1 or per_cluster < 1:
         raise DomainError("K and per_cluster must be >= 1")
     axes = sample_sphere(d, rng, size=K)
-    blocks = []
     labels = np.repeat(np.arange(K), per_cluster)
-    for k in range(K):
-        spec = CapSpec(axis=axes[k], eta=eta)
-        blocks.append(np.atleast_2d(sample_cap(spec, rng, size=per_cluster)))
+    blocks = [sample_cap(axis, eta, rng, size=per_cluster) for axis in axes]
     return Dataset(np.vstack(blocks)), labels

@@ -6,7 +6,6 @@ import pytest
 
 from memvec import assignment
 from memvec.assignment import (
-    BatchConfig,
     KMeansConfig,
     Partition,
     batch_assignment,
@@ -134,9 +133,8 @@ class TestAssignmentCSR:
                                                (23, 14)])
     def test_batch_kmeans_inner(self, batch_size, M):
         ds = Dataset(sample_sphere(8, Seed(48).generator(), size=60))
-        p, reps = batch_assignment(ds, BatchConfig(
-            batch_size=batch_size,
-            inner=KMeansConfig(M=M, mode="sum", max_iters=3, seed=Seed(49))))
+        p, reps = batch_assignment(ds, batch_size, KMeansConfig(M=M, mode="sum", max_iters=3,
+                                                                seed=Seed(49)))
         assert reps.shape == (p.M, 8)
         _assert_same_as_rederived(p)
 
@@ -161,8 +159,7 @@ class TestLabelsNotKept:
              "random": lambda: random_assignment(60, 7, Seed(51).generator()),
              "kmeans": lambda: spherical_kmeans(ds, KMeansConfig(M=7, mode="sum",
                                                                  max_iters=3))[0],
-             "batch": lambda: batch_assignment(ds, BatchConfig(
-                 batch_size=23, inner=KMeansConfig(M=5, max_iters=3)))[0]}[make]()
+             "batch": lambda: batch_assignment(ds, 23, KMeansConfig(M=5, max_iters=3))[0]}[make]()
         arrays = {name for name, v in vars(p).items() if isinstance(v, np.ndarray)}
         assert arrays == {"order", "offsets"}
         assert p.order.size == 60 and p.offsets.size == p.M + 1
@@ -179,7 +176,7 @@ class TestLabelsNotKept:
         KMeansConfig(M=4, mode="sum", max_iters=3, seed=Seed(54))])
     def test_batch_labels(self, inner):
         ds = Dataset(sample_sphere(8, Seed(53).generator(), size=60))
-        p, _ = batch_assignment(ds, BatchConfig(batch_size=23, inner=inner))
+        p, _ = batch_assignment(ds, 23, inner)
         labels, M = [], 0
         for i, start in enumerate(range(0, 60, 23)):
             block = Dataset(ds.vectors[start:start + 23])
@@ -471,7 +468,7 @@ class TestBatchAssignment:
         ds = Dataset(sample_sphere(16, Seed(12).generator(), size=80))
         seed = Seed(13)
         inner = KMeansConfig(M=5, mode="sum", seed=seed)
-        bpart, breps = batch_assignment(ds, BatchConfig(batch_size=80, inner=inner))
+        bpart, breps = batch_assignment(ds, 80, inner)
         kpart, kreps = spherical_kmeans(ds, KMeansConfig(
             M=5, mode="sum", seed=seed.child("batch0")))
         assert np.array_equal(bpart.unit_of, kpart.unit_of)
@@ -479,8 +476,7 @@ class TestBatchAssignment:
 
     def test_batches_get_disjoint_unit_ids(self):
         ds = Dataset(sample_sphere(16, Seed(14).generator(), size=100))
-        part, reps = batch_assignment(ds, BatchConfig(
-            batch_size=40, inner=KMeansConfig(M=3, mode="sum", seed=Seed(15))))
+        part, reps = batch_assignment(ds, 40, KMeansConfig(M=3, mode="sum", seed=Seed(15)))
         assert part.M == 9  # 3 + 3 + 3 across batches of 40/40/20
         assert reps.shape == (9, 16)
         # batch i only uses unit ids [3i, 3i+3)
@@ -490,13 +486,13 @@ class TestBatchAssignment:
 
     def test_inner_seed_is_used(self):
         ds = Dataset(sample_sphere(16, Seed(16).generator(), size=100))
-        a, b = (batch_assignment(ds, BatchConfig(
-            batch_size=40, inner=KMeansConfig(M=8, mode="sum", seed=Seed(s))))[0]
-            for s in (17, 18))
+        a, b = (batch_assignment(ds, 40, KMeansConfig(M=8, mode="sum", seed=Seed(s)))[0]
+                for s in (17, 18))
         assert not np.array_equal(a.unit_of, b.unit_of)
 
     def test_config_validation(self):
+        ds = Dataset(sample_sphere(4, Seed(19).generator(), size=10))
         with pytest.raises(DomainError, match="inner must be a KMeansConfig"):
-            BatchConfig(batch_size=10, inner="random")
+            batch_assignment(ds, 10, "random")
         with pytest.raises(DomainError, match="batch_size"):
-            BatchConfig(batch_size=0, inner=KMeansConfig(M=2))
+            batch_assignment(ds, 0, KMeansConfig(M=2))

@@ -32,6 +32,12 @@ class TestGen:
                     "--out", tmp_path / "x.fvecs"])
         assert code == 1
 
+    def test_labels_without_clusters_fail(self, tmp_path, capsys):
+        out, lab = tmp_path / "a.fvecs", tmp_path / "l.ivecs"
+        assert run(["gen", "--n", 100, "--d", 8, "--out", out, "--labels-out", lab]) == 1
+        assert capsys.readouterr().err.startswith("error: --labels-out")
+        assert not out.exists() and not lab.exists()
+
 
 @pytest.fixture
 def pipeline(tmp_path):
@@ -104,6 +110,23 @@ class TestBuildQueryEval:
                     "--construction", "sum", "--M", 5, "--batch-size", 100,
                     "--seed", 2, "--out", out]) == 0
         assert io.read_index(out).num_units == 10  # 5 per batch, 2 batches
+
+    @pytest.mark.parametrize("assign, given, ignored", [
+        ("random", ["--unit-size", 10, "--M", 5, "--normalize"], "--M"),
+        ("random", ["--unit-size", 10, "--normalize"], "--normalize"),
+        ("random", ["--unit-size", 10, "--batch-size", 5], "--batch-size"),
+        ("kmeans", ["--M", 5, "--unit-size", 10], "--unit-size"),
+        ("kmeans", ["--M", 5, "--batch-size", 10], "--batch-size"),
+        ("batch-kmeans", ["--M", 5, "--batch-size", 50, "--unit-size", 10], "--unit-size"),
+    ], ids=["random-M", "random-normalize", "random-batch-size", "kmeans-unit-size",
+            "kmeans-batch-size", "batch-kmeans-unit-size"])
+    def test_option_the_mode_ignores_fails(self, pipeline, assign, given, ignored, capsys):
+        db, _, _, tmp = pipeline
+        out = tmp / "x.mvix"
+        assert run(["build", "--data", db, "--assign", assign, *given, "--out", out]) == 1
+        assert capsys.readouterr().err == (f"error: {ignored} has no effect with "
+                                           f"--assign {assign}\n")
+        assert not out.exists()
 
 
 class TestTheory:

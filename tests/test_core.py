@@ -12,7 +12,6 @@ from memvec.errors import (
     ModelError,
     NormalizationError,
 )
-from memvec.sampling import CapSpec
 from memvec.search import binarize
 
 
@@ -52,7 +51,7 @@ class TestNormalize:
 class TestDataset:
     def test_basic(self):
         ds = Dataset(np.eye(3))
-        assert ds.size == 3 and ds.dim == 3 and len(ds) == 3
+        assert ds.size == 3 and ds.dim == 3
 
     def test_rejects_non_unit_rows(self):
         with pytest.raises(NormalizationError):
@@ -232,8 +231,7 @@ class TestMemoryIndex:
             self._index([[0, 1], [2]], d=0)
 
 
-@pytest.mark.parametrize("name", ["Partition", "Dataset", "MemoryIndex", "BinaryIndex",
-                                  "CapSpec"])
+@pytest.mark.parametrize("name", ["Partition", "Dataset", "MemoryIndex", "BinaryIndex"])
 def test_array_dataclasses_compare_by_identity(name):
     # field-wise == would ask numpy for the truth value of an array
     X = np.eye(3)
@@ -241,8 +239,7 @@ def test_array_dataclasses_compare_by_identity(name):
     make = {"Partition": lambda: Partition(unit_of=np.array([0, 1, 0]), M=2),
             "Dataset": lambda: Dataset(X),
             "MemoryIndex": lambda: MemoryIndex(X[:2], index.offsets, index.member_ids, "sum"),
-            "BinaryIndex": lambda: binarize(index, Dataset(X)),
-            "CapSpec": lambda: CapSpec(axis=X[0], eta=0.5)}[name]
+            "BinaryIndex": lambda: binarize(index, Dataset(X))}[name]
     a, b = make(), make()
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2

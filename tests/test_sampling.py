@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -5,7 +7,6 @@ from scipy.stats import kstest
 from memvec import analytic as A
 from memvec.errors import DegenerateCapError, DimensionError, DomainError
 from memvec.sampling import (
-    CapSpec,
     Seed,
     h1_queries,
     make_clustered_dataset,
@@ -84,8 +85,7 @@ class TestCapSampling:
     def test_sample_cap_geometry(self):
         axis = np.zeros(64)
         axis[3] = 1.0
-        spec = CapSpec(axis=axis, eta=0.5)
-        v = sample_cap(spec, Seed(4).generator(), size=500)
+        v = sample_cap(axis, 0.5, Seed(4).generator(), size=500)
         assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
         assert np.all(v @ axis > 0.5)
 
@@ -99,7 +99,7 @@ class TestCapSampling:
         with pytest.raises(DegenerateCapError):
             sample_cap_correlation(1.0, 10, Seed(0).generator())
         with pytest.raises(DegenerateCapError):
-            CapSpec(axis=np.ones(4), eta=1.0)
+            sample_cap(np.ones(4), 1.0, Seed(0).generator())
 
 
 class TestH1Queries:
@@ -163,3 +163,29 @@ class TestClusteredDataset:
         a, _ = make_clustered_dataset(3, 10, 16, 0.9, Seed(1).generator())
         b, _ = make_clustered_dataset(3, 10, 16, 0.9, Seed(1).generator())
         assert np.array_equal(a.vectors, b.vectors)
+
+
+class TestGeneratorBits:
+    """sha256 of the generators' float64 bytes at fixed seeds, so a change to
+    the cap sampler's draw order or arithmetic fails here, not only in a
+    statistic. The axis is scaled by 2.5, so ``sample_cap`` must normalize."""
+
+    @pytest.mark.parametrize("d, digest", [
+        (2, "f074c53f4e9ac6781e8d5a297da4d581a0a1b40a7716336c4792c1c8c1130f3a"),
+        (24, "cb82618a86986c75c3731411ae7b4315b862091673bdb431d78ea114bce208b8"),
+        (128, "c7ed9619dcf1907163fae41418b99a91f625a11d3c32285a07bb0b08a8017a58")])
+    def test_clustered_dataset(self, d, digest):
+        ds, labels = make_clustered_dataset(3, 5, d, 0.7, Seed(30 + d).generator())
+        data = ds.vectors.tobytes() + labels.astype(np.int64).tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("d, digest", [
+        (2, "fd3ccbed7b1c743c94c53a90a58869d536f094d73068c84de87cd7de468b383a"),
+        (24, "c1107ed22a88b96e21edb7507b9ddb341e1b16b2700a384ecda138073fffd15b"),
+        (128, "f218e152350e684e0d6a9825d326477de69ca58f5c37b10dc430e0e5d500b536")])
+    def test_sample_cap(self, d, digest):
+        rng = Seed(40 + d).generator()
+        axis = 2.5 * sample_sphere(d, rng)
+        out = np.concatenate([sample_cap(axis, 0.5, rng, size=6).ravel(),
+                              sample_cap(axis, -0.3, rng)])
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
