@@ -150,13 +150,15 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     if cfg.M > N:
         raise DomainError("M must not exceed the dataset size")
     rng = cfg.seed.generator()
-    # widened, so the first step's norms and scores are float64 like the rest
+    # widened, so the first step's scores are float64 like the rest
     reps = X[rng.choice(N, size=cfg.M, replace=False)].astype(np.float64, copy=False)
     construction = ConstructionConfig(kind=cfg.mode)
+    # X never changes, so its row norms are computed once, without an (N, d) temporary
+    xnorm = np.sqrt(np.einsum("ij,ij->i", X, X, dtype=np.float64))
 
     labels = None
     for _ in range(cfg.max_iters):
-        new_labels = _nearest(X, reps)
+        new_labels = _nearest(X, xnorm, reps)
         _fill_empty_units(new_labels, cfg.M, rng)
 
         if labels is not None and np.array_equal(new_labels, labels):
@@ -174,64 +176,57 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
 _PRUNE_SLACK = 1e-9  # relative margin over the Cauchy-Schwarz bound for rounding
 
 
-def _nearest(X: np.ndarray, reps: np.ndarray) -> np.ndarray:
+def _nearest(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """``np.argmax(X @ reps.T, axis=1)``, ties to the lowest unit id,
-    without the (N, M) score matrix.
+    without the (N, M) score matrix; ``xnorm`` holds the row norms of X.
 
     Units are split into norm bands, from the longest down: each band
     holds the remaining units whose norm is at least half the largest
-    remaining one. Bands are scored in turn over the rows still open, in
-    blocks of rows. A unit of a later band scores at most ||x|| * that
-    band's largest norm (Cauchy-Schwarz), so a row whose best score clears
-    the next band's bound is closed and skips every later band.
+    remaining one. Every band, the first included, is scored the same way
+    over the rows still open, in blocks of rows. A unit of a later band
+    scores at most ||x|| * that band's largest norm (Cauchy-Schwarz), so a
+    row whose best score clears the next band's bound is closed and skips
+    every later band. The row norms enter only that bound, whose slack
+    covers their rounding.
 
     X is used as stored: each block of rows is copied (widened, when X is
-    float32) into one float64 buffer per band, so every score and row norm
-    is computed in float64. A mixed float32 @ float64 matmul would cast
-    into a fresh array on every call, which is slower.
+    float32) into one float64 buffer per band, so every score is computed
+    in float64. A mixed float32 @ float64 matmul would cast into a fresh
+    array on every call, which is slower.
     """
     rnorm = np.sqrt(np.einsum("ij,ij->i", reps, reps))
     order = np.argsort(-rnorm, kind="stable")
     desc = rnorm[order]
-    xnorm = np.empty(len(X))  # row norms, filled from the first band's blocks
     best = np.full(len(X), -np.inf)
     labels = np.zeros(len(X), dtype=np.int64)
-    open_rows = None  # the first band scores every row
+    open_rows = np.arange(len(X))
     first = 0
-    while first < len(desc):
+    while first < len(desc) and open_rows.size:
         # desc is non-increasing, so the band is a prefix of desc[first:]; it
         # holds at least its first unit (all the rest when that norm is 0)
         last = first + int(np.count_nonzero(desc[first:] >= 0.5 * desc[first]))
         ids = np.sort(order[first:last])
         band = reps[ids]
-        count = len(X) if open_rows is None else open_rows.size
         rows = max(1, BLOCK_FLOATS // max(len(ids), X.shape[1]))
         # one float64 row block and one score block per band, reused
-        buf = np.empty((min(rows, count), X.shape[1]))
+        buf = np.empty((min(rows, open_rows.size), X.shape[1]))
         score_buf = np.empty((len(buf), len(ids)))
-        for start in range(0, count, rows):
-            at = (slice(start, start + rows) if open_rows is None
-                  else open_rows[start:start + rows])
-            block = buf[:min(rows, count - start)]
+        for start in range(0, open_rows.size, rows):
+            at = open_rows[start:start + rows]
+            block = buf[:len(at)]
             block[...] = X[at]
-            scores = np.matmul(block, band.T, out=score_buf[:len(block)])
+            scores = np.matmul(block, band.T, out=score_buf[:len(at)])
             arg = np.argmax(scores, axis=1)
             b_best = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
             b_lab = ids[arg]
-            if open_rows is None:
-                best[at], labels[at] = b_best, b_lab
-                xnorm[at] = np.sqrt(np.einsum("ij,ij->i", block, block))
-                continue
             o_best, o_lab = best[at], labels[at]
             win = (b_best > o_best) | ((b_best == o_best) & (b_lab < o_lab))
             best[at] = np.where(win, b_best, o_best)
             labels[at] = np.where(win, b_lab, o_lab)
-        if last < len(desc):
-            # best only grows and bounds only shrink, so closed rows stay closed
-            open_rows = np.flatnonzero(best <= xnorm * (desc[last] * (1.0 + _PRUNE_SLACK)))
-            if open_rows.size == 0:
-                break
         first = last
+        if first < len(desc):
+            # best only grows and bounds only shrink, so closed rows stay closed
+            open_rows = np.flatnonzero(best <= xnorm * (desc[first] * (1.0 + _PRUNE_SLACK)))
     return labels
 
 
@@ -239,12 +234,12 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
     """Give each empty unit, in id order, a seeded-random member of the
     then-largest unit (lowest id among equals), in place.
 
-    Unit sizes are updated after each steal, and the ascending member
-    pool of a unit is taken, as a list, from one stable argsort and loses
-    the stolen id in place, so the draws match a fresh
-    ``bincount``/``flatnonzero`` per empty unit. A filled unit holds one
-    member while some unit still holds two or more, so it is never the
-    largest and needs no pool.
+    The donor's size drops after each steal, and the ascending member pool
+    of a unit is taken, as a list, from one stable argsort and loses the
+    stolen id in place, so the draws match a fresh ``bincount``/
+    ``flatnonzero`` per empty unit. A filled unit holds one member while
+    some unit still holds two or more, so it is never the largest: it
+    needs no pool, and its size is never read again.
     """
     sizes = np.bincount(labels, minlength=M)
     empties = np.flatnonzero(sizes == 0)
@@ -261,7 +256,6 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
         stolen = pool.pop(rng.integers(len(pool)))
         labels[stolen] = j
         sizes[largest] -= 1
-        sizes[j] += 1
 
 
 def batch_assignment(dataset: Dataset, batch_size: int,

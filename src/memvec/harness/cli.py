@@ -115,17 +115,21 @@ def _cmd_query(args) -> int:
 def _cmd_eval(args) -> int:
     retrieved, ratios = _read_results(args.results)
     if args.gt:
-        gt = io.read_ivecs(args.gt)
-        matches = [row[row >= 0] for row in gt]
+        for dest in ("data", "queries", "alpha0"):
+            if getattr(args, dest) is not None:
+                raise MemvecError(f"--{dest} has no effect with --gt")
+        alpha0 = ""  # given match lists have no threshold
+        matches = [row[row >= 0] for row in io.read_ivecs(args.gt)]
     elif args.data and args.queries:
+        alpha0 = 0.5 if args.alpha0 is None else args.alpha0
         data = Dataset(io.read_fvecs(args.data))
         queries = io.read_fvecs(args.queries)
-        matches = cosine_ground_truth(data, queries, args.alpha0)
+        matches = cosine_ground_truth(data, queries, alpha0)
     else:
         raise MemvecError("eval needs --gt, or --data and --queries")
     report = evaluate_results(retrieved, matches, np.asarray(ratios))
     row = {
-        "alpha0": args.alpha0,
+        "alpha0": alpha0,
         "recall_of_matches": report.recall_of_matches,
         "precision": report.precision,
         "mean_complexity_ratio": report.mean_complexity_ratio,
@@ -283,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="score query results against ground truth")
     e.add_argument("--results", required=True)
     e.add_argument("--gt", default=None, help="ivecs match lists (-1 padded)")
-    e.add_argument("--alpha0", type=float, default=0.5)
+    e.add_argument("--alpha0", type=float, default=None,
+                   help="cosine ground-truth threshold (default 0.5); not with --gt")
     e.add_argument("--data", default=None)
     e.add_argument("--queries", default=None)
     e.set_defaults(func=_cmd_eval)

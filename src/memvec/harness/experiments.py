@@ -107,7 +107,7 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
         reps[first:first + len(m)] = m
     queries = sample_sphere(d, rng, size=n_queries)
     scores = queries @ reps.T  # (Q, M)
-    scanned = np.where(scores > tau, sizes[None, :], 0).sum(axis=1)
+    scanned = (scores > tau) @ sizes
     ratios = (M + scanned) / N
     theory = expected_cost_ratio(construction, n, d, alpha0, eps)
     return {

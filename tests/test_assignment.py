@@ -291,8 +291,10 @@ class TestNearest:
             monkeypatch.setattr(assignment, "BLOCK_FLOATS", request.param)
 
     @staticmethod
-    def _check(X, R):
-        got = assignment._nearest(X, R)
+    def _check(X, R, xnorm=None):
+        if xnorm is None:
+            xnorm = np.sqrt(np.einsum("ij,ij->i", X, X))
+        got = assignment._nearest(X, xnorm, R)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.argmax(X @ R.T, axis=1))
         return got
@@ -323,6 +325,10 @@ class TestNearest:
         pruned = self._pruned(X, R)
         assert pruned.any() and not pruned.all()
         self._check(X, R)
+        # float32 rows, float64 norms as spherical_kmeans computes them
+        X32 = X.astype(np.float32)
+        assert self._pruned(X32, R).any()
+        self._check(X32, R, np.sqrt(np.einsum("ij,ij->i", X32, X32, dtype=np.float64)))
 
     def test_equal_norms_do_not_prune(self, blocks):
         R = sample_sphere(12, Seed(34).generator(), size=40)
@@ -365,7 +371,9 @@ class TestNearest:
         R = sample_sphere(16, Seed(39).generator(), size=48) * scales[:, None]
         R[[0, 9, 20, 30]] = X[[0, 25, 50, 75]] * scales[[0, 9, 20, 30], None]
         assert len(np.unique(self._closing_band(X, R))) >= 3
+        # the norms enter only the bound: computed two ways, the same labels
         self._check(X, R)
+        self._check(X, R, np.linalg.norm(X, axis=1))
 
     def test_ties_within_and_across_bands_and_zero_units(self, blocks):
         # bands {3, 5}, {1}, {0}, {2, 4}; x = e0 scores 1 on a unit of each
@@ -387,12 +395,28 @@ class TestNearest:
         R = sample_sphere(64, Seed(41).generator(), size=8) * 0.3 ** np.arange(8)[:, None]
         tracemalloc.start()
         try:
-            got = assignment._nearest(X, R)
+            got = assignment._nearest(X, np.sqrt(np.einsum("ij,ij->i", X, X)), R)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, np.argmax(X @ R.T, axis=1))
         assert peak <= 4 * 2**20
+
+    def test_rows_closed_after_the_first_band_skip_the_rest(self, blocks, monkeypatch):
+        R = sample_sphere(8, Seed(42).generator(), size=24)
+        R[16:] *= np.repeat([1e-2, 1e-4], 4)[:, None]  # bands of 16, 4 and 4 units
+        X = sample_sphere(8, Seed(43).generator(), size=60)
+        assert np.all(self._closing_band(X, R) == 1)
+        widths = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            widths.append(b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        self._check(X, R)
+        assert widths and set(widths) == {16}
 
     def test_single_unit(self, blocks):
         R = sample_sphere(5, Seed(36).generator(), size=1)
@@ -426,7 +450,7 @@ class TestKMeansAgainstReference:
         M = 150
         reps = 0.1 * sample_sphere(24, Seed(40).generator(), size=M)
         reps[:8] = 50.0 * X[::50]  # eight long units take every row
-        labels = assignment._nearest(X, reps)
+        labels = assignment._nearest(X, np.sqrt(np.einsum("ij,ij->i", X, X)), reps)
         assert np.unique(labels).size <= 8
         ref = labels.copy()
         rng, ref_rng = Seed(41).generator(), Seed(41).generator()

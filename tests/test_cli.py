@@ -3,8 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+from memvec.core import Dataset
 from memvec.harness import io
 from memvec.harness.cli import main
+from memvec.harness.evaluation import cosine_ground_truth
 
 
 def run(argv):
@@ -85,6 +87,42 @@ class TestBuildQueryEval:
             row = next(csv.DictReader(handle))
         # every unit positive means exhaustive search: full recall
         assert float(row["recall_of_matches"]) == 1.0
+
+    @staticmethod
+    def _eval_row(argv):
+        assert run(argv) == 0
+        with open(argv[argv.index("--out") + 1], newline="") as handle:
+            return next(csv.DictReader(handle))
+
+    def test_eval_from_given_gt_matches_cosine(self, pipeline):
+        db, q, idx, tmp = pipeline
+        res, gt = tmp / "res.csv", tmp / "gt.ivecs"
+        run(["query", "--index", idx, "--data", db, "--queries", q,
+             "--tau", 0.2, "--out", res])
+        matches = cosine_ground_truth(Dataset(io.read_fvecs(db)), io.read_fvecs(q), 0.5)
+        width = max(len(m) for m in matches) + 2  # every row padded, some to the end
+        padded = np.full((len(matches), width), -1)
+        for row, m in zip(padded, matches):
+            row[:len(m)] = m
+        io.write_ivecs(padded, gt)
+        given = self._eval_row(["eval", "--results", res, "--gt", gt,
+                                "--out", tmp / "given.csv"])
+        cosine = self._eval_row(["eval", "--results", res, "--data", db,
+                                 "--queries", q, "--out", tmp / "cosine.csv"])
+        assert given.pop("alpha0") == "" and cosine.pop("alpha0") == "0.5"
+        assert given == cosine
+        assert 0.0 < float(given["recall_of_matches"])
+
+    @pytest.mark.parametrize("option", ["--data", "--queries", "--alpha0"])
+    def test_eval_gt_rejects_cosine_options(self, pipeline, option, capsys):
+        db, q, idx, tmp = pipeline
+        res, gt = tmp / "res.csv", tmp / "gt.ivecs"
+        run(["query", "--index", idx, "--data", db, "--queries", q,
+             "--tau", 0.2, "--out", res])
+        io.write_ivecs(np.full((4, 1), -1), gt)
+        value = {"--data": db, "--queries": q, "--alpha0": 0.5}[option]
+        assert run(["eval", "--results", res, "--gt", gt, option, value]) == 1
+        assert capsys.readouterr().err == f"error: {option} has no effect with --gt\n"
 
     def test_query_deterministic(self, pipeline):
         db, q, idx, tmp = pipeline
