@@ -34,8 +34,7 @@ __all__ = [
     "threshold_for",
     "expected_cost_ratio",
     "cap_moment",
-    "sum_cap_stats",
-    "pinv_cap_stats",
+    "cap_stats",
     "mp_pinv_norm_limit",
     "mp_pdf",
     "gaussian_kl",
@@ -223,8 +222,8 @@ def score_sf_log(s, m_norm: float, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def score_law(construction: str, hypothesis: str, alpha: float, n: int, d: int) -> ScoreLaw:
-    """Gaussian score law of m'Y for one construction and hypothesis.
+def score_law(construction: str, alpha: float, n: int, d: int) -> tuple[ScoreLaw, ScoreLaw]:
+    """Gaussian score laws (H0, H1) of m'Y for one construction.
 
     sum:  H0 N(0, n/d),      H1 N(alpha, (n-1)/d)
     pinv: H0 N(0, n/(d-n)),  H1 N(alpha, beta^2 n/(d-n)),  beta^2 = 1 - alpha^2
@@ -237,13 +236,9 @@ def score_law(construction: str, hypothesis: str, alpha: float, n: int, d: int) 
         raise DomainError("pinv law requires n < d")
     if not 0.0 <= alpha <= 1.0:  # NaN fails too
         raise DomainError("alpha must lie in [0, 1]")
-    if hypothesis == "H0":
-        return ScoreLaw(0.0, n / d if construction == "sum" else n / (d - n))
-    if hypothesis != "H1":
-        raise DomainError(f"unknown hypothesis {hypothesis!r}")
     if construction == "sum":
-        return ScoreLaw(alpha, (n - 1) / d)
-    return ScoreLaw(alpha, (1.0 - alpha * alpha) * n / (d - n))
+        return ScoreLaw(0.0, n / d), ScoreLaw(alpha, (n - 1) / d)
+    return ScoreLaw(0.0, n / (d - n)), ScoreLaw(alpha, (1.0 - alpha * alpha) * n / (d - n))
 
 
 def error_rates(construction: str, tau: float, alpha: float, n: int, d: int) -> tuple[float, float]:
@@ -253,8 +248,7 @@ def error_rates(construction: str, tau: float, alpha: float, n: int, d: int) -> 
     """
     if math.isnan(tau):
         raise DomainError("tau is NaN")
-    h0 = score_law(construction, "H0", alpha, n, d)
-    h1 = score_law(construction, "H1", alpha, n, d)
+    h0, h1 = score_law(construction, alpha, n, d)
     pfp = 1.0 - std_normal_cdf(tau * math.sqrt(1.0 / h0.variance))
     if h1.variance == 0.0:  # the H1 score is exactly alpha
         pfn = 0.0 if tau < alpha else 1.0
@@ -269,8 +263,8 @@ def threshold_for(construction: str, alpha0: float, n: int, d: int, eps: float) 
         raise DomainError("eps must lie in (0, 1/2)")
     if not 0.0 < alpha0 <= 1.0:
         raise DomainError("alpha0 must lie in (0, 1]")
-    law = score_law(construction, "H1", alpha0, n, d)
-    return float(alpha0 + math.sqrt(law.variance) * std_normal_quantile(eps))
+    _, h1 = score_law(construction, alpha0, n, d)
+    return float(alpha0 + math.sqrt(h1.variance) * std_normal_quantile(eps))
 
 
 def expected_cost_ratio(construction: str, n: int, d: int, alpha0: float, eps: float) -> CostReport:
@@ -300,8 +294,8 @@ def cap_moment(kappa: int, eta: float, d: int) -> float:
         raise DomainError("cap moments require d >= 2")
     if eta >= 1.0:
         raise DegenerateCapError("eta must be < 1")
-    if eta < -1.0:
-        raise DomainError("eta must be >= -1")
+    if not eta >= -1.0:  # NaN fails too
+        raise DomainError(f"eta must be >= -1, got {eta}")
     if eta > _ETA_ONE:  # cap collapses onto the axis
         return 1.0
 
@@ -325,59 +319,40 @@ def gaussian_kl(mean0: float, var0: float, mean1: float, var1: float) -> float:
                  + (var0 + (mean0 - mean1) ** 2) / (2.0 * var1) - 0.5)
 
 
-def _cap_moments(eta: float, d: int, n: int, alpha: float) -> tuple[float, float, float]:
-    """Checked cap-stats arguments: (mu1, mu2, beta^2 = 1 - alpha^2)."""
+def cap_stats(construction: str, eta: float, d: int, n: int, alpha: float) -> CapStats:
+    """Score statistics of one construction when unit members are uniform
+    on a cap of cosine threshold eta.
+
+    sum: exact moments; the H1 variance sums four components treated as
+    uncorrelated (interference, orthogonal-noise interference and the two
+    projections of the query noise).
+    pinv: the H0 and H1 variances come from the Sherman-Morrison lower
+    bound on E||m*||^2; they are approximations, flagged by ``bound_based``.
+    """
+    if construction not in ("sum", "pinv"):
+        raise DomainError(f"unknown construction {construction!r}")
     if n < 2 or d <= n:
         raise DomainError("need 2 <= n < d")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
-    return cap_moment(1, eta, d), cap_moment(2, eta, d), 1.0 - alpha * alpha
+    mu1, mu2, beta2 = cap_moment(1, eta, d), cap_moment(2, eta, d), 1.0 - alpha * alpha
 
-
-def sum_cap_stats(eta: float, d: int, n: int, alpha: float) -> CapStats:
-    """Score statistics of the sum construction when unit members are
-    uniform on a cap of cosine threshold eta.
-
-    H1 variance is the sum of the four variance components (interference,
-    orthogonal-noise interference, and the two projections of the query
-    noise), treated as uncorrelated.
-    """
-    mu1, mu2, beta2 = _cap_moments(eta, d, n, alpha)
-
-    h0_mean = 0.0
-    h0_var = (n + n * (n - 1) * mu1**2) / d
-    h1_mean = alpha * (1.0 + (n - 1) * mu1**2)
-    v_interf = alpha**2 * (n - 1) * (mu2**2 - mu1**4)
-    v_orth = alpha**2 * (n - 1) / (d - 1) * (1.0 - mu2) ** 2
-    v_z_axis = beta2 * (n - 1) / (d - 1) * (1.0 - mu2) * mu2
-    v_z_perp = beta2 * (n - 1) / (d - 1) * (1.0 - mu2) * (1.0 + (n - 2) * mu1**2)
-    h1_var = v_interf + v_orth + v_z_axis + v_z_perp
-
-    if h1_var > 0.0 and h0_var > 0.0:
-        kl = gaussian_kl(h0_mean, h0_var, h1_mean, h1_var)
+    if construction == "sum":
+        h0_var = (n + n * (n - 1) * mu1**2) / d
+        h1_mean = alpha * (1.0 + (n - 1) * mu1**2)
+        v_interf = alpha**2 * (n - 1) * (mu2**2 - mu1**4)
+        v_orth = alpha**2 * (n - 1) / (d - 1) * (1.0 - mu2) ** 2
+        v_z_axis = beta2 * (n - 1) / (d - 1) * (1.0 - mu2) * mu2
+        v_z_perp = beta2 * (n - 1) / (d - 1) * (1.0 - mu2) * (1.0 + (n - 2) * mu1**2)
+        h1_var = v_interf + v_orth + v_z_axis + v_z_perp
     else:
-        kl = math.inf
-    return CapStats(eta=eta, mu1=mu1, mu2=mu2, h0_mean=h0_mean, h0_var=h0_var,
-                    h1_mean=h1_mean, h1_var=h1_var, kl=kl)
-
-
-def pinv_cap_stats(eta: float, d: int, n: int, alpha: float) -> CapStats:
-    """Bound-based score statistics of the pinv construction on a cap.
-
-    H0 variance and H1 variance come from the Sherman-Morrison lower
-    bound on E||m*||^2; they are approximations, flagged by
-    ``bound_based``.
-    """
-    mu1, mu2, beta2 = _cap_moments(eta, d, n, alpha)
-
-    h0_var = n / (d * (1.0 + (n - 1) * mu2))
-    h1_var = beta2 / (d - 1) * (n - 1) * (1.0 - mu2) / (1.0 + (n - 1) * mu2)
-    if h1_var > 0.0:
-        kl = gaussian_kl(0.0, h0_var, alpha, h1_var)
-    else:
-        kl = math.inf
+        h0_var = n / (d * (1.0 + (n - 1) * mu2))
+        h1_mean = alpha
+        h1_var = beta2 / (d - 1) * (n - 1) * (1.0 - mu2) / (1.0 + (n - 1) * mu2)
+    kl = gaussian_kl(0.0, h0_var, h1_mean, h1_var) if h1_var > 0.0 else math.inf
     return CapStats(eta=eta, mu1=mu1, mu2=mu2, h0_mean=0.0, h0_var=h0_var,
-                    h1_mean=alpha, h1_var=h1_var, kl=kl, bound_based=True)
+                    h1_mean=h1_mean, h1_var=h1_var, kl=kl,
+                    bound_based=construction == "pinv")
 
 
 # ---------------------------------------------------------------------------

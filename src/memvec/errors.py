@@ -22,7 +22,8 @@ class DegenerateCapError(DomainError):
 
 
 class ModelError(MemvecError):
-    """Inconsistent query model (e.g. H1 without a planted id)."""
+    """An index or sign sketch whose parts disagree (construction tag, CSR
+    offsets, member ids, code bytes)."""
 
 
 class EmptyUnitError(MemvecError):

@@ -179,13 +179,12 @@ def _cmd_theory(args) -> int:
                              "pfp": pfp, "tpr": 1.0 - pfn})
     elif args.theory_cmd == "cost":
         n_values = list(range(1, args.n_max + 1))
-        rows = experiments.run_cost_curve(args.d, args.eps, [args.alpha0],
+        rows = experiments.run_cost_curve(args.d, args.eps, args.alpha0,
                                           n_values, args.constructions)
     elif args.theory_cmd == "cap-stats":
         for eta in args.etas:
             for construction in args.constructions:
-                stats = (analytic.sum_cap_stats if construction == "sum"
-                         else analytic.pinv_cap_stats)(eta, args.d, args.n, args.alpha)
+                stats = analytic.cap_stats(construction, eta, args.d, args.n, args.alpha)
                 # asdict repeats eta; a repeated key keeps its first place
                 rows.append({"construction": construction, "eta": eta, "d": args.d,
                              "n": args.n, "alpha": args.alpha, **asdict(stats)})
@@ -221,7 +220,7 @@ def _cmd_experiment(args) -> int:
     elif args.exp_cmd == "cost":
         n_values = list(range(1, args.n_max + 1))
         rows = experiments.run_cost_curve(
-            args.d, args.eps, [args.alpha0], n_values, args.constructions,
+            args.d, args.eps, args.alpha0, n_values, args.constructions,
             mc={"N": args.N, "queries": args.queries}, seed=seed)
     else:  # assignment
         data, _ = make_clustered_dataset(args.clusters, args.per_cluster, args.d,

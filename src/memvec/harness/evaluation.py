@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import BLOCK_FLOATS, Dataset
-from ..errors import DimensionError
+from ..errors import DimensionError, DomainError
 
 __all__ = ["EvalReport", "cosine_ground_truth", "evaluate_results"]
 
@@ -37,6 +37,8 @@ def cosine_ground_truth(dataset: Dataset, queries: np.ndarray,
     float64 buffer, so neither the (Q, N) score matrix nor a float64 copy
     of the dataset is made.
     """
+    if np.isnan(alpha0):
+        raise DomainError("alpha0 is NaN")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != dataset.dim:
         raise DimensionError("query dimension mismatch")

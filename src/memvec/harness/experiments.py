@@ -120,11 +120,11 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
     }
 
 
-def run_cost_curve(d: int, eps: float, alpha0s: list[float], n_values: list[int],
+def run_cost_curve(d: int, eps: float, alpha0: float, n_values: list[int],
                    constructions: list[str], mc: dict | None = None,
                    seed: Seed | None = None) -> list[dict]:
-    """Theoretical C_H0/N curves over n, optionally validated by Monte
-    Carlo at the per-curve argmin.
+    """Theoretical C_H0/N curves over n, one per construction, optionally
+    validated by Monte Carlo at the per-curve argmin.
 
     ``mc`` takes {"N": ..., "queries": ...}; when given, a ``ratio_mc``
     column is filled at the argmin of each curve.
@@ -133,27 +133,26 @@ def run_cost_curve(d: int, eps: float, alpha0s: list[float], n_values: list[int]
         raise DomainError("need at least one n (n_max >= 1)")
     rows = []
     for construction in constructions:
-        for alpha0 in alpha0s:
-            curve = []
-            for n in n_values:
-                if construction == "pinv" and n >= d:
-                    continue
-                rep = expected_cost_ratio(construction, n, d, alpha0, eps)
-                curve.append({
-                    "construction": construction,
-                    "alpha0": alpha0,
-                    "n": n,
-                    "tau": rep.tau,
-                    "pfp": rep.pfp,
-                    "ratio_theory": rep.cost_ratio,
-                    "ratio_mc": "",
-                })
-            if mc and curve:
-                best = min(curve, key=lambda r: r["ratio_theory"])
-                measured = measure_cost(construction, best["n"], d, alpha0, eps,
-                                        mc["N"], mc["queries"], seed or Seed(0))
-                best["ratio_mc"] = measured["ratio_mc"]
-            rows.extend(curve)
+        curve = []
+        for n in n_values:
+            if construction == "pinv" and n >= d:
+                continue
+            rep = expected_cost_ratio(construction, n, d, alpha0, eps)
+            curve.append({
+                "construction": construction,
+                "alpha0": alpha0,
+                "n": n,
+                "tau": rep.tau,
+                "pfp": rep.pfp,
+                "ratio_theory": rep.cost_ratio,
+                "ratio_mc": "",
+            })
+        if mc and curve:
+            best = min(curve, key=lambda r: r["ratio_theory"])
+            measured = measure_cost(construction, best["n"], d, alpha0, eps,
+                                    mc["N"], mc["queries"], seed or Seed(0))
+            best["ratio_mc"] = measured["ratio_mc"]
+        rows.extend(curve)
     if not rows:
         raise DomainError("no curve has a point (pinv needs n < d)")
     return rows
@@ -182,6 +181,8 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
     """
     if n_queries < 1 or not seeds or not 1 <= top_k <= M:
         raise DomainError("need n_queries >= 1, n_seeds >= 1 and 1 <= top_k <= M")
+    if tau is not None and np.isnan(tau):
+        raise DomainError("tau is NaN")
     N = dataset.size
     qrng = seed.child("queries").generator()
     planted = qrng.integers(N, size=n_queries)

@@ -71,8 +71,8 @@ def sample_cap_correlation(eta: float, d: int, rng: np.random.Generator,
     """
     if eta >= 1.0:
         raise DegenerateCapError("eta must be < 1")
-    if eta < -1.0:
-        raise DomainError("eta must be >= -1")
+    if not eta >= -1.0:  # NaN fails too
+        raise DomainError(f"eta must be >= -1, got {eta}")
     if d < 2:
         raise DimensionError("cap sampling requires d >= 2")
     n = 1 if size is None else size

@@ -188,7 +188,7 @@ def test_06_cost_curve():
     d, eps, alpha0 = 1000, 0.01, 0.9
     details = []
     for construction in ("sum", "pinv"):
-        rows = run_cost_curve(d, eps, [alpha0], list(range(2, 200)), [construction])
+        rows = run_cost_curve(d, eps, alpha0, list(range(2, 200)), [construction])
         ratios = [r["ratio_theory"] for r in rows]
         pfps = [r["pfp"] for r in rows]
         ns = [r["n"] for r in rows]
@@ -294,7 +294,7 @@ def test_08_cap_statistics():
         scores = _cap_unit_scores(eta, d, n, alpha, trials,
                                   _SEED.child(f"c8-{eta}").generator())
         h0, h1 = scores["sum"]
-        st = A.sum_cap_stats(eta, d, n, alpha)
+        st = A.cap_stats("sum", eta, d, n, alpha)
         checks = [
             (float(np.mean(h0)), st.h0_mean, _se_mean(h0)),
             (float(np.var(h0)), st.h0_var, _se_var(h0)),
@@ -310,7 +310,7 @@ def test_08_cap_statistics():
                      f"vs formula {st.h1_var:.6f}")
 
         h0p, h1p = scores["pinv"]
-        pst = A.pinv_cap_stats(eta, d, n, alpha)
+        pst = A.cap_stats("pinv", eta, d, n, alpha)
         mean_dev = abs(float(np.mean(h1p)) - alpha) / _se_mean(h1p)
         assert mean_dev <= 3.0, (eta, float(np.mean(h1p)), mean_dev)
         # one-sided: the variance bound is a floor within 3 SE slack
@@ -328,8 +328,8 @@ def test_08_cap_statistics():
 def test_09_kl_monotone():
     etas = (-1.0, -0.5, 0.0, 0.3, 0.6, 0.9)
     details = []
-    for name, fn in (("sum", A.sum_cap_stats), ("pinv", A.pinv_cap_stats)):
-        kls = [fn(eta, 512, 10, 0.5).kl for eta in etas]
+    for name in ("sum", "pinv"):
+        kls = [A.cap_stats(name, eta, 512, 10, 0.5).kl for eta in etas]
         assert all(b >= a - 1e-9 for a, b in zip(kls, kls[1:])), (name, kls)
         details.append(f"{name}: " + " <= ".join(f"{k:.3g}" for k in kls))
     _report(9, "KL monotone", "; ".join(details))

@@ -225,12 +225,11 @@ class TestErrorRates:
         with pytest.raises(DomainError, match="tau is NaN"):
             A.error_rates(construction, math.nan, 0.5, 10, 100)
 
-    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
     @pytest.mark.parametrize("alpha", [2.0, -0.1, math.nan])
-    def test_score_law_alpha_outside_unit_interval_rejected(self, alpha, hypothesis):
+    def test_score_law_alpha_outside_unit_interval_rejected(self, alpha):
         for construction in ("sum", "pinv"):
             with pytest.raises(DomainError, match=r"alpha must lie in \[0, 1\]"):
-                A.score_law(construction, hypothesis, alpha, 10, 100)
+                A.score_law(construction, alpha, 10, 100)
 
     def test_threshold_hits_target_fn_rate(self):
         for construction in ("sum", "pinv"):
@@ -289,6 +288,9 @@ class TestCapMoments:
             A.cap_moment(1, 1.0, 10)
         with pytest.raises(DomainError):
             A.cap_moment(3, 0.0, 10)
+        for eta in (-1.5, math.nan):
+            with pytest.raises(DomainError, match=f"eta must be >= -1, got {eta}"):
+                A.cap_moment(1, eta, 10)
 
 
 class TestGaussianKL:
@@ -311,28 +313,30 @@ class TestGaussianKL:
 class TestCapStats:
     def test_full_sphere_matches_uniform_law(self):
         d, n, alpha = 512, 10, 0.5
-        s = A.sum_cap_stats(-1.0, d, n, alpha)
+        s = A.cap_stats("sum", -1.0, d, n, alpha)
         assert s.h0_mean == 0.0
         assert s.h0_var == pytest.approx(n / d, rel=1e-12)
         assert s.h1_mean == pytest.approx(alpha, rel=1e-12)
         # uniform members: interference variance per member is 1/d each way
         assert s.h1_var == pytest.approx((n - 1) / d, rel=0.05)
-        p = A.pinv_cap_stats(-1.0, d, n, alpha)
+        p = A.cap_stats("pinv", -1.0, d, n, alpha)
         assert p.h0_var == pytest.approx(n / (d - n), rel=0.05)
         assert p.h1_var == pytest.approx((1 - alpha**2) * n / (d - n), rel=0.15)
-        assert p.bound_based
+        assert p.bound_based and not s.bound_based
 
     def test_kl_monotone_in_cap_tightness(self):
         etas = [-1.0, -0.5, 0.0, 0.3, 0.6, 0.9]
-        for fn in (A.sum_cap_stats, A.pinv_cap_stats):
-            kls = [fn(eta, 512, 10, 0.5).kl for eta in etas]
+        for construction in ("sum", "pinv"):
+            kls = [A.cap_stats(construction, eta, 512, 10, 0.5).kl for eta in etas]
             assert all(b >= a - 1e-9 for a, b in zip(kls, kls[1:])), kls
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            A.sum_cap_stats(0.0, 10, 10, 0.5)
+            A.cap_stats("sum", 0.0, 10, 10, 0.5)
         with pytest.raises(DomainError):
-            A.pinv_cap_stats(0.0, 512, 10, 1.5)
+            A.cap_stats("pinv", 0.0, 512, 10, 1.5)
+        with pytest.raises(DomainError, match="unknown construction 'mean'"):
+            A.cap_stats("mean", 0.0, 512, 10, 0.5)
 
 
 class TestMarcenkoPastur:

@@ -34,6 +34,13 @@ class TestGen:
                     "--out", tmp_path / "x.fvecs"])
         assert code == 1
 
+    def test_nan_eta_fails(self, tmp_path, capsys):
+        out = tmp_path / "c.fvecs"
+        assert run(["gen", "--n", 40, "--d", 8, "--clusters", 4, "--eta", "nan",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == "error: eta must be >= -1, got nan\n"
+        assert not out.exists()
+
     def test_labels_without_clusters_fail(self, tmp_path, capsys):
         out, lab = tmp_path / "a.fvecs", tmp_path / "l.ivecs"
         assert run(["gen", "--n", 100, "--d", 8, "--out", out, "--labels-out", lab]) == 1
@@ -112,6 +119,15 @@ class TestBuildQueryEval:
         assert given.pop("alpha0") == "" and cosine.pop("alpha0") == "0.5"
         assert given == cosine
         assert 0.0 < float(given["recall_of_matches"])
+
+    def test_eval_nan_alpha0_is_1(self, pipeline, capsys):
+        db, q, idx, tmp = pipeline
+        res = tmp / "res.csv"
+        run(["query", "--index", idx, "--data", db, "--queries", q,
+             "--tau", 0.2, "--out", res])
+        assert run(["eval", "--results", res, "--data", db, "--queries", q,
+                    "--alpha0", "nan"]) == 1
+        assert capsys.readouterr().err == "error: alpha0 is NaN\n"
 
     @pytest.mark.parametrize("option", ["--data", "--queries", "--alpha0"])
     def test_eval_gt_rejects_cosine_options(self, pipeline, option, capsys):
@@ -236,6 +252,24 @@ class TestExitCodes:
         assert run(["theory", "roc", "--d", 100, "--n", 10, "--alpha", 0.7,
                     "--tau-min", "nan"]) == 1
         assert "tau is NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, says", [
+        (["theory", "cap-stats", "--d", 128, "--n", 10, "--alpha", 0.8,
+          "--constructions", "foo"], "unknown construction 'foo'"),
+        (["theory", "cap-stats", "--d", 128, "--n", 10, "--alpha", 0.8, "--etas", "nan"],
+         "eta must be >= -1, got nan"),
+        (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
+          "--M", 4, "--top-k", 4, "--queries", 5, "--n-seeds", 1, "--tau", "nan"],
+         "tau is NaN"),
+        (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
+          "--M", 4, "--top-k", 4, "--queries", 5, "--n-seeds", 1, "--alpha0", "nan"],
+         "alpha0 is NaN"),
+    ], ids=["cap-stats-construction", "cap-stats-nan-eta", "assignment-nan-tau",
+            "assignment-nan-alpha0"])
+    def test_bad_input_is_1_and_prints_no_rows(self, argv, says, capsys):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {says}\n"
 
     @pytest.mark.parametrize("argv, says", [
         (["experiment", "roc", "--d", 16, "--n", 4, "--alpha", 0.8, "--trials", 0],

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from memvec.core import Dataset
+from memvec.errors import DomainError
 from memvec.harness import evaluation
 from memvec.harness.evaluation import (
     RECALL_RANKS,
@@ -34,6 +36,10 @@ class TestGroundTruth:
         data = Dataset(np.eye(2))
         matches = cosine_ground_truth(data, np.array([[1.0, 0.0]]), 1.0)
         assert matches[0].tolist() == [0]
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DomainError, match="alpha0 is NaN"):
+            cosine_ground_truth(Dataset(np.eye(2)), np.array([[1.0, 0.0]]), math.nan)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "small-blocks"])
@@ -141,8 +147,7 @@ class TestSimulateUnitScores:
 
         rng = Seed(2).generator()
         h0, h1 = simulate_unit_scores(400, 8, 0.7, "sum", 4000, rng)
-        law0 = score_law("sum", "H0", 0.7, 8, 400)
-        law1 = score_law("sum", "H1", 0.7, 8, 400)
+        law0, law1 = score_law("sum", 0.7, 8, 400)
         assert np.mean(h0) == pytest.approx(law0.mean, abs=0.01)
         assert np.var(h0) == pytest.approx(law0.variance, rel=0.15)
         assert np.mean(h1) == pytest.approx(law1.mean, abs=0.01)
@@ -171,12 +176,12 @@ class TestRunRoc:
 
 class TestCostCurve:
     def test_theory_rows(self):
-        rows = run_cost_curve(1000, 0.01, [0.9], list(range(1, 30)), ["sum"])
+        rows = run_cost_curve(1000, 0.01, 0.9, list(range(1, 30)), ["sum"])
         assert all(r["ratio_theory"] == pytest.approx(1 / r["n"] + r["pfp"])
                    for r in rows)
 
     def test_mc_fills_argmin_only(self):
-        rows = run_cost_curve(300, 0.05, [0.9], [5, 10, 20], ["pinv"],
+        rows = run_cost_curve(300, 0.05, 0.9, [5, 10, 20], ["pinv"],
                               mc={"N": 2000, "queries": 10}, seed=Seed(6))
         filled = [r for r in rows if r["ratio_mc"] != ""]
         assert len(filled) == 1
@@ -203,3 +208,9 @@ class TestAssignmentReport:
                                    "matches_per_positive", "p_match_rank1"}
         # clustering concentrates matches into fewer units
         assert km_row["matches_per_positive"] > random_row["matches_per_positive"]
+
+    def test_nan_tau_rejected(self):
+        data, _ = make_clustered_dataset(4, 10, 16, 0.9, Seed(8).generator())
+        with pytest.raises(DomainError, match="tau is NaN"):
+            run_assignment_report(data, ["random"], 4, [0], alpha=0.9, alpha0=0.6,
+                                  n_queries=5, top_k=2, seed=Seed(9), tau=math.nan)

@@ -101,6 +101,11 @@ class TestCapSampling:
         with pytest.raises(DegenerateCapError):
             sample_cap(np.ones(4), 1.0, Seed(0).generator())
 
+    @pytest.mark.parametrize("eta", [-1.5, float("nan")])
+    def test_eta_below_minus_one_rejected(self, eta):
+        with pytest.raises(DomainError, match=f"eta must be >= -1, got {eta}"):
+            sample_cap_correlation(eta, 10, Seed(0).generator())
+
 
 class TestH1Queries:
     def test_h1_geometry(self):
