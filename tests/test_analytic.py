@@ -225,11 +225,14 @@ class TestErrorRates:
         with pytest.raises(DomainError, match="tau is NaN"):
             A.error_rates(construction, math.nan, 0.5, 10, 100)
 
+    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
     @pytest.mark.parametrize("alpha", [2.0, -0.1, math.nan])
-    def test_score_law_alpha_outside_unit_interval_rejected(self, alpha):
+    def test_score_law_alpha_outside_unit_interval_rejected(self, alpha, hypothesis):
+        # the H0 law does not depend on alpha, yet a bad alpha yields neither law
+        which = ("H0", "H1").index(hypothesis)
         for construction in ("sum", "pinv"):
             with pytest.raises(DomainError, match=r"alpha must lie in \[0, 1\]"):
-                A.score_law(construction, alpha, 10, 100)
+                A.score_law(construction, alpha, 10, 100)[which]
 
     def test_threshold_hits_target_fn_rate(self):
         for construction in ("sum", "pinv"):
