@@ -11,13 +11,11 @@ pipeline; `harness` adds file formats, evaluation and experiment drivers.
 from . import analytic, assignment, construction, sampling, search
 from .core import Dataset, MemoryIndex, normalize
 from .errors import (
-    DegenerateCapError,
     DimensionError,
     DomainError,
     EmptyUnitError,
     FormatError,
     MemvecError,
-    ModeError,
     ModelError,
     NormalizationError,
     SingularGramError,
@@ -38,11 +36,9 @@ __all__ = [
     "NormalizationError",
     "DimensionError",
     "DomainError",
-    "DegenerateCapError",
     "ModelError",
     "EmptyUnitError",
     "SingularGramError",
     "FormatError",
-    "ModeError",
     "__version__",
 ]

@@ -7,8 +7,8 @@ probabilities, the threshold/cost model, cap moments, cap-conditioned score
 statistics for both constructions, the Marcenko-Pastur norm limit and
 Gaussian KL divergence.
 
-All functions accept scalars; the normal CDF and quantile, ``score_sf_log``
-and ``mp_pdf`` also accept numpy arrays in their first argument.
+All functions accept scalars; ``score_sf_log`` and ``mp_pdf`` also accept
+numpy arrays in their first argument.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCapError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "ScoreLaw",
@@ -157,30 +157,21 @@ def _log_betainc(a: float, b: float, x) -> np.ndarray:
 
 
 _SQRT2 = math.sqrt(2.0)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+_NORMAL = statistics.NormalDist()
 
 
-def std_normal_cdf(x):
+def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function
-    (``math.erfc``, so no scipy at run time). Returns a float for scalar
-    or 0-d input and a float64 array otherwise."""
-    x = np.asarray(x, dtype=np.float64)
-    out = 0.5 * np.asarray(_erfc(-x / _SQRT2), dtype=np.float64)
-    return float(out) if out.ndim == 0 else out
+    (``math.erfc``, so no scipy at run time)."""
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
-_inv_cdf = np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)
-
-
-def std_normal_quantile(p):
+def std_normal_quantile(p: float) -> float:
     """Standard normal quantile (inverse CDF) via ``statistics.NormalDist``
-    (Wichura's AS241, near full double precision). Requires p in (0, 1).
-    Returns a float for scalar or 0-d input and a float64 array otherwise."""
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all((p > 0.0) & (p < 1.0)):
+    (Wichura's AS241, near full double precision). Requires p in (0, 1)."""
+    if not 0.0 < p < 1.0:  # NaN fails too
         raise DomainError("quantile requires p in (0, 1)")
-    x = np.asarray(_inv_cdf(p), dtype=np.float64)
-    return float(x) if x.ndim == 0 else x
+    return _NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +245,7 @@ def error_rates(construction: str, tau: float, alpha: float, n: int, d: int) -> 
         pfn = 0.0 if tau < alpha else 1.0
     else:
         pfn = std_normal_cdf((tau - alpha) * math.sqrt(1.0 / h1.variance))
-    return float(pfp), float(pfn)
+    return pfp, pfn
 
 
 def threshold_for(construction: str, alpha0: float, n: int, d: int, eps: float) -> float:
@@ -293,7 +284,7 @@ def cap_moment(kappa: int, eta: float, d: int) -> float:
     if d < 2:
         raise DomainError("cap moments require d >= 2")
     if eta >= 1.0:
-        raise DegenerateCapError("eta must be < 1")
+        raise DomainError("eta must be < 1")
     if not eta >= -1.0:  # NaN fails too
         raise DomainError(f"eta must be >= -1, got {eta}")
     if eta > _ETA_ONE:  # cap collapses onto the axis

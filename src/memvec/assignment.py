@@ -258,8 +258,7 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
         sizes[largest] -= 1
 
 
-def batch_assignment(dataset: Dataset, batch_size: int,
-                     inner: KMeansConfig) -> tuple[Partition, np.ndarray]:
+def batch_assignment(dataset: Dataset, batch_size: int, inner: KMeansConfig) -> Partition:
     """Cluster consecutive batches of ``batch_size`` rows independently by
     the k-means of ``inner``.
 
@@ -267,8 +266,7 @@ def batch_assignment(dataset: Dataset, batch_size: int,
     global partition is the disjoint union with per-batch unit id offsets.
     Its CSR is the batches' CSRs laid end to end, each batch's ids and
     offsets shifted by its first dataset id: the stable sort of the global
-    labels, without making them. Returns the partition and the stacked
-    per-batch representatives.
+    labels, without making them.
     """
     if batch_size < 1:
         raise DomainError("batch_size must be >= 1")
@@ -278,19 +276,16 @@ def batch_assignment(dataset: Dataset, batch_size: int,
     _check_id_count(N)
     order = np.empty(N, dtype=ID_DTYPE)
     offsets_blocks = [np.zeros(1, dtype=ID_DTYPE)]
-    reps_blocks = []
     M = 0
     for i, start in enumerate(range(0, N, batch_size)):
         stop = min(start + batch_size, N)
         block = Dataset(dataset.vectors[start:stop])
-        part, reps = spherical_kmeans(block, replace(
+        part, _ = spherical_kmeans(block, replace(
             inner, M=min(inner.M, block.size), seed=inner.seed.child(f"batch{i}")))
         np.add(part.order, start, out=order[start:stop])
         offsets_blocks.append(part.offsets[1:] + start)
         M += part.M
-        reps_blocks.append(reps)
-    part = Partition._from_csr(M, order, np.concatenate(offsets_blocks))
-    return part, np.vstack(reps_blocks)
+    return Partition._from_csr(M, order, np.concatenate(offsets_blocks))
 
 
 def imbalance_factor(p: Partition) -> float:

@@ -76,8 +76,7 @@ def _batches(sizes: np.ndarray, n: int, step: int):
 
 
 def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
-                    cfg: ConstructionConfig | None = None,
-                    report: dict | None = None) -> np.ndarray:
+                    cfg: ConstructionConfig, report: dict | None = None) -> np.ndarray:
     """(M, d) representatives of the CSR units ``X[member_ids[offsets[j]:
     offsets[j + 1]]]``, gathered in (b, n, d) batches of equal size n.
     X is used as stored (float32 or float64); each batch is widened to
@@ -90,7 +89,6 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     their representatives, do not depend on the batch. A passed dict
     receives ``fallbacks``, the units that took the ridge, and
     ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
-    cfg = cfg or ConstructionConfig()
     X = np.asarray(X)
     sizes = np.diff(offsets)
     if np.any(sizes <= 0):

@@ -17,10 +17,6 @@ class DomainError(MemvecError):
     """Argument outside the mathematical domain of a function."""
 
 
-class DegenerateCapError(DomainError):
-    """Spherical cap with eta >= 1 has zero measure."""
-
-
 class ModelError(MemvecError):
     """An index or sign sketch whose parts disagree (construction tag, CSR
     offsets, member ids, code bytes)."""
@@ -42,7 +38,3 @@ class FormatError(MemvecError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class ModeError(MemvecError):
-    """Unknown mode tag for a binary search operation."""

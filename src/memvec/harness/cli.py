@@ -90,7 +90,7 @@ def _cmd_build(args) -> int:
             raise MemvecError("--M and --batch-size required for batch-kmeans")
         inner = KMeansConfig(M=args.M, mode=args.construction,
                              normalize_representative=args.normalize, seed=seed)
-        part, _ = batch_assignment(data, args.batch_size, inner)
+        part = batch_assignment(data, args.batch_size, inner)
     index = build_index(data, part, cfg)
     io.write_index(index, args.out)
     return 0
@@ -143,7 +143,8 @@ def _cmd_eval(args) -> int:
 
 def _read_results(path: str) -> tuple[list[np.ndarray], list[float]]:
     """Parse a `query` output CSV back into per-query ranked id lists.
-    A missing column or a value that does not parse raises MemvecError."""
+    A missing column, a value that does not parse or query ids that are
+    not 0..K-1 raise MemvecError."""
     per_query: dict[int, list[int]] = {}
     ratios: dict[int, float] = {}
     with open(path, newline="") as handle:
@@ -160,7 +161,12 @@ def _read_results(path: str) -> tuple[list[np.ndarray], list[float]]:
                     per_query[qid].append(int(row["dataset_id"]))
             except (TypeError, ValueError) as exc:
                 raise MemvecError(f"{path}, line {reader.line_num}: {exc}") from None
-    qids = sorted(per_query)
+    # list k is scored against match list k, so a skipped id would shift the rest
+    qids = range(len(per_query))
+    missing = [q for q in qids if q not in per_query]
+    if missing:
+        raise MemvecError(f"{path}: no rows for query {missing[0]}; "
+                          f"query ids must run 0..{len(per_query) - 1}")
     return ([np.asarray(per_query[q], dtype=np.int64) for q in qids],
             [ratios[q] for q in qids])
 

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _UNIT_BATCH_FLOATS = 4_000_000  # ~32 MB of member vectors per batch
+_ROC_TAUS = [round(t, 4) for t in np.linspace(0.0, 0.8, 17)]
 
 
 def _stream_units(d: int, n: int, units: int, construction: str,
@@ -66,15 +67,13 @@ def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
 
 
 def run_roc(d: int, n: int, alpha: float, constructions: list[str], trials: int,
-            seed: Seed, taus: list[float] | None = None) -> list[dict]:
-    """Empirical vs theoretical (pfp, 1 - pfn) over a threshold sweep."""
-    if taus is None:
-        taus = [round(t, 4) for t in np.linspace(0.0, 0.8, 17)]
+            seed: Seed) -> list[dict]:
+    """Empirical vs theoretical (pfp, 1 - pfn) over the thresholds 0, 0.05, ..., 0.8."""
     rows = []
     for construction in constructions:
         rng = seed.child(f"roc-{construction}").generator()
         h0, h1 = simulate_unit_scores(d, n, alpha, construction, trials, rng)
-        for tau in taus:
+        for tau in _ROC_TAUS:
             pfp_t, pfn_t = error_rates(construction, tau, alpha, n, d)
             rows.append({
                 "construction": construction,

@@ -109,12 +109,18 @@ def write_ivecs(arr: np.ndarray, path):
 
 
 def write_index(index: MemoryIndex, path):
-    """Serialize a MemoryIndex into the MVIX container."""
+    """Serialize a MemoryIndex into the MVIX container. A representative
+    beyond the float32 range raises FormatError before the file is opened."""
+    try:
+        with np.errstate(over="raise"):
+            reps = index.representatives.astype("<f4")
+    except FloatingPointError:
+        raise FormatError("a representative overflows float32") from None
     with open(path, "wb") as f:
         f.write(_MAGIC + bytes([_VERSION]))
         f.write(struct.pack("<4I", index.dim, index.total, index.num_units,
                             _TAGS[index.construction]))
-        index.representatives.astype("<f4").tofile(f)
+        reps.tofile(f)
         # each unit's uint32 count goes in front of its ids
         np.insert(index.member_ids.astype("<u4"), index.offsets[:-1],
                   index.sizes.astype("<u4")).tofile(f)

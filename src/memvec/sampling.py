@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytic import score_sf_log
 from .core import Dataset, normalize
-from .errors import DegenerateCapError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "Seed",
@@ -44,51 +44,44 @@ class Seed:
         return np.random.default_rng(self.value)
 
 
-def sample_sphere(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Uniform unit vectors: d standard normals, normalized.
-
-    Returns shape (d,) when size is None, else (size, d).
-    """
+def sample_sphere(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, d) uniform unit vectors: d standard normals per row, normalized."""
     if d < 1:
         raise DimensionError("d must be >= 1")
-    n = 1 if size is None else size
-    g = rng.standard_normal((n, d))
+    g = rng.standard_normal((size, d))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     while np.any(norms == 0.0):  # measure-zero redraw
         bad = norms[:, 0] == 0.0
         g[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
-    out = g / norms
-    return out[0] if size is None else out
+    return g / norms
 
 
 def sample_cap_correlation(eta: float, d: int, rng: np.random.Generator,
-                           size: int | None = None):
-    """Draw the axis correlation S' of a uniform cap sample, S' in (eta, 1].
+                           size: int) -> np.ndarray:
+    """Draw ``size`` axis correlations S' of uniform cap samples, S' in (eta, 1].
 
     Inverts the restricted score CDF by bisection on the log survival
     function (stable for narrow caps); |Delta S'| <= 1e-10.
     """
     if eta >= 1.0:
-        raise DegenerateCapError("eta must be < 1")
+        raise DomainError("eta must be < 1")
     if not eta >= -1.0:  # NaN fails too
         raise DomainError(f"eta must be >= -1, got {eta}")
     if d < 2:
         raise DimensionError("cap sampling requires d >= 2")
-    n = 1 if size is None else size
     # v in (0, 1]: solve sf(s) = v * sf(eta)
-    v = 1.0 - rng.random(n)
+    v = 1.0 - rng.random(size)
     log_sf_eta = score_sf_log(np.array([eta]), 1.0, d)[0]
     target = np.log(v) + log_sf_eta
-    lo = np.full(n, eta, dtype=np.float64)
-    hi = np.ones(n, dtype=np.float64)
+    lo = np.full(size, eta, dtype=np.float64)
+    hi = np.ones(size, dtype=np.float64)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         above = score_sf_log(mid, 1.0, d) > target  # sf decreasing in s
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if size is None else out
+    return 0.5 * (lo + hi)
 
 
 def _perturb(x: np.ndarray, alpha, rng: np.random.Generator) -> np.ndarray:
@@ -102,17 +95,14 @@ def _perturb(x: np.ndarray, alpha, rng: np.random.Generator) -> np.ndarray:
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
-def sample_cap(axis, eta: float, rng: np.random.Generator,
-               size: int | None = None) -> np.ndarray:
-    """Uniform sample from the spherical cap {x : x'u > eta}, u = axis / ||axis||
-    (eta = -1 is the full sphere): S' u + sqrt(1 - S'^2) W with W uniform
-    on the unit sphere orthogonal to u, the H1 perturbation of u with
-    alpha = S'. ``sample_cap_correlation`` checks eta."""
+def sample_cap(axis, eta: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, d) uniform sample from the spherical cap {x : x'u > eta},
+    u = axis / ||axis|| (eta = -1 is the full sphere): S' u + sqrt(1 - S'^2) W
+    with W uniform on the unit sphere orthogonal to u, the H1 perturbation
+    of u with alpha = S'. ``sample_cap_correlation`` checks eta."""
     u = normalize(axis)
-    n = 1 if size is None else size
-    s = np.atleast_1d(sample_cap_correlation(eta, u.size, rng, size=n))
-    out = _perturb(np.broadcast_to(u, (n, u.size)), s[:, None], rng)
-    return out[0] if size is None else out
+    s = sample_cap_correlation(eta, u.size, rng, size)
+    return _perturb(np.broadcast_to(u, (size, u.size)), s[:, None], rng)
 
 
 def h1_queries(planted: np.ndarray, alpha: float, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .assignment import Partition
 from .construction import ConstructionConfig, representatives
 from .core import FILE_NORM_TOL, Dataset, MemoryIndex
-from .errors import DimensionError, DomainError, ModeError, ModelError, NormalizationError
+from .errors import DimensionError, DomainError, ModelError, NormalizationError
 
 __all__ = [
     "QueryResult",
@@ -44,12 +44,10 @@ class QueryResult:
     complexity_ratio: float
 
 
-def build_index(dataset: Dataset, partition: Partition,
-                cfg: ConstructionConfig | None = None) -> MemoryIndex:
+def build_index(dataset: Dataset, partition: Partition, cfg: ConstructionConfig) -> MemoryIndex:
     """One memory unit per partition cell, representative per the
     construction config. The index shares the partition's CSR arrays.
     Units that took the pinv ridge fallback are logged as a warning."""
-    cfg = cfg or ConstructionConfig()
     if partition.N != dataset.size:
         raise DimensionError("partition size does not match the dataset")
     report = {}
@@ -169,10 +167,6 @@ class BinaryIndex:
         codes.setflags(write=False)
         object.__setattr__(self, "unit_codes", codes)
 
-    @property
-    def dim(self) -> int:
-        return self.index.dim
-
 
 def _pack_signs(A: np.ndarray) -> np.ndarray:
     """Packed sign codes of the rows of A, binarized a chunk of rows at a time."""
@@ -226,7 +220,7 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
     these normalized scores. Candidates re-rank with real inner products.
     """
     if mode not in ("symmetric", "asymmetric"):
-        raise ModeError(f"unknown binary mode {mode!r}")
+        raise DomainError(f"unknown binary mode {mode!r}")
     y = _checked_query(bindex.index, bindex.dataset, y)
     if mode == "symmetric":
         unit_scores = _symmetric_scores(bindex.unit_codes, np.packbits(y >= 0.0), y.size)

@@ -5,12 +5,14 @@ inner products behind them are computed coefficient by coefficient.
 ``pinv_vector`` is ``representatives`` on a single unit. The score law of
 Y'm, for Y uniform on the sphere and a fixed m, is given here as a CDF, a
 density and the large-d Gaussian CDF; the library keeps only its log
-survival, ``analytic.score_sf_log``.
+survival, ``analytic.score_sf_log``. ``cap_moment_quadrature`` integrates
+that density over a cap, against ``analytic.cap_moment``.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from memvec.analytic import log_beta, score_sf_log, std_normal_cdf
 from memvec.construction import ConstructionConfig, representatives
@@ -80,7 +82,23 @@ def score_cdf_gauss(s, m_norm: float, d: int, simplified: bool = False):
         arg = t * math.sqrt(d)
     else:
         arg = math.sqrt(d - 1) * 2.0 * t / (1.0 + np.sqrt(1.0 - t * t))
-    out = np.atleast_1d(std_normal_cdf(arg))
+    out = np.array([std_normal_cdf(a) for a in arg])
     out[s <= -m_norm] = 0.0
     out[s >= m_norm] = 1.0
     return float(out[0]) if scalar else out
+
+
+def cap_moment_quadrature(kappa: int, eta: float, d: int) -> float:
+    """kappa-th moment of S' on the cap S' > eta: restricted moments of the
+    exact score density, computed on an integrand scaled by its value at eta
+    so narrow caps at large d do not underflow."""
+    b = (d - 3) / 2.0
+    ref = math.log1p(-eta * eta) if eta > -1.0 else 0.0
+
+    def g(s, k):
+        return s**k * math.exp(b * (math.log1p(-s * s) - ref)) if abs(s) < 1.0 else 0.0
+
+    # full_output silences the near-machine-precision roundoff warning
+    num = quad(g, eta, 1.0, args=(kappa,), epsabs=1e-14, limit=500, full_output=1)[0]
+    den = quad(g, eta, 1.0, args=(0,), epsabs=1e-14, limit=500, full_output=1)[0]
+    return num / den

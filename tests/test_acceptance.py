@@ -31,6 +31,7 @@ from memvec.sampling import Seed, h1_queries, make_clustered_dataset, \
 from memvec.search import binarize, build_index, query, query_binary
 
 from oracles import (
+    cap_moment_quadrature,
     hamming_inner,
     pinv_vector,
     score_cdf_exact,
@@ -211,25 +212,12 @@ def test_06_cost_curve():
 # ---------------------------------------------------------------------------
 
 
-def _cap_moment_oracle(kappa, eta, d):
-    b = (d - 3) / 2.0
-    ref = math.log1p(-eta * eta)
-
-    def g(s, k):
-        return s**k * math.exp(b * (math.log1p(-s * s) - ref)) if abs(s) < 1.0 else 0.0
-
-    # full_output silences the near-machine-precision roundoff warning
-    num = quad(g, eta, 1.0, args=(kappa,), epsabs=1e-14, limit=500, full_output=1)[0]
-    den = quad(g, eta, 1.0, args=(0,), epsabs=1e-14, limit=500, full_output=1)[0]
-    return num / den
-
-
 def test_07_cap_moments():
     worst = 0.0
     for d in (8, 64, 512, 1000):
         for eta in (-0.5, 0.0, 0.3, 0.6, 0.9):  # 20 (eta, d) points
             for kappa in (1, 2):
-                err = abs(A.cap_moment(kappa, eta, d) - _cap_moment_oracle(kappa, eta, d))
+                err = abs(A.cap_moment(kappa, eta, d) - cap_moment_quadrature(kappa, eta, d))
                 worst = max(worst, err)
                 assert err <= 1e-6, (kappa, eta, d, err)
     for d in (2, 8, 100, 1000):

@@ -133,9 +133,8 @@ class TestAssignmentCSR:
                                                (23, 14)])
     def test_batch_kmeans_inner(self, batch_size, M):
         ds = Dataset(sample_sphere(8, Seed(48).generator(), size=60))
-        p, reps = batch_assignment(ds, batch_size, KMeansConfig(M=M, mode="sum", max_iters=3,
-                                                                seed=Seed(49)))
-        assert reps.shape == (p.M, 8)
+        p = batch_assignment(ds, batch_size, KMeansConfig(M=M, mode="sum", max_iters=3,
+                                                          seed=Seed(49)))
         _assert_same_as_rederived(p)
 
 
@@ -159,7 +158,7 @@ class TestLabelsNotKept:
              "random": lambda: random_assignment(60, 7, Seed(51).generator()),
              "kmeans": lambda: spherical_kmeans(ds, KMeansConfig(M=7, mode="sum",
                                                                  max_iters=3))[0],
-             "batch": lambda: batch_assignment(ds, 23, KMeansConfig(M=5, max_iters=3))[0]}[make]()
+             "batch": lambda: batch_assignment(ds, 23, KMeansConfig(M=5, max_iters=3))}[make]()
         arrays = {name for name, v in vars(p).items() if isinstance(v, np.ndarray)}
         assert arrays == {"order", "offsets"}
         assert p.order.size == 60 and p.offsets.size == p.M + 1
@@ -176,7 +175,7 @@ class TestLabelsNotKept:
         KMeansConfig(M=4, mode="sum", max_iters=3, seed=Seed(54))])
     def test_batch_labels(self, inner):
         ds = Dataset(sample_sphere(8, Seed(53).generator(), size=60))
-        p, _ = batch_assignment(ds, 23, inner)
+        p = batch_assignment(ds, 23, inner)
         labels, M = [], 0
         for i, start in enumerate(range(0, 60, 23)):
             block = Dataset(ds.vectors[start:start + 23])
@@ -492,17 +491,15 @@ class TestBatchAssignment:
         ds = Dataset(sample_sphere(16, Seed(12).generator(), size=80))
         seed = Seed(13)
         inner = KMeansConfig(M=5, mode="sum", seed=seed)
-        bpart, breps = batch_assignment(ds, 80, inner)
-        kpart, kreps = spherical_kmeans(ds, KMeansConfig(
+        bpart = batch_assignment(ds, 80, inner)
+        kpart, _ = spherical_kmeans(ds, KMeansConfig(
             M=5, mode="sum", seed=seed.child("batch0")))
         assert np.array_equal(bpart.unit_of, kpart.unit_of)
-        assert np.array_equal(breps, kreps)
 
     def test_batches_get_disjoint_unit_ids(self):
         ds = Dataset(sample_sphere(16, Seed(14).generator(), size=100))
-        part, reps = batch_assignment(ds, 40, KMeansConfig(M=3, mode="sum", seed=Seed(15)))
+        part = batch_assignment(ds, 40, KMeansConfig(M=3, mode="sum", seed=Seed(15)))
         assert part.M == 9  # 3 + 3 + 3 across batches of 40/40/20
-        assert reps.shape == (9, 16)
         # batch i only uses unit ids [3i, 3i+3)
         assert np.all(part.unit_of[:40] < 3)
         assert np.all((part.unit_of[40:80] >= 3) & (part.unit_of[40:80] < 6))
@@ -510,7 +507,7 @@ class TestBatchAssignment:
 
     def test_inner_seed_is_used(self):
         ds = Dataset(sample_sphere(16, Seed(16).generator(), size=100))
-        a, b = (batch_assignment(ds, 40, KMeansConfig(M=8, mode="sum", seed=Seed(s)))[0]
+        a, b = (batch_assignment(ds, 40, KMeansConfig(M=8, mode="sum", seed=Seed(s)))
                 for s in (17, 18))
         assert not np.array_equal(a.unit_of, b.unit_of)
 

@@ -129,6 +129,18 @@ class TestBuildQueryEval:
                     "--alpha0", "nan"]) == 1
         assert capsys.readouterr().err == "error: alpha0 is NaN\n"
 
+    def test_eval_results_that_skip_a_query_is_1(self, pipeline, capsys):
+        # list k is scored against match list k: ids 0, 1, 3 would score
+        # query 3 against the third list
+        tmp = pipeline[3]
+        res, gt = tmp / "gap.csv", tmp / "gt.ivecs"
+        res.write_text("query,rank,dataset_id,complexity_ratio\n"
+                       "0,1,5,0.1\n1,1,6,0.1\n3,1,7,0.1\n")
+        io.write_ivecs(np.array([[5], [6], [7]]), gt)
+        assert run(["eval", "--results", res, "--gt", gt]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {res}: no rows for query 2; query ids must run 0..2\n")
+
     @pytest.mark.parametrize("option", ["--data", "--queries", "--alpha0"])
     def test_eval_gt_rejects_cosine_options(self, pipeline, option, capsys):
         db, q, idx, tmp = pipeline

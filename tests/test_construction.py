@@ -50,8 +50,8 @@ class TestPinvVector:
 
     def test_duplicate_members_fall_back_to_ridge(self):
         rng = Seed(3).generator()
-        x = sample_sphere(20, rng)
-        X = np.vstack([x, x, sample_sphere(20, rng)])
+        x = sample_sphere(20, rng, size=1)[0]
+        X = np.vstack([x, x, sample_sphere(20, rng, size=1)[0]])
         report = {}
         m = pinv_vector(X, report=report)
         assert report["fallbacks"] == 1
@@ -84,7 +84,8 @@ class TestPinvVector:
         X = sample_sphere(8, Seed(8).generator(), size=9)
         X[3:6] = 0.0
         with pytest.raises(SingularGramError):
-            representatives(X, np.arange(9), np.array([0, 3, 6, 9]))
+            representatives(X, np.arange(9), np.array([0, 3, 6, 9]),
+                            ConstructionConfig(kind="pinv"))
 
 
 class TestRepresentativesKernel:
@@ -141,7 +142,7 @@ class TestRepresentativesKernel:
     def test_empty_unit_rejected(self, layout):
         X, ids, _ = layout
         with pytest.raises(EmptyUnitError):
-            representatives(X, ids, np.array([0, 0, ids.size]))
+            representatives(X, ids, np.array([0, 0, ids.size]), ConstructionConfig())
 
 
 class TestNearDependentUnits:

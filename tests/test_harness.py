@@ -162,8 +162,8 @@ class TestSimulateUnitScores:
 
 class TestRunRoc:
     def test_rows_and_agreement(self):
-        rows = run_roc(500, 10, 0.7, ["sum"], 3000, Seed(4), taus=[0.1, 0.3])
-        assert len(rows) == 2
+        rows = run_roc(500, 10, 0.7, ["sum"], 3000, Seed(4))
+        assert [row["tau"] for row in rows] == [round(0.05 * k, 4) for k in range(17)]
         for row in rows:
             assert abs(row["pfp_emp"] - row["pfp_theory"]) < 0.05
             assert abs(row["tpr_emp"] - row["tpr_theory"]) < 0.05

@@ -190,6 +190,15 @@ class TestIndexContainer:
         assert back.member_ids.tolist() == [2, 0, 1]
         assert np.array_equal(back.representatives, index.representatives)
 
+    def test_representative_beyond_float32_refused(self, tmp_path):
+        # float32 would hold 1e39 as inf, which read_index rejects
+        index = MemoryIndex(representatives=np.array([[1e39, 0.0]]), offsets=np.array([0, 1]),
+                            member_ids=np.array([0]), construction="sum")
+        path = tmp_path / "big.mvix"
+        with pytest.raises(FormatError, match="overflows float32"):
+            io.write_index(index, path)
+        assert not path.exists()
+
     def test_roundtrip_semantics(self, tmp_path):
         for construction in ("sum", "pinv"):
             _, index = _make_index(construction)

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from memvec import analytic as A
-from memvec.errors import DegenerateCapError, DimensionError, DomainError
+from memvec.errors import DimensionError, DomainError
 from memvec.sampling import (
     Seed,
     h1_queries,
@@ -39,8 +39,8 @@ class TestSeed:
 class TestSampleSphere:
     def test_shapes_and_norms(self):
         rng = Seed(0).generator()
-        v = sample_sphere(16, rng)
-        assert v.shape == (16,)
+        v = sample_sphere(16, rng, size=1)
+        assert v.shape == (1, 16)
         batch = sample_sphere(16, rng, size=50)
         assert batch.shape == (50, 16)
         assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
@@ -54,7 +54,7 @@ class TestSampleSphere:
 
     def test_bad_dim(self):
         with pytest.raises(DimensionError):
-            sample_sphere(0, Seed(0).generator())
+            sample_sphere(0, Seed(0).generator(), size=1)
 
 
 class TestCapSampling:
@@ -96,15 +96,15 @@ class TestCapSampling:
         assert np.mean(s**2) == pytest.approx(A.cap_moment(2, eta, d), abs=3e-4)
 
     def test_degenerate_cap(self):
-        with pytest.raises(DegenerateCapError):
-            sample_cap_correlation(1.0, 10, Seed(0).generator())
-        with pytest.raises(DegenerateCapError):
-            sample_cap(np.ones(4), 1.0, Seed(0).generator())
+        with pytest.raises(DomainError, match="eta must be < 1"):
+            sample_cap_correlation(1.0, 10, Seed(0).generator(), size=1)
+        with pytest.raises(DomainError, match="eta must be < 1"):
+            sample_cap(np.ones(4), 1.0, Seed(0).generator(), size=1)
 
     @pytest.mark.parametrize("eta", [-1.5, float("nan")])
     def test_eta_below_minus_one_rejected(self, eta):
         with pytest.raises(DomainError, match=f"eta must be >= -1, got {eta}"):
-            sample_cap_correlation(eta, 10, Seed(0).generator())
+            sample_cap_correlation(eta, 10, Seed(0).generator(), size=1)
 
 
 class TestH1Queries:
@@ -190,7 +190,7 @@ class TestGeneratorBits:
         (128, "f218e152350e684e0d6a9825d326477de69ca58f5c37b10dc430e0e5d500b536")])
     def test_sample_cap(self, d, digest):
         rng = Seed(40 + d).generator()
-        axis = 2.5 * sample_sphere(d, rng)
+        axis = 2.5 * sample_sphere(d, rng, size=1)[0]
         out = np.concatenate([sample_cap(axis, 0.5, rng, size=6).ravel(),
-                              sample_cap(axis, -0.3, rng)])
+                              sample_cap(axis, -0.3, rng, size=1)[0]])
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest

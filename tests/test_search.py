@@ -8,13 +8,7 @@ from memvec import search
 from memvec.assignment import Partition, random_assignment
 from memvec.construction import ConstructionConfig
 from memvec.core import Dataset, MemoryIndex
-from memvec.errors import (
-    DimensionError,
-    DomainError,
-    ModeError,
-    ModelError,
-    NormalizationError,
-)
+from memvec.errors import DimensionError, DomainError, ModelError, NormalizationError
 from memvec.sampling import Seed, sample_sphere
 from memvec.search import BinaryIndex, binarize, build_index, query, query_binary
 
@@ -116,7 +110,7 @@ class TestQuery:
     def test_recount_oracle(self, small_index):
         # recompute everything brute-force and compare
         data, index = small_index
-        y = sample_sphere(32, Seed(24).generator())
+        y = sample_sphere(32, Seed(24).generator(), size=1)[0]
         tau = 0.2
         res = query(index, data, y, tau=tau)
 
@@ -139,21 +133,21 @@ class TestQuery:
 
     def test_impossible_threshold_scans_nothing(self, small_index):
         data, index = small_index
-        y = sample_sphere(32, Seed(25).generator())
+        y = sample_sphere(32, Seed(25).generator(), size=1)[0]
         res = query(index, data, y, tau=2.0)
         assert res.candidates == () and res.positive_units == ()
         assert res.complexity == index.num_units
 
     def test_low_threshold_is_exhaustive(self, small_index):
         data, index = small_index
-        y = sample_sphere(32, Seed(26).generator())
+        y = sample_sphere(32, Seed(26).generator(), size=1)[0]
         res = query(index, data, y, tau=-np.inf)
         assert len(res.candidates) == data.size
         assert res.complexity == index.num_units + data.size
 
     def test_top_units_mode(self, small_index):
         data, index = small_index
-        y = sample_sphere(32, Seed(27).generator())
+        y = sample_sphere(32, Seed(27).generator(), size=1)[0]
         res = query(index, data, y, top_units=3)
         scores = index.representatives @ y
         expect = np.sort(np.argsort(-scores, kind="stable")[:3])
@@ -161,7 +155,7 @@ class TestQuery:
 
     def test_selector_exclusivity(self, small_index):
         data, index = small_index
-        y = sample_sphere(32, Seed(28).generator())
+        y = sample_sphere(32, Seed(28).generator(), size=1)[0]
         with pytest.raises(DomainError):
             query(index, data, y)
         with pytest.raises(DomainError):
@@ -226,7 +220,7 @@ class TestGather:
     def test_query(self, uneven, select):
         data, index, _ = uneven
         for k in range(8):
-            y = sample_sphere(24, Seed(61 + k).generator())
+            y = sample_sphere(24, Seed(61 + k).generator(), size=1)[0]
             res = query(index, data, y, **select)
             pos = self._check(res, index, data.vectors, y)
             scores = index.representatives @ y
@@ -239,7 +233,7 @@ class TestGather:
     def test_query_binary(self, uneven, mode, select):
         data, _, bindex = uneven
         for k in range(8):
-            y = sample_sphere(24, Seed(71 + k).generator())
+            y = sample_sphere(24, Seed(71 + k).generator(), size=1)[0]
             res = query_binary(bindex, y, mode=mode, **select)
             self._check(res, bindex.index, data.vectors, y)
 
@@ -252,7 +246,7 @@ class TestGather:
         two = index.member_ids[index.offsets[2]:index.offsets[3]]
         three = index.member_ids[index.offsets[3]:index.offsets[4]]
         rows[three[:6]] = rows[two[:2]].repeat(3, axis=0)
-        y = sample_sphere(24, Seed(80).generator())
+        y = sample_sphere(24, Seed(80).generator(), size=1)[0]
         for scores, ties in ((np.ones(4), True), (np.array([1.0, 1.0, 1.0, -1.0]), False)):
             res = search._scan(index, rows, y, scores, 0.0, None)
             sims = [s for _, s in res.candidates]
@@ -270,13 +264,13 @@ class TestQueryBoundary:
                 lambda y, tau: query_binary(bindex, y, tau=tau))
 
     def test_nan_tau_rejected(self, small_index):
-        y = sample_sphere(32, Seed(37).generator())
+        y = sample_sphere(32, Seed(37).generator(), size=1)[0]
         for run in self._paths(*small_index):
             with pytest.raises(DomainError):
                 run(y, np.nan)
 
     def test_bad_query_vector_rejected(self, small_index):
-        y = sample_sphere(32, Seed(38).generator())
+        y = sample_sphere(32, Seed(38).generator(), size=1)[0]
         bad_nan = y.copy()
         bad_nan[0] = np.nan
         for run in self._paths(*small_index):
@@ -287,18 +281,18 @@ class TestQueryBoundary:
     def test_query_of_wrong_dimension_rejected(self, small_index):
         # a unit vector, so only its length is at fault
         for d in (31, 33):
-            y = sample_sphere(d, Seed(48).generator())
+            y = sample_sphere(d, Seed(48).generator(), size=1)[0]
             for run in self._paths(*small_index):
                 with pytest.raises(DimensionError):
                     run(y, 0.5)
         with pytest.raises(DimensionError):  # the symmetric path checks too
             query_binary(binarize(small_index[1], small_index[0]),
-                         sample_sphere(31, Seed(48).generator()), tau=0.5, mode="symmetric")
+                         sample_sphere(31, Seed(48).generator(), size=1)[0], tau=0.5, mode="symmetric")
 
     def test_dataset_must_match_index(self, small_index):
         data, index = small_index
         other = Dataset(data.vectors[:100])
-        y = sample_sphere(32, Seed(39).generator())
+        y = sample_sphere(32, Seed(39).generator(), size=1)[0]
         with pytest.raises(DimensionError):
             query(index, other, y, tau=0.5)
         with pytest.raises(DimensionError):  # the sketch checks when built
@@ -307,7 +301,7 @@ class TestQueryBoundary:
     def test_bad_selector_types_rejected(self, small_index):
         data, index = small_index
         bindex = binarize(index, data)
-        y = sample_sphere(32, Seed(49).generator())
+        y = sample_sphere(32, Seed(49).generator(), size=1)[0]
         for run in (lambda **kw: query(index, data, y, **kw),
                     lambda **kw: query_binary(bindex, y, **kw)):
             for bad in ({"top_units": 2.5}, {"top_units": "3"}, {"tau": "0.5"}):
@@ -356,7 +350,7 @@ class TestQueryBinary:
     def test_symmetric_scores_are_normalized_hamming(self, small_index):
         data, index = small_index
         bindex = binarize(index, data)
-        y = sample_sphere(32, Seed(32).generator())
+        y = sample_sphere(32, Seed(32).generator(), size=1)[0]
         res = query_binary(bindex, y, tau=-2.0, mode="symmetric")
         cy = sign_code(y)
         for j, s in res.positive_units:
@@ -367,7 +361,7 @@ class TestQueryBinary:
     def test_asymmetric_scores(self, small_index):
         data, index = small_index
         bindex = binarize(index, data)
-        y = sample_sphere(32, Seed(33).generator())
+        y = sample_sphere(32, Seed(33).generator(), size=1)[0]
         res = query_binary(bindex, y, tau=-np.inf, mode="asymmetric")
         for j, s in res.positive_units:
             bits = np.unpackbits(bindex.unit_codes[j], count=32)
@@ -378,7 +372,7 @@ class TestQueryBinary:
         # with every unit positive, binary + real rerank = exhaustive search
         data, index = small_index
         bindex = binarize(index, data)
-        y = sample_sphere(32, Seed(34).generator())
+        y = sample_sphere(32, Seed(34).generator(), size=1)[0]
         rb = query_binary(bindex, y, tau=-2.0, mode="symmetric")
         rr = query(index, data, y, tau=-np.inf)
         assert rb.candidates == rr.candidates
@@ -386,15 +380,15 @@ class TestQueryBinary:
     def test_unknown_modes(self, small_index):
         data, index = small_index
         bindex = binarize(index, data)
-        y = sample_sphere(32, Seed(36).generator())
-        with pytest.raises(ModeError):
+        y = sample_sphere(32, Seed(36).generator(), size=1)[0]
+        with pytest.raises(DomainError, match="unknown binary mode 'hashy'"):
             query_binary(bindex, y, tau=0.0, mode="hashy")
 
 
 def _oracle(bindex, y, mode, tau, top_units):
     """query_binary recomputed on unpacked bool codes, as positive unit ids,
     unit scores, candidate ids and candidate scores."""
-    d = bindex.dim
+    d = bindex.index.dim
     bits = lambda codes: np.unpackbits(codes, axis=1, count=d).astype(bool)
     # row by row, so rows with equal codes get equal scores
     if mode == "symmetric":
@@ -424,7 +418,7 @@ class TestPackedLayer:
         X = rng.standard_normal((90, d))
         bindex = _binary_index(X, np.arange(90) % 9)
         for k in range(5):
-            y = sample_sphere(d, Seed(100 * d + k).generator())
+            y = sample_sphere(d, Seed(100 * d + k).generator(), size=1)[0]
             res = query_binary(bindex, y, mode=mode, **select)
             pos, units, ids, sims = _oracle(bindex, y, mode, select.get("tau"),
                                             select.get("top_units"))
@@ -443,7 +437,7 @@ class TestPackedLayer:
         bindex = _binary_index(rng.standard_normal((12, d)), np.arange(12) // 3)
         assert bindex.unit_codes.dtype == np.uint8
         assert bindex.unit_codes.nbytes == 4 * -(-d // 8)
-        assert bindex.dim == d
+        assert bindex.index.dim == d
 
     def test_binarize_packs_only_the_units(self):
         # N = 20000 rows of d = 256 would pack to 640 KB, M = 1000 units to 32 KB;
@@ -466,7 +460,7 @@ class TestPackedLayer:
         X = rng.standard_normal((10, 13))
         X[3, 5] = 0.0  # zero maps to a set bit
         whole = _binary_index(X, np.arange(10) // 2)
-        y = sample_sphere(13, Seed(43).generator())
+        y = sample_sphere(13, Seed(43).generator(), size=1)[0]
         expect = query_binary(whole, y, tau=-np.inf, mode="asymmetric")
         # 3 rows of 13 bits per binarize chunk, 3 rows of 2 bytes per lookup chunk
         monkeypatch.setattr(search, "_CHUNK_BITS", 48)
@@ -482,7 +476,7 @@ class TestPackedLayer:
         part = Partition(unit_of=np.arange(M), M=M)
         data = Dataset(X)
         bindex = binarize(build_index(data, part, ConstructionConfig(kind="sum")), data)
-        y = sample_sphere(d, Seed(45).generator())
+        y = sample_sphere(d, Seed(45).generator(), size=1)[0]
         query_binary(bindex, y, tau=0.08, mode="asymmetric")  # warm up
         tracemalloc.start()
         try:
