@@ -7,6 +7,7 @@ lists the index shares: no per-id label array stays resident."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,9 +43,12 @@ class Partition:
     offsets: np.ndarray = field(repr=False)  # (M + 1,) ID_DTYPE
 
     def __init__(self, unit_of: np.ndarray, M: int):
-        u = np.asarray(unit_of, dtype=np.int64)
+        u = np.asarray(unit_of)
         if u.ndim != 1 or u.size == 0:
             raise DomainError("unit_of must be a non-empty 1-d array")
+        if u.dtype.kind not in "iu":  # a float label would be truncated, a bool read as 0/1
+            raise DomainError(f"unit ids must be integers, not {u.dtype}")
+        u = u.astype(np.int64, copy=False)
         _check_id_count(u.size)
         if M < 1 or u.min() < 0 or u.max() >= M:
             raise DomainError("unit ids out of range")
@@ -165,6 +169,7 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
             break
         labels = new_labels
         part = Partition(unit_of=labels, M=cfg.M)
+        reps = None  # freed before its successor is built, not after
         reps = representatives(X, part.order, part.offsets, construction)
         if cfg.normalize_representative:
             norms = np.linalg.norm(reps, axis=1, keepdims=True)
@@ -174,6 +179,7 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
 
 
 _PRUNE_SLACK = 1e-9  # relative margin over the Cauchy-Schwarz bound for rounding
+_SMALL_FLOATS = 1 << 14  # a float64 temporary of 128 KiB, glibc's initial mmap threshold
 
 
 def _nearest(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray) -> np.ndarray:
@@ -183,16 +189,12 @@ def _nearest(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray) -> np.ndarray:
     Units are split into norm bands, from the longest down: each band
     holds the remaining units whose norm is at least half the largest
     remaining one. Every band, the first included, is scored the same way
-    over the rows still open, in blocks of rows. A unit of a later band
+    (``_score_band``) over the rows still open. A unit of a later band
     scores at most ||x|| * that band's largest norm (Cauchy-Schwarz), so a
     row whose best score clears the next band's bound is closed and skips
     every later band. The row norms enter only that bound, whose slack
-    covers their rounding.
-
-    X is used as stored: each block of rows is copied (widened, when X is
-    float32) into one float64 buffer per band, so every score is computed
-    in float64. A mixed float32 @ float64 matmul would cast into a fresh
-    array on every call, which is slower.
+    covers their rounding. Scores are screened in float32 and decided in
+    float64, so the labels are those of float64 scoring.
     """
     rnorm = np.sqrt(np.einsum("ij,ij->i", reps, reps))
     order = np.argsort(-rnorm, kind="stable")
@@ -205,24 +207,8 @@ def _nearest(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray) -> np.ndarray:
         # desc is non-increasing, so the band is a prefix of desc[first:]; it
         # holds at least its first unit (all the rest when that norm is 0)
         last = first + int(np.count_nonzero(desc[first:] >= 0.5 * desc[first]))
-        ids = np.sort(order[first:last])
-        band = reps[ids]
-        rows = max(1, BLOCK_FLOATS // max(len(ids), X.shape[1]))
-        # one float64 row block and one score block per band, reused
-        buf = np.empty((min(rows, open_rows.size), X.shape[1]))
-        score_buf = np.empty((len(buf), len(ids)))
-        for start in range(0, open_rows.size, rows):
-            at = open_rows[start:start + rows]
-            block = buf[:len(at)]
-            block[...] = X[at]
-            scores = np.matmul(block, band.T, out=score_buf[:len(at)])
-            arg = np.argmax(scores, axis=1)
-            b_best = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
-            b_lab = ids[arg]
-            o_best, o_lab = best[at], labels[at]
-            win = (b_best > o_best) | ((b_best == o_best) & (b_lab < o_lab))
-            best[at] = np.where(win, b_best, o_best)
-            labels[at] = np.where(win, b_lab, o_lab)
+        _score_band(X, xnorm, reps, np.sort(order[first:last]), desc[first],
+                    open_rows, best, labels)
         first = last
         if first < len(desc):
             # best only grows and bounds only shrink, so closed rows stay closed
@@ -230,32 +216,112 @@ def _nearest(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _gamma(n: int, unit_roundoff: float) -> float:
+    """Bound on the relative error of an n-term dot product in floating
+    point, for any summation order (Higham's gamma_n)."""
+    return n * unit_roundoff / (1.0 - n * unit_roundoff)
+
+
+def _score_band(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray, ids: np.ndarray,
+                top_norm: float, open_rows: np.ndarray, best: np.ndarray,
+                labels: np.ndarray) -> None:
+    """Update ``best`` and ``labels`` of ``open_rows`` in place from the
+    band ``ids`` (ascending, largest norm ``top_norm``) as float64 scoring
+    would: a row takes the band's argmax, lowest id among equals, when it
+    scores higher than its best, or equal with a lower id.
+
+    Blocks are screened in float32 against the band scaled by 2^-e: exact,
+    with the largest norm R in [1/2, 1), so no cast or score of Dataset
+    rows overflows. For d < 2^23 a float32 score is within ``(gamma32(d+3)
+    + gamma64(d+3)) ||x|| R + (||x|| + 1) d 2^-124`` of the float64 one,
+    for any summation order and with subnormals flushed or not. A row whose
+    top two float32 scores are more than twice that apart keeps its float32
+    argmax and that unit's float64 score; the other rows (near ties,
+    all-zero bands) are scored in float64. Buffers are allocated once per
+    band: float32 scores of ``BLOCK_FLOATS`` float64s' bytes, rows of at
+    most ``BLOCK_FLOATS`` coefficients.
+    """
+    d = X.shape[1]
+    _, e = np.frexp(top_norm)
+    # (d, m) C-contiguous (faster in sgemm than a transposed view), cast a
+    # few units at a time: no float64 copy of the band is made
+    band32_t = np.empty((d, len(ids)), dtype=np.float32)
+    step = max(1, _SMALL_FLOATS // d)
+    for start in range(0, len(ids), step):
+        np.ldexp(reps[ids[start:start + step]].T, -e, out=band32_t[:, start:start + step])
+    # the slack covers the rounding of xnorm, top_norm and the gap itself
+    rel = (_gamma(d + 3, 2.0**-24) + _gamma(d + 3, 2.0**-53)) * (1.0 + _PRUNE_SLACK)
+    floor = d * 2.0**-124
+    # twice the bound, as per_norm * ||x|| + fixed
+    per_norm, fixed = 2.0 * (rel * np.ldexp(top_norm, -e) + floor), 2.0 * floor
+    rows = max(1, min(2 * BLOCK_FLOATS // len(ids), BLOCK_FLOATS // d))
+    k_max = min(rows, open_rows.size)
+    x_rows = np.empty((k_max, d), dtype=X.dtype)
+    x32 = x_rows if X.dtype == np.float32 else np.empty((k_max, d), dtype=np.float32)
+    gathered = np.empty((k_max, d))
+    s32 = np.empty((k_max, len(ids)), dtype=np.float32)
+    row_ids = np.arange(k_max)
+    for start in range(0, open_rows.size, rows):
+        at = open_rows[start:start + rows]
+        k = len(at)
+        # mode="clip" (no index is out of range): take then needs no buffer
+        xs = np.take(X, at, axis=0, out=x_rows[:k], mode="clip")
+        x32[:k] = xs  # copies onto itself when X is float32
+        scores = np.matmul(x32[:k], band32_t, out=s32[:k])
+        rk = row_ids[:k]
+        arg = np.argmax(scores, axis=1)
+        top = scores[rk, arg].astype(np.float64)
+        scores[rk, arg] = -np.inf  # now the runner-up leads (argmax beats max on short rows)
+        gap = top - scores[rk, np.argmax(scores, axis=1)]
+        near = np.flatnonzero(gap <= per_norm * xnorm[at] + fixed)
+        b_lab = ids[arg]
+        b_best = np.vecdot(xs, np.take(reps, b_lab, axis=0, out=gathered[:k], mode="clip"))
+        if near.size:
+            # near ties are rare: score them against all units, keep the band's
+            gathered[:near.size] = xs[near]
+            exact = np.matmul(gathered[:near.size], reps.T)[:, ids]
+            arg = np.argmax(exact, axis=1)
+            b_lab[near] = ids[arg]
+            b_best[near] = exact[rk[:near.size], arg]
+        o_best, o_lab = best[at], labels[at]
+        win = (b_best > o_best) | ((b_best == o_best) & (b_lab < o_lab))
+        best[at] = np.where(win, b_best, o_best)
+        labels[at] = np.where(win, b_lab, o_lab)
+
+
 def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> None:
     """Give each empty unit, in id order, a seeded-random member of the
     then-largest unit (lowest id among equals), in place.
 
-    The donor's size drops after each steal, and the ascending member pool
-    of a unit is taken, as a list, from one stable argsort and loses the
-    stolen id in place, so the draws match a fresh ``bincount``/
-    ``flatnonzero`` per empty unit. A filled unit holds one member while
-    some unit still holds two or more, so it is never the largest: it
-    needs no pool, and its size is never read again.
+    Donors come from a heap on (-size, id); a refilled unit, with one
+    member, is never the largest. They do not depend on the draws, so one
+    ``rng.integers`` call on the pool sizes draws every member index, with
+    the values and generator state of one draw per empty unit. A donor's
+    ascending pool is a list taken from one stable argsort that loses each
+    stolen id, so each draw picks what a fresh ``flatnonzero`` would.
     """
     sizes = np.bincount(labels, minlength=M)
     empties = np.flatnonzero(sizes == 0)
     if empties.size == 0:
         return
+    filled = np.flatnonzero(sizes)
+    heap = list(zip((-sizes[filled]).tolist(), filled.tolist()))
+    heapq.heapify(heap)
+    donors, pool_sizes = [], []
+    for _ in range(empties.size):
+        neg_size, largest = heap[0]
+        donors.append(largest)
+        pool_sizes.append(-neg_size)
+        heapq.heapreplace(heap, (neg_size + 1, largest))
+    picks = rng.integers(pool_sizes).tolist()
     order = _stable_order(labels, M)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     pools: dict[int, list[int]] = {}
-    for j in empties:
-        largest = int(np.argmax(sizes))
+    for j, largest, pick in zip(empties.tolist(), donors, picks):
         pool = pools.get(largest)
         if pool is None:
             pool = pools[largest] = order[offsets[largest]:offsets[largest + 1]].tolist()
-        stolen = pool.pop(rng.integers(len(pool)))
-        labels[stolen] = j
-        sizes[largest] -= 1
+        labels[pool.pop(pick)] = j
 
 
 def batch_assignment(dataset: Dataset, batch_size: int, inner: KMeansConfig) -> Partition:

@@ -3,7 +3,8 @@
 All vectors live on the d-dimensional unit hypersphere and similarity is
 the plain inner product. Dataset coefficients are stored as read (float32
 from a file, float64 when generated) and widened per block: every kernel
-widens the rows it gathers, so all arithmetic is float64. Dataset ids, and
+widens the rows it gathers, so all arithmetic that decides a result is
+float64 (the k-means assignment screens in float32 first). Dataset ids, and
 the CSR offsets that delimit them, are held as ``ID_DTYPE`` (int32), so a
 dataset holds fewer than 2^31 vectors.
 """

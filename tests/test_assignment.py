@@ -33,6 +33,13 @@ class TestPartition:
         with pytest.raises(DomainError):
             Partition(unit_of=np.array([0, 3]), M=3)
 
+    @pytest.mark.parametrize("unit_of", [[0.7, 1.9, 0.2], [True, False, True]],
+                             ids=["float", "bool"])
+    def test_non_integer_labels_rejected(self, unit_of):
+        # once truncated to units [0, 1, 0], or read as 0 and 1
+        with pytest.raises(DomainError, match="must be integers"):
+            Partition(unit_of=np.array(unit_of), M=2)
+
     def test_more_ids_than_int32_holds_rejected(self):
         # 2^31 labels as a zero-stride view: nothing of that size is allocated
         with pytest.raises(DomainError, match="at most 2147483647"):
@@ -289,6 +296,47 @@ class TestNearest:
         if request.param is not None:
             monkeypatch.setattr(assignment, "BLOCK_FLOATS", request.param)
 
+    @pytest.fixture(params=["blas", "in-order"])
+    def summation(self, request, monkeypatch):
+        """The float32 screen must hold for any summation order: "in-order"
+        sums each float32 dot product term by term, one rounding per product
+        and per addition, the order in which ``_swamped_pair`` loses most."""
+        if request.param == "blas":
+            return
+        matmul = np.matmul
+
+        def in_order(a, b, out=None):
+            if a.dtype != np.float32:
+                return matmul(a, b, out=out)
+            acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
+            for i in range(a.shape[1]):
+                acc += a[:, i, None] * b[i]
+            if out is None:
+                return acc
+            out[...] = acc
+            return out
+
+        monkeypatch.setattr(np, "matmul", in_order)
+
+    @staticmethod
+    def _swamped_pair(d):
+        """A row x and units A, B (ids 0, 1) with x . A - x . B =
+        (1 - (d - 1) 2^-10) 2^-23 > 0, for d <= 1024. Summed in order in
+        float32, x . A loses each of its d - 1
+        small terms (each just under half an ulp of the partial sum) and
+        x . B rounds each of its own up by an ulp: B leads by (d - 2) 2^-23.
+        Every value is a float32, and A's norm is in [1, 2), so its band is
+        scaled by 1/2: the float32 gap is (d - 2) 2^-24, under the screen's
+        margin 2 (d + 3) 2^-24 ||x|| R but over half of it."""
+        small = 2.0**-12
+        x = np.full(d, small)
+        x[0] = 1.0
+        A = np.full(d, small * (1 - 2.0**-10))
+        A[0] = 1 + 2.0**-23
+        B = np.full(d, small * (1 + 2.0**-10))
+        B[0] = 1.0
+        return x, np.vstack([A, B])
+
     @staticmethod
     def _check(X, R, xnorm=None):
         if xnorm is None:
@@ -416,6 +464,39 @@ class TestNearest:
         monkeypatch.setattr(np, "matmul", spy)
         self._check(X, R)
         assert widths and set(widths) == {16}
+
+    def test_scores_float32_cannot_order(self, blocks, summation):
+        d = 128
+        x, R = self._swamped_pair(d)
+        # r and r + 1e-9 e_k are one float32 unit; y = r scores the second higher
+        r = sample_sphere(d, Seed(44).generator(), size=1)[0]
+        k = int(np.argmax(r))
+        R = np.vstack([R, r, r + 1e-9 * np.eye(d)[k]])
+        assert np.array_equal(R[2].astype(np.float32), R[3].astype(np.float32))
+        X = np.vstack([x, r, x, r, sample_sphere(d, Seed(45).generator(), size=20)])
+        assert np.array_equal(self._check(X, R)[:4], [0, 3, 0, 3])
+
+    @pytest.mark.parametrize("K", [100, 140])
+    def test_bands_far_outside_unit_norm(self, blocks, summation, K):
+        # bands at norms 2^K and 2^-K: about 1e+-30, and beyond float32's
+        # range (3.4e38); a RuntimeWarning fails the test. x takes the long
+        # band; -x scores below 0 there and takes the short one
+        x, R = self._swamped_pair(128)
+        R = np.vstack([2.0**K * R, -(2.0**-K) * R])
+        X = np.vstack([x, -x, x, -x])
+        assert np.array_equal(self._check(X, R), [0, 2, 0, 2])
+
+    def test_float64_rows_off_the_float32_grid(self, blocks, summation):
+        d = 128
+        x, R = self._swamped_pair(d)
+        # within 1e-10 of x relative, so each row casts to x in float32
+        X = x * (1.0 + 1e-10 * Seed(46).generator().uniform(-1.0, 1.0, size=(6, d)))
+        X = Dataset(np.vstack([X, sample_sphere(d, Seed(47).generator(), size=20)])).vectors
+        assert X.dtype == np.float64
+        assert np.all(X[:6].astype(np.float32) == x.astype(np.float32))
+        assert np.all(np.any(X.astype(np.float32) != X, axis=1))
+        R = np.vstack([R, sample_sphere(d, Seed(48).generator(), size=10)])
+        assert np.array_equal(self._check(X, R)[:6], np.zeros(6))
 
     def test_single_unit(self, blocks):
         R = sample_sphere(5, Seed(36).generator(), size=1)
