@@ -2,8 +2,8 @@
 sum/pinv representatives (optionally normalized for the assignment step),
 batch-wise clustering for streaming data, and imbalance diagnostics.
 
-Each assignment returns a ``Partition``, which holds only the CSR member
-lists the index shares: no per-id label array stays resident."""
+Each assignment returns a ``core.Partition``, which holds only the CSR
+member lists the index shares: no per-id label array stays resident."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import BLOCK_FLOATS, ID_DTYPE, MAX_IDS, Dataset
+from .core import BLOCK_FLOATS, ID_DTYPE, Dataset, Partition, _check_id_count, _stable_order
 from .errors import DomainError
 from .sampling import Seed
 
@@ -25,66 +25,6 @@ __all__ = [
     "batch_assignment",
     "imbalance_factor",
 ]
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class Partition:
-    """Assignment of N dataset ids to M units, held only in CSR form:
-    unit j's ids, ascending, are ``order[offsets[j]:offsets[j + 1]]``.
-
-    ``Partition(unit_of, M)`` checks the labels and derives the CSR from
-    them; the labels are not kept, and ``unit_of`` rebuilds them from the
-    CSR on each access. ``random_assignment`` and ``batch_assignment``
-    build the CSR themselves and hand it to ``_from_csr``. Both arrays
-    are ``core.ID_DTYPE``, so N is at most ``core.MAX_IDS``."""
-
-    M: int
-    order: np.ndarray = field(repr=False)  # (N,) ID_DTYPE
-    offsets: np.ndarray = field(repr=False)  # (M + 1,) ID_DTYPE
-
-    def __init__(self, unit_of: np.ndarray, M: int):
-        u = np.asarray(unit_of)
-        if u.ndim != 1 or u.size == 0:
-            raise DomainError("unit_of must be a non-empty 1-d array")
-        if u.dtype.kind not in "iu":  # a float label would be truncated, a bool read as 0/1
-            raise DomainError(f"unit ids must be integers, not {u.dtype}")
-        u = u.astype(np.int64, copy=False)
-        _check_id_count(u.size)
-        if M < 1 or u.min() < 0 or u.max() >= M:
-            raise DomainError("unit ids out of range")
-        offsets = np.zeros(M + 1, dtype=ID_DTYPE)
-        np.cumsum(np.bincount(u, minlength=M), out=offsets[1:])
-        self._freeze(M, _stable_order(u, M).astype(ID_DTYPE), offsets)
-
-    @classmethod
-    def _from_csr(cls, M: int, order: np.ndarray, offsets: np.ndarray) -> Partition:
-        """A partition from ID_DTYPE arrays its caller built consistent with
-        each other, frozen as given: nothing is checked or derived again."""
-        part = object.__new__(cls)
-        part._freeze(M, order, offsets)
-        return part
-
-    def _freeze(self, M: int, order: np.ndarray, offsets: np.ndarray) -> None:
-        object.__setattr__(self, "M", M)
-        for name, arr in (("order", order), ("offsets", offsets)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def N(self) -> int:
-        return int(self.offsets[-1])
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    @property
-    def unit_of(self) -> np.ndarray:
-        """(N,) int64 unit label of each dataset id, a fresh array rebuilt
-        from the CSR."""
-        unit_of = np.empty(self.N, dtype=np.int64)
-        unit_of[self.order] = np.repeat(np.arange(self.M), self.sizes)
-        return unit_of
 
 
 @dataclass(frozen=True)
@@ -102,18 +42,6 @@ class KMeansConfig:
             raise DomainError("M and max_iters must be >= 1")
 
 
-def _check_id_count(N: int) -> None:
-    if N > MAX_IDS:
-        raise DomainError(f"N = {N} ids: a partition holds at most {MAX_IDS}")
-
-
-def _stable_order(unit_of: np.ndarray, M: int) -> np.ndarray:
-    """``np.argsort(unit_of, kind="stable")`` for ids in [0, M), sorted on
-    the narrowest unsigned key that holds M - 1: numpy radix-sorts keys of
-    16 bits or less, and a narrower key is a smaller copy."""
-    return np.argsort(unit_of.astype(np.min_scalar_type(M - 1)), kind="stable")
-
-
 def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     """Seeded uniform permutation of [0, N) chunked into units of size n
     (the last unit may be smaller).
@@ -121,8 +49,8 @@ def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     Unit k holds the k-th chunk of ``rng.permutation(N)``, drawn as an
     ID_DTYPE ``arange`` shuffled in place (the same values and generator
     state). Each chunk is sorted in place, so the permutation becomes the
-    partition's ``order`` and ``offsets[k] = min(k n, N)``; no N labels
-    are sorted."""
+    partition's ``member_ids`` and ``offsets[k] = min(k n, N)``; no N
+    labels are sorted."""
     if n < 1 or n > N:
         raise DomainError("need 1 <= n <= N")
     _check_id_count(N)
@@ -136,7 +64,7 @@ def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     offsets = np.arange(M + 1, dtype=ID_DTYPE)
     offsets[:-1] *= n  # (M - 1) n < N, so no product overflows
     offsets[-1] = N  # offsets[k] = min(k n, N): only the last unit may be short
-    return Partition._from_csr(M, order, offsets)
+    return Partition(order, offsets)
 
 
 def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np.ndarray]:
@@ -168,9 +96,9 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        part = Partition(unit_of=labels, M=cfg.M)
+        part = Partition.from_labels(labels, cfg.M)
         reps = None  # freed before its successor is built, not after
-        reps = representatives(X, part.order, part.offsets, construction)
+        reps = representatives(X, part.member_ids, part.offsets, construction)
         if cfg.normalize_representative:
             norms = np.linalg.norm(reps, axis=1, keepdims=True)
             reps = np.divide(reps, norms, out=reps, where=norms > 0.0)
@@ -342,16 +270,14 @@ def batch_assignment(dataset: Dataset, batch_size: int, inner: KMeansConfig) -> 
     _check_id_count(N)
     order = np.empty(N, dtype=ID_DTYPE)
     offsets_blocks = [np.zeros(1, dtype=ID_DTYPE)]
-    M = 0
     for i, start in enumerate(range(0, N, batch_size)):
         stop = min(start + batch_size, N)
         block = Dataset(dataset.vectors[start:stop])
         part, _ = spherical_kmeans(block, replace(
             inner, M=min(inner.M, block.size), seed=inner.seed.child(f"batch{i}")))
-        np.add(part.order, start, out=order[start:stop])
+        np.add(part.member_ids, start, out=order[start:stop])
         offsets_blocks.append(part.offsets[1:] + start)
-        M += part.M
-    return Partition._from_csr(M, order, np.concatenate(offsets_blocks))
+    return Partition(order, np.concatenate(offsets_blocks))
 
 
 def imbalance_factor(p: Partition) -> float:

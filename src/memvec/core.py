@@ -1,4 +1,4 @@
-"""Core data model: unit vectors, datasets and the memory index.
+"""Core data model: unit vectors, datasets, partitions and the memory index.
 
 All vectors live on the d-dimensional unit hypersphere and similarity is
 the plain inner product. Dataset coefficients are stored as read (float32
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyUnitError, ModelError, NormalizationError
+from .errors import DimensionError, DomainError, EmptyUnitError, ModelError, NormalizationError
 
 FILE_NORM_TOL = 1e-4  # loose bound for stored vectors: files hold float32
 BLOCK_FLOATS = 1 << 17  # float64 score block, and gathered row block, of about 1 MB
@@ -28,6 +28,7 @@ __all__ = [
     "MAX_IDS",
     "normalize",
     "Dataset",
+    "Partition",
     "MemoryIndex",
 ]
 
@@ -93,50 +94,117 @@ class Dataset:
         return self.vectors.shape[1]
 
 
+def _check_id_count(N: int) -> None:
+    if N > MAX_IDS:
+        raise DomainError(f"N = {N} ids: a partition holds at most {MAX_IDS}")
+
+
+def _stable_order(unit_of: np.ndarray, M: int) -> np.ndarray:
+    """``np.argsort(unit_of, kind="stable")`` for ids in [0, M), sorted on
+    the narrowest unsigned key that holds M - 1: numpy radix-sorts keys of
+    16 bits or less, and a narrower key is a smaller copy."""
+    return np.argsort(unit_of.astype(np.min_scalar_type(M - 1)), kind="stable")
+
+
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Assignment of N dataset ids to M units in CSR layout: unit j holds
+    the ids ``member_ids[offsets[j]:offsets[j + 1]]``. Units may be empty.
+
+    The constructor checks that the offsets run from 0 up to N and that
+    ``member_ids`` is a permutation of [0, N). Both arrays are kept as
+    read-only ``ID_DTYPE`` views (the caller's arrays stay writeable); ids
+    and offsets of another integer dtype are checked as int64, then
+    narrowed, so N is at most ``MAX_IDS``. No per-id label array is kept:
+    ``unit_of`` rebuilds the labels from the CSR on each access."""
+
+    member_ids: np.ndarray  # (N,) ID_DTYPE
+    offsets: np.ndarray  # (M + 1,) ID_DTYPE
+
+    def __post_init__(self):
+        offsets, ids = (a if a.dtype == ID_DTYPE else a.astype(np.int64, copy=False)
+                        for a in map(np.asarray, (self.offsets, self.member_ids)))
+        if ids.size > MAX_IDS:
+            raise ModelError(f"{ids.size} member ids: an index holds at most {MAX_IDS}")
+        if (ids.ndim != 1 or offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or offsets[-1] != ids.size or np.any(np.diff(offsets) <= -1)):
+            raise ModelError("offsets do not delimit the member ids")
+        # N ids in [0, N) that mark every slot of an N-byte mask are a permutation
+        seen = np.zeros(ids.size, dtype=bool)
+        if ids.size and ids.min() >= 0 and ids.max() < ids.size:
+            seen[ids] = True
+        if not seen.all():
+            raise ModelError("unit members do not partition the dataset ids")
+        # in range now: offsets run from 0 up to N, ids lie in [0, N)
+        for name, arr in (("member_ids", ids), ("offsets", offsets)):
+            arr = arr.astype(ID_DTYPE, copy=False).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_labels(cls, unit_of: np.ndarray, M: int) -> Partition:
+        """The partition that puts dataset id i in unit ``unit_of[i]``, each
+        unit's ids ascending; the labels are not kept."""
+        u = np.asarray(unit_of)
+        if u.ndim != 1 or u.size == 0:
+            raise DomainError("unit_of must be a non-empty 1-d array")
+        if u.dtype.kind not in "iu":  # a float label would be truncated, a bool read as 0/1
+            raise DomainError(f"unit ids must be integers, not {u.dtype}")
+        u = u.astype(np.int64, copy=False)
+        _check_id_count(u.size)
+        if M < 1 or u.min() < 0 or u.max() >= M:
+            raise DomainError("unit ids out of range")
+        offsets = np.zeros(M + 1, dtype=ID_DTYPE)
+        np.cumsum(np.bincount(u, minlength=M), out=offsets[1:])
+        return cls(_stable_order(u, M).astype(ID_DTYPE), offsets)
+
+    @property
+    def M(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def N(self) -> int:
+        return self.member_ids.size
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def unit_of(self) -> np.ndarray:
+        """(N,) int64 unit label of each dataset id, a fresh array rebuilt
+        from the CSR."""
+        unit_of = np.empty(self.N, dtype=np.int64)
+        unit_of[self.member_ids] = np.repeat(np.arange(self.M), self.sizes)
+        return unit_of
+
+
 @dataclass(frozen=True, eq=False)
 class MemoryIndex:
-    """M memory units in CSR layout: unit j holds the dataset ids
-    ``member_ids[offsets[j]:offsets[j + 1]]`` and is summarized by
+    """One memory unit per cell of ``partition``, summarized by
     ``representatives[j]`` (not necessarily unit norm). Invariant: no unit
-    is empty and ``member_ids`` is a permutation of [0, total)."""
+    is empty."""
 
     representatives: np.ndarray  # (M, d) float64
-    offsets: np.ndarray  # (M + 1,) ID_DTYPE
-    member_ids: np.ndarray  # (N,) ID_DTYPE
+    partition: Partition
     construction: str  # "sum" | "pinv"
 
     def __post_init__(self):
         if self.construction not in ("sum", "pinv"):
             raise ModelError(f"unknown construction tag {self.construction!r}")
-        # views, so the caller's arrays stay writeable when they are not copied;
-        # ids and offsets of another dtype are checked as int64, then narrowed
+        # a view, so the caller's array stays writeable when it is not copied
         reps = np.asarray(self.representatives, dtype=np.float64).view()
-        offsets, ids = (a if a.dtype == ID_DTYPE else a.astype(np.int64, copy=False)
-                        for a in map(np.asarray, (self.offsets, self.member_ids)))
-        if ids.size > MAX_IDS:
-            raise ModelError(f"{ids.size} member ids: an index holds at most {MAX_IDS}")
-        if (reps.ndim != 2 or ids.ndim != 1 or offsets.shape != (len(reps) + 1,)
-                or offsets[0] != 0 or offsets[-1] != ids.size):
-            raise ModelError("offsets do not delimit the member ids")
+        if reps.ndim != 2 or len(reps) != self.partition.M:
+            raise ModelError("representatives do not match the partition's units")
         if reps.shape[1] < 1:
             raise DimensionError("representatives must have dimension >= 1")
-        if len(reps) == 0 or np.any(np.diff(offsets) <= 0):
+        if len(reps) == 0 or np.any(self.partition.sizes <= 0):
             raise EmptyUnitError("index has no units, or an empty one")
         # min and max propagate NaN, so no (M, d) mask is needed
         if not (np.isfinite(reps.min()) and np.isfinite(reps.max())):
             raise DimensionError("representatives must be finite")
-        # N ids in [0, N) that mark every slot of an N-byte mask are a permutation
-        seen = np.zeros(ids.size, dtype=bool)
-        if ids.min() >= 0 and ids.max() < ids.size:
-            seen[ids] = True
-        if not seen.all():
-            raise ModelError("unit members do not partition the dataset ids")
-        # in range now: offsets run from 0 up to N, ids lie in [0, N)
-        for name, arr in (("representatives", reps),
-                          ("offsets", offsets.astype(ID_DTYPE, copy=False).view()),
-                          ("member_ids", ids.astype(ID_DTYPE, copy=False).view())):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        reps.setflags(write=False)
+        object.__setattr__(self, "representatives", reps)
 
     @property
     def num_units(self) -> int:
@@ -145,11 +213,3 @@ class MemoryIndex:
     @property
     def dim(self) -> int:
         return self.representatives.shape[1]
-
-    @property
-    def total(self) -> int:
-        return self.member_ids.size
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)

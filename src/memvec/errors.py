@@ -18,8 +18,8 @@ class DomainError(MemvecError):
 
 
 class ModelError(MemvecError):
-    """An index or sign sketch whose parts disagree (construction tag, CSR
-    offsets, member ids, code bytes)."""
+    """An index, partition or sign sketch whose parts disagree (construction
+    tag, CSR offsets, member ids, code bytes)."""
 
 
 class EmptyUnitError(MemvecError):

@@ -143,10 +143,11 @@ def _cmd_eval(args) -> int:
 
 def _read_results(path: str) -> tuple[list[np.ndarray], list[float]]:
     """Parse a `query` output CSV back into per-query ranked id lists.
-    A missing column, a value that does not parse or query ids that are
-    not 0..K-1 raise MemvecError."""
+    A missing column, a value that does not parse, a dataset id listed
+    twice for one query or query ids that are not 0..K-1 raise MemvecError."""
     per_query: dict[int, list[int]] = {}
     ratios: dict[int, float] = {}
+    seen: set[tuple[int, int]] = set()
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         for column in ("query", "dataset_id", "complexity_ratio"):
@@ -158,7 +159,12 @@ def _read_results(path: str) -> tuple[list[np.ndarray], list[float]]:
                 per_query.setdefault(qid, [])
                 ratios[qid] = float(row["complexity_ratio"])
                 if row["dataset_id"] != "":
-                    per_query[qid].append(int(row["dataset_id"]))
+                    pair = qid, int(row["dataset_id"])
+                    if pair in seen:  # a repeat would be scored as a second hit
+                        raise MemvecError(f"{path}, line {reader.line_num}: query {qid} "
+                                          f"lists dataset id {pair[1]} twice")
+                    seen.add(pair)
+                    per_query[qid].append(pair[1])
             except (TypeError, ValueError) as exc:
                 raise MemvecError(f"{path}, line {reader.line_num}: {exc}") from None
     # list k is scored against match list k, so a skipped id would shift the rest

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analytic import error_rates, expected_cost_ratio, threshold_for
+from ..analytic import error_rates, expected_cost_ratio, score_law, threshold_for
 from ..assignment import KMeansConfig, imbalance_factor, random_assignment, spherical_kmeans
 from ..construction import ConstructionConfig, representatives
 from ..core import Dataset
@@ -50,10 +50,10 @@ def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
 
     Each trial draws an independent unit of n uniform vectors, an H1 query
     planted on its first member and a fresh H0 query. Returns
-    (h0_scores, h1_scores), each of length ``trials``.
+    (h0_scores, h1_scores), each of length ``trials``. ``score_law``
+    checks the model's domain before anything is drawn.
     """
-    if construction == "pinv" and n >= d:
-        raise DomainError("pinv requires n < d")
+    score_law(construction, alpha, n, d)
     if trials < 1:
         raise DomainError("trials must be >= 1")
     h0 = np.empty(trials)
@@ -205,7 +205,7 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
             else:
                 raise DomainError(f"unknown assignment method {method!r}")
             index = build_index(dataset, part, cfg)
-            sizes = index.sizes
+            sizes = index.partition.sizes
             unit_of = part.unit_of  # rebuilt on each access: once per index
             unit_matches = np.stack([np.bincount(unit_of[m], minlength=part.M)
                                      for m in matches])

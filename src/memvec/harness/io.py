@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from ..core import MAX_IDS, MemoryIndex
+from ..core import MAX_IDS, MemoryIndex, Partition
 from ..errors import FormatError
 
 __all__ = [
@@ -116,14 +116,15 @@ def write_index(index: MemoryIndex, path):
             reps = index.representatives.astype("<f4")
     except FloatingPointError:
         raise FormatError("a representative overflows float32") from None
+    part = index.partition
     with open(path, "wb") as f:
         f.write(_MAGIC + bytes([_VERSION]))
-        f.write(struct.pack("<4I", index.dim, index.total, index.num_units,
+        f.write(struct.pack("<4I", index.dim, part.N, index.num_units,
                             _TAGS[index.construction]))
         reps.tofile(f)
         # each unit's uint32 count goes in front of its ids
-        np.insert(index.member_ids.astype("<u4"), index.offsets[:-1],
-                  index.sizes.astype("<u4")).tofile(f)
+        np.insert(part.member_ids.astype("<u4"), part.offsets[:-1],
+                  part.sizes.astype("<u4")).tofile(f)
 
 
 def read_index(path) -> MemoryIndex:
@@ -168,8 +169,7 @@ def read_index(path) -> MemoryIndex:
     offsets = np.concatenate(([0], np.cumsum(stream[heads], dtype=np.int64)))
     if offsets[-1] != n_total:
         raise FormatError(f"{path}: {offsets[-1]} member ids for N = {n_total}", offset=9)
-    # MemoryIndex narrows the offsets; the ids are read as int32 in place, and
+    # Partition narrows the offsets; the ids are read as int32 in place, and
     # one of 2^31 or more reads as negative, rejected like any id outside [0, N)
-    return MemoryIndex(representatives=reps, offsets=offsets,
-                       member_ids=np.delete(stream, heads).view("<i4"),
-                       construction=_TAG_NAMES[tag])
+    part = Partition(np.delete(stream, heads).view("<i4"), offsets)
+    return MemoryIndex(representatives=reps, partition=part, construction=_TAG_NAMES[tag])

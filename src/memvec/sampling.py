@@ -48,6 +48,8 @@ def sample_sphere(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, d) uniform unit vectors: d standard normals per row, normalized."""
     if d < 1:
         raise DimensionError("d must be >= 1")
+    if size < 0:
+        raise DomainError(f"sample size must be >= 0, got {size}")
     g = rng.standard_normal((size, d))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     while np.any(norms == 0.0):  # measure-zero redraw
@@ -70,6 +72,8 @@ def sample_cap_correlation(eta: float, d: int, rng: np.random.Generator,
         raise DomainError(f"eta must be >= -1, got {eta}")
     if d < 2:
         raise DimensionError("cap sampling requires d >= 2")
+    if size < 0:
+        raise DomainError(f"sample size must be >= 0, got {size}")
     # v in (0, 1]: solve sf(s) = v * sf(eta)
     v = 1.0 - rng.random(size)
     log_sf_eta = score_sf_log(np.array([eta]), 1.0, d)[0]

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Partition
 from .construction import ConstructionConfig, representatives
-from .core import FILE_NORM_TOL, Dataset, MemoryIndex
+from .core import FILE_NORM_TOL, Dataset, MemoryIndex, Partition
 from .errors import DimensionError, DomainError, ModelError, NormalizationError
 
 __all__ = [
@@ -46,19 +45,18 @@ class QueryResult:
 
 def build_index(dataset: Dataset, partition: Partition, cfg: ConstructionConfig) -> MemoryIndex:
     """One memory unit per partition cell, representative per the
-    construction config. The index shares the partition's CSR arrays.
+    construction config. The index holds ``partition`` itself.
     Units that took the pinv ridge fallback are logged as a warning."""
     if partition.N != dataset.size:
         raise DimensionError("partition size does not match the dataset")
     report = {}
-    reps = representatives(dataset.vectors, partition.order, partition.offsets,
+    reps = representatives(dataset.vectors, partition.member_ids, partition.offsets,
                            cfg, report)
     if report["fallbacks"]:
         logging.getLogger("memvec").warning(
             "%d of %d units took the pinv ridge fallback; worst |<m_j, x_i> - 1| = %.3e",
             report["fallbacks"], partition.M, report["max_residual"])
-    return MemoryIndex(representatives=reps, offsets=partition.offsets,
-                       member_ids=partition.order, construction=cfg.kind)
+    return MemoryIndex(representatives=reps, partition=partition, construction=cfg.kind)
 
 
 def _select_units(unit_scores: np.ndarray, tau: float | None,
@@ -83,13 +81,14 @@ def _scan(index: MemoryIndex, vectors: np.ndarray, y: np.ndarray, unit_scores: n
           tau: float | None, top_units: int | None) -> QueryResult:
     """Layers 2-4 of both query paths: select the positive units, gather their
     members from the CSR arrays, re-rank them by true inner product, assemble."""
+    part = index.partition
     pos = _select_units(unit_scores, tau, top_units)
-    lo = index.offsets[pos]
-    n = index.offsets[pos + 1] - lo
+    lo = part.offsets[pos]
+    n = part.offsets[pos + 1] - lo
     # the k-th positive unit fills gather slots [ends[k] - n[k], ends[k]);
     # slot t of it reads member_ids[t + lo[k] - (ends[k] - n[k])]
     ends = np.cumsum(n)
-    ids = index.member_ids[np.arange(n.sum()) + np.repeat(lo - ends + n, n)]
+    ids = part.member_ids[np.arange(n.sum()) + np.repeat(lo - ends + n, n)]
     sims = vectors[ids] @ y
     order = np.argsort(-sims)
     if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
@@ -99,13 +98,13 @@ def _scan(index: MemoryIndex, vectors: np.ndarray, y: np.ndarray, unit_scores: n
         positive_units=tuple(zip(pos.tolist(), unit_scores[pos].tolist())),
         candidates=tuple(zip(ids[order].tolist(), sims[order].tolist())),
         complexity=complexity,
-        complexity_ratio=complexity / index.total)
+        complexity_ratio=complexity / part.N)
 
 
 def _checked_query(index: MemoryIndex, dataset: Dataset, y) -> np.ndarray:
     """y as a float64 unit vector that matches the index and its dataset."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (index.dim,) or dataset.vectors.shape != (index.total, index.dim):
+    if y.shape != (index.dim,) or dataset.vectors.shape != (index.partition.N, index.dim):
         raise DimensionError("query, index and dataset disagree in shape")
     if not np.all(np.isfinite(y)) or abs(np.linalg.norm(y) - 1.0) > FILE_NORM_TOL:
         raise NormalizationError("query is not a finite unit vector")
@@ -155,7 +154,7 @@ class BinaryIndex:
 
     def __post_init__(self):
         d, nb = self.index.dim, _code_bytes(self.index.dim)
-        if self.dataset.vectors.shape != (self.index.total, d):
+        if self.dataset.vectors.shape != (self.index.partition.N, d):
             raise DimensionError("dataset does not match the index")
         codes = np.asarray(self.unit_codes).view()
         if codes.dtype != np.uint8:

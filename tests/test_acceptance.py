@@ -107,7 +107,7 @@ def test_03_pinv_constraint_zero_false_negative():
     reps = index.representatives
     unit_of = np.empty(1000, dtype=np.int64)
     for j in range(index.num_units):
-        unit_of[index.member_ids[index.offsets[j]:index.offsets[j + 1]]] = j
+        unit_of[part.member_ids[part.offsets[j]:part.offsets[j + 1]]] = j
     probe_rng = _SEED.child("c3-probe").generator()
     for i in probe_rng.choice(1000, size=10, replace=False):
         y = data.vectors[i]

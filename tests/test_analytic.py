@@ -84,7 +84,7 @@ class TestNormal:
                 "A.error_rates('sum', 0.3, 0.5, 10, 128)\n"
                 "A.expected_cost_ratio('pinv', 10, 128, 0.5, 0.01)\n"
                 "data = Dataset(np.eye(8)[[0, 0, 1, 2, 3, 4]])\n"
-                "part = Partition(unit_of=np.array([0, 0, 0, 1, 1, 1]), M=2)\n"
+                "part = Partition.from_labels(np.array([0, 0, 0, 1, 1, 1]), 2)\n"
                 "index = build_index(data, part, ConstructionConfig(kind='pinv'))\n"
                 "res = query(index, data, np.eye(8)[0], tau=0.5)\n"
                 "gt = cosine_ground_truth(data, np.eye(8)[:1], 0.5)\n"

@@ -20,36 +20,36 @@ from memvec.sampling import Seed, make_clustered_dataset, sample_sphere
 
 
 def _members(p, j):
-    return p.order[p.offsets[j]:p.offsets[j + 1]]
+    return p.member_ids[p.offsets[j]:p.offsets[j + 1]]
 
 
 class TestPartition:
     def test_sizes_and_members(self):
-        p = Partition(unit_of=np.array([0, 1, 0, 2, 0]), M=3)
+        p = Partition.from_labels(np.array([0, 1, 0, 2, 0]), 3)
         assert np.array_equal(p.sizes, [3, 1, 1])
         assert np.array_equal(_members(p, 0), [0, 2, 4])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
-            Partition(unit_of=np.array([0, 3]), M=3)
+            Partition.from_labels(np.array([0, 3]), 3)
 
     @pytest.mark.parametrize("unit_of", [[0.7, 1.9, 0.2], [True, False, True]],
                              ids=["float", "bool"])
     def test_non_integer_labels_rejected(self, unit_of):
         # once truncated to units [0, 1, 0], or read as 0 and 1
         with pytest.raises(DomainError, match="must be integers"):
-            Partition(unit_of=np.array(unit_of), M=2)
+            Partition.from_labels(np.array(unit_of), 2)
 
     def test_more_ids_than_int32_holds_rejected(self):
         # 2^31 labels as a zero-stride view: nothing of that size is allocated
         with pytest.raises(DomainError, match="at most 2147483647"):
-            Partition(unit_of=np.broadcast_to(np.int64(0), 2**31), M=1)
+            Partition.from_labels(np.broadcast_to(np.int64(0), 2**31), 1)
 
     def test_caller_array_stays_writeable(self):
         u = np.array([0, 1, 0], dtype=np.int64)
-        p = Partition(unit_of=u, M=2)
+        p = Partition.from_labels(u, 2)
         assert u.flags.writeable
-        for arr in (p.order, p.offsets):
+        for arr in (p.member_ids, p.offsets):
             assert not arr.flags.writeable
         u[0] = 1
         assert np.array_equal(p.unit_of, [0, 1, 0])  # the labels are not kept
@@ -59,9 +59,9 @@ class TestPartition:
     def test_order_matches_int64_stable_argsort(self, M):
         unit_of = np.random.default_rng(M).integers(0, M, size=3 * M + 5)
         unit_of[-1] = M - 1  # the largest id is present
-        p = Partition(unit_of=unit_of, M=M)
-        assert p.order.dtype == np.int32 and p.unit_of.dtype == np.int64
-        assert np.array_equal(p.order, np.argsort(unit_of, kind="stable"))
+        p = Partition.from_labels(unit_of, M)
+        assert p.member_ids.dtype == np.int32 and p.unit_of.dtype == np.int64
+        assert np.array_equal(p.member_ids, np.argsort(unit_of, kind="stable"))
         assert np.array_equal(p.offsets, np.concatenate(
             ([0], np.cumsum(np.bincount(unit_of, minlength=M)))))
 
@@ -101,10 +101,10 @@ class TestRandomAssignment:
 
 
 def _assert_same_as_rederived(p):
-    """p equals the partition Partition(unit_of, M) derives from its labels."""
-    ref = Partition(unit_of=p.unit_of, M=p.M)
+    """p equals the partition Partition.from_labels derives from its labels."""
+    ref = Partition.from_labels(p.unit_of, p.M)
     assert p.M == ref.M and type(p.M) is int
-    for name in ("order", "offsets"):
+    for name in ("member_ids", "offsets"):
         got, want = getattr(p, name), getattr(ref, name)
         assert got.dtype == np.int32 and not got.flags.writeable
         assert np.array_equal(got, want), name
@@ -112,8 +112,8 @@ def _assert_same_as_rederived(p):
 
 class TestAssignmentCSR:
     """random_assignment builds the CSR itself; it, and the CSR of the
-    partitions batch_assignment returns, must be the one Partition derives
-    from unit_of."""
+    partitions batch_assignment returns, must be the one
+    Partition.from_labels derives from unit_of."""
 
     # N % n == 0, N % n != 0, n = 1, n = N
     SHAPES = [(60, 6), (1003, 10), (17, 1), (17, 17), (1, 1)]
@@ -154,23 +154,24 @@ def _random_labels(N, n, seed):
 
 
 class TestLabelsNotKept:
-    """A Partition holds its CSR and no N-length array besides ``order``;
+    """A Partition holds its CSR and no N-length array besides ``member_ids``;
     ``unit_of``, rebuilt from the CSR, is the labels the assignment made
     (k-means: TestKMeansAgainstReference)."""
 
     @pytest.mark.parametrize("make", ["labels", "random", "kmeans", "batch"])
     def test_holds_only_the_csr(self, make):
         ds = Dataset(sample_sphere(8, Seed(50).generator(), size=60))
-        p = {"labels": lambda: Partition(unit_of=np.arange(60) % 7, M=7),
+        p = {"labels": lambda: Partition.from_labels(np.arange(60) % 7, 7),
              "random": lambda: random_assignment(60, 7, Seed(51).generator()),
              "kmeans": lambda: spherical_kmeans(ds, KMeansConfig(M=7, mode="sum",
                                                                  max_iters=3))[0],
              "batch": lambda: batch_assignment(ds, 23, KMeansConfig(M=5, max_iters=3))}[make]()
         arrays = {name for name, v in vars(p).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"order", "offsets"}
-        assert p.order.size == 60 and p.offsets.size == p.M + 1
+        assert arrays == {"member_ids", "offsets"}
+        assert p.member_ids.size == 60 and p.offsets.size == p.M + 1
         # neither is a view that pins a larger buffer
-        assert p.order.base is None and p.offsets.base is None
+        for arr in (p.member_ids, p.offsets):
+            assert arr.base is None or arr.base.nbytes == arr.nbytes
 
     @pytest.mark.parametrize("N, n", TestAssignmentCSR.SHAPES)
     def test_random_labels(self, N, n):
@@ -197,12 +198,12 @@ class TestLabelsNotKept:
 class TestImbalance:
     def test_hand_value(self):
         # sizes (3, 1): delta = 2 * ((3/4)^2 + (1/4)^2) = 1.25
-        p = Partition(unit_of=np.array([0, 0, 0, 1]), M=2)
+        p = Partition.from_labels(np.array([0, 0, 0, 1]), 2)
         assert imbalance_factor(p) == pytest.approx(1.25, abs=1e-14)
 
     def test_size_stats_match_empirical_variance(self):
         # V[n_i] = (delta - 1) N^2 / M^2 around the mean N / M
-        p = Partition(unit_of=np.array([0, 0, 0, 1, 2, 2]), M=3)
+        p = Partition.from_labels(np.array([0, 0, 0, 1, 2, 2]), 3)
         var = (imbalance_factor(p) - 1.0) * p.N**2 / p.M**2
         assert p.N / p.M == pytest.approx(np.mean(p.sizes), abs=1e-12)
         assert var == pytest.approx(np.var(p.sizes), abs=1e-12)
@@ -280,8 +281,8 @@ def _kmeans_reference(dataset, cfg):
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        part = Partition(unit_of=labels, M=cfg.M)
-        reps = representatives(X, part.order, part.offsets, construction)
+        part = Partition.from_labels(labels, cfg.M)
+        reps = representatives(X, part.member_ids, part.offsets, construction)
         if cfg.normalize_representative:
             norms = np.linalg.norm(reps, axis=1, keepdims=True)
             reps = np.divide(reps, norms, out=reps, where=norms > 0.0)

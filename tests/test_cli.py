@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -276,8 +277,15 @@ class TestExitCodes:
         (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
           "--M", 4, "--top-k", 4, "--queries", 5, "--n-seeds", 1, "--alpha0", "nan"],
          "alpha0 is NaN"),
+        # the model's domain is checked before a unit is drawn
+        (["experiment", "roc", "--d", 32, "--n", 0, "--alpha", 0.8],
+         "need n >= 1 and d >= 2"),
+        (["experiment", "roc", "--d", 1, "--n", 1, "--alpha", 0.8, "--constructions", "sum"],
+         "need n >= 1 and d >= 2"),
+        (["experiment", "roc", "--d", 32, "--n", 4, "--alpha", 0.8, "--constructions", "foo"],
+         "unknown construction 'foo'"),
     ], ids=["cap-stats-construction", "cap-stats-nan-eta", "assignment-nan-tau",
-            "assignment-nan-alpha0"])
+            "assignment-nan-alpha0", "roc-n-0", "roc-d-1", "roc-construction"])
     def test_bad_input_is_1_and_prints_no_rows(self, argv, says, capsys):
         assert run(argv) == 1
         captured = capsys.readouterr()
@@ -318,10 +326,11 @@ class TestExitCodes:
           "--constructions", "pinv"], "no curve has a point"),
         (["experiment", "cost", "--d", 1, "--eps", 0.01, "--alpha0", 0.9, "--n-max", 5,
           "--constructions", "pinv"], "no curve has a point"),
+        (["gen", "--n", -1, "--d", 8, "--out", os.devnull], "sample size must be >= 0, got -1"),
     ], ids=["trials-0", "trials-neg", "cost-queries-0", "cost-N-0", "assignment-queries-0",
             "top-k-above-M", "top-k-neg", "top-k-0", "tau-steps-neg", "tau-steps-0",
             "n-seeds-0", "n-seeds-neg", "experiment-n-max-0", "theory-n-max-0",
-            "theory-n-max-neg", "theory-pinv-n-ge-d", "experiment-pinv-n-ge-d"])
+            "theory-n-max-neg", "theory-pinv-n-ge-d", "experiment-pinv-n-ge-d", "gen-n-neg"])
     def test_bad_count_is_1(self, argv, says, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err
@@ -334,7 +343,11 @@ class TestExitCodes:
         ("query,rank,dataset_id,complexity_ratio\n0,1,3,0.1\n0,2,4.5,0.1\n",
          "line 3: invalid literal for int() with base 10: '4.5'"),
         ("query,rank,dataset_id,complexity_ratio\n0,1\n", "line 2"),
-    ], ids=["no-dataset_id", "no-complexity_ratio", "empty", "float-id", "short-row"])
+        # one result per query, but each copy of id 5 would count as a hit
+        ("query,rank,dataset_id,complexity_ratio\n0,1,5,0.1\n0,2,5,0.1\n1,1,6,0.1\n"
+         "2,1,7,0.1\n3,1,8,0.1\n", "line 3: query 0 lists dataset id 5 twice"),
+    ], ids=["no-dataset_id", "no-complexity_ratio", "empty", "float-id", "short-row",
+            "repeated-id"])
     def test_malformed_results_is_1(self, pipeline, csv_text, says, capsys):
         db, q, _, tmp = pipeline
         res = tmp / "bad.csv"

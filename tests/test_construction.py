@@ -105,8 +105,8 @@ class TestRepresentativesKernel:
         j = int(np.flatnonzero((sizes >= 2) & (sizes <= self.D))[0])
         X = X.copy()
         first = part.offsets[j]
-        X[part.order[first + 1]] = X[part.order[first]]
-        return X, part.order, part.offsets
+        X[part.member_ids[first + 1]] = X[part.member_ids[first]]
+        return X, part.member_ids, part.offsets
 
     @staticmethod
     def _units(X, ids, offsets):

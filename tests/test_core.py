@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memvec import core
-from memvec.assignment import Partition
-from memvec.core import Dataset, MemoryIndex, normalize
+from memvec.core import Dataset, MemoryIndex, Partition, normalize
 from memvec.errors import (
     DimensionError,
     EmptyUnitError,
@@ -140,66 +139,75 @@ class TestDatasetChunks:
 
 
 class TestMemoryIndex:
+    """An index is a Partition, the CSR that checks the member ids and
+    offsets, plus one representative per unit, checked by MemoryIndex."""
+
     @staticmethod
-    def _index(units, d=3, construction="sum"):
-        """A CSR index over the given per-unit id lists."""
+    def _part(units):
+        """The CSR over the given per-unit id lists."""
         sizes = [len(u) for u in units]
+        return Partition(np.concatenate([np.asarray(u, dtype=np.int64) for u in units]),
+                         np.concatenate([[0], np.cumsum(sizes)]))
+
+    @classmethod
+    def _index(cls, units, d=3, construction="sum"):
         return MemoryIndex(representatives=np.ones((len(units), d)),
-                           offsets=np.concatenate([[0], np.cumsum(sizes)]),
-                           member_ids=np.concatenate([np.asarray(u, dtype=np.int64)
-                                                      for u in units]),
-                           construction=construction)
+                           partition=cls._part(units), construction=construction)
 
     def test_rejects_empty_and_duplicates(self):
+        self._part([[0, 1], [], [2]])  # a partition may hold an empty unit
         with pytest.raises(EmptyUnitError):
             self._index([[0, 1], [], [2]])
         with pytest.raises(ModelError):
-            self._index([[1, 1]])
+            self._part([[1, 1]])
         with pytest.raises(EmptyUnitError):
-            MemoryIndex(representatives=np.ones((0, 3)), offsets=np.zeros(1),
-                        member_ids=np.zeros(0), construction="sum")
+            MemoryIndex(representatives=np.ones((0, 3)),
+                        partition=Partition(np.zeros(0), np.zeros(1)), construction="sum")
 
     def test_sizes(self):
-        idx = self._index([[4, 0, 2], [1, 3]])
-        assert idx.sizes.tolist() == [3, 2]
+        part = self._part([[4, 0, 2], [1, 3]])
+        assert part.sizes.tolist() == [3, 2] and (part.M, part.N) == (2, 5)
+        assert part.unit_of.tolist() == [0, 1, 0, 1, 0]
 
     def test_partition_enforced(self):
-        idx = self._index([[0, 1], [2]])
-        assert idx.num_units == 2
-        assert idx.dim == 3 and idx.total == 3
+        part = self._part([[0, 1], [2]])
+        idx = MemoryIndex(np.ones((2, 3)), part, "sum")
+        assert idx.partition is part and idx.num_units == 2 and idx.dim == 3
         assert idx.representatives.shape == (2, 3)
-        assert not idx.member_ids.flags.writeable
+        assert not part.member_ids.flags.writeable
+        with pytest.raises(ModelError):  # one representative per unit
+            MemoryIndex(np.ones((3, 3)), part, "sum")
 
     def test_caller_arrays_stay_writeable(self):
         reps = np.ones((2, 3))
         offsets, ids = np.array([0, 2, 3], np.int32), np.array([2, 0, 1], np.int32)
-        idx = MemoryIndex(reps, offsets, ids, "sum")
-        for given, kept in ((reps, idx.representatives), (offsets, idx.offsets),
-                            (ids, idx.member_ids)):
+        part = Partition(ids, offsets)
+        idx = MemoryIndex(reps, part, "sum")
+        for given, kept in ((reps, idx.representatives), (offsets, part.offsets),
+                            (ids, part.member_ids)):
             assert np.shares_memory(kept, given)  # a view, not a copy
             assert given.flags.writeable and not kept.flags.writeable
 
     def test_other_integer_ids_are_checked_then_narrowed(self):
-        idx = MemoryIndex(np.ones((2, 3)), np.array([0, 2, 3], np.int64),
-                          np.array([2, 0, 1], np.uint64), "sum")
-        assert idx.offsets.dtype == idx.member_ids.dtype == np.int32
-        assert idx.offsets.tolist() == [0, 2, 3] and idx.member_ids.tolist() == [2, 0, 1]
+        part = Partition(np.array([2, 0, 1], np.uint64), np.array([0, 2, 3], np.int64))
+        assert part.offsets.dtype == part.member_ids.dtype == np.int32
+        assert part.offsets.tolist() == [0, 2, 3] and part.member_ids.tolist() == [2, 0, 1]
         # 2^32 + 1 would narrow to the valid id 1
         with pytest.raises(ModelError):
-            self._index([[0, 2**32 + 1], [2]])
+            self._part([[0, 2**32 + 1], [2]])
 
     def test_more_ids_than_int32_holds_rejected(self):
         ids = np.broadcast_to(np.int32(0), 2**31)  # zero-stride: not allocated
         with pytest.raises(ModelError, match="at most 2147483647"):
-            MemoryIndex(np.ones((1, 3)), np.array([0, 2**31]), ids, "sum")
+            Partition(ids, np.array([0, 2**31]))
 
     def test_gap_rejected(self):
         with pytest.raises(ModelError):
-            self._index([[0, 2]])
+            self._part([[0, 2]])
 
     def test_overlap_rejected(self):
         with pytest.raises(ModelError):
-            self._index([[0, 1], [1, 2]])
+            self._part([[0, 1], [1, 2]])
 
     @pytest.mark.parametrize("ids", [[0, 1, 3], [0, -1, 2], [0, 2, 2], [2, 0, 0],
                                      [-3, 1, 2]])
@@ -207,20 +215,21 @@ class TestMemoryIndex:
         # an id equal to N, a negative id (also one that would wrap to a
         # valid index), a duplicate
         with pytest.raises(ModelError):
-            self._index([ids[:2], ids[2:]])
+            self._part([ids[:2], ids[2:]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_representative_rejected(self, bad):
         reps = np.ones((2, 3))
         reps[1, 2] = bad
         with pytest.raises(DimensionError):
-            MemoryIndex(representatives=reps, offsets=np.array([0, 2, 3]),
-                        member_ids=np.array([2, 0, 1]), construction="pinv")
+            MemoryIndex(representatives=reps, partition=self._part([[2, 0], [1]]),
+                        construction="pinv")
 
     def test_offsets_must_delimit_ids(self):
-        with pytest.raises(ModelError):
-            MemoryIndex(representatives=np.ones((2, 3)), offsets=np.array([0, 1, 2]),
-                        member_ids=np.arange(3), construction="sum")
+        # short of N, decreasing, not from 0, none at all, not 1-d
+        for offsets in ([0, 1, 2], [0, 2, 1, 3], [1, 3], [], [[0, 3]]):
+            with pytest.raises(ModelError):
+                Partition(np.arange(3), np.array(offsets, dtype=np.int64))
 
     def test_bad_construction_tag(self):
         with pytest.raises(ModelError):
@@ -235,10 +244,11 @@ class TestMemoryIndex:
 def test_array_dataclasses_compare_by_identity(name):
     # field-wise == would ask numpy for the truth value of an array
     X = np.eye(3)
-    index = MemoryIndex(X[:2], np.array([0, 2, 3]), np.arange(3), "sum")
-    make = {"Partition": lambda: Partition(unit_of=np.array([0, 1, 0]), M=2),
+    part = Partition(np.arange(3), np.array([0, 2, 3]))
+    index = MemoryIndex(X[:2], part, "sum")
+    make = {"Partition": lambda: Partition.from_labels(np.array([0, 1, 0]), 2),
             "Dataset": lambda: Dataset(X),
-            "MemoryIndex": lambda: MemoryIndex(X[:2], index.offsets, index.member_ids, "sum"),
+            "MemoryIndex": lambda: MemoryIndex(X[:2], part, "sum"),
             "BinaryIndex": lambda: binarize(index, Dataset(X))}[name]
     a, b = make(), make()
     assert a == a and a != b

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestSimulateUnitScores:
         _, h1 = simulate_unit_scores(200, 5, 1.0, "pinv", 500, rng)
         # alpha = 1: the planted member satisfies the constraint exactly
         assert np.max(np.abs(h1 - 1.0)) < 1e-8
+
+
+    @pytest.mark.parametrize("d, n", [(32, 0), (1, 1)])
+    def test_model_domain_checked_before_drawing(self, d, n):
+        # n = 0 divided by zero, d = 1 drew a NaN query, before either failed
+        rng, ref = Seed(5).generator(), Seed(5).generator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="need n >= 1 and d >= 2"):
+                simulate_unit_scores(d, n, 0.8, "sum", 10, rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRunRoc:

@@ -6,7 +6,7 @@ import pytest
 
 from memvec.assignment import random_assignment
 from memvec.construction import ConstructionConfig
-from memvec.core import Dataset, MemoryIndex
+from memvec.core import Dataset, MemoryIndex, Partition
 from memvec.errors import FormatError, ModelError
 from memvec.harness import io
 from memvec.sampling import Seed, sample_sphere
@@ -177,7 +177,7 @@ class TestIndexContainer:
         # units {2, 0} and {1}: header, float32 representatives, then
         # per unit a uint32 count followed by its uint32 ids
         index = MemoryIndex(representatives=np.array([[1.0, -2.0], [0.5, 0.25]]),
-                            offsets=np.array([0, 2, 3]), member_ids=np.array([2, 0, 1]),
+                            partition=Partition(np.array([2, 0, 1]), np.array([0, 2, 3])),
                             construction="pinv")
         path = tmp_path / "golden.mvix"
         io.write_index(index, path)
@@ -186,14 +186,15 @@ class TestIndexContainer:
                   + struct.pack("<3I", 2, 2, 0) + struct.pack("<2I", 1, 1))
         assert path.read_bytes() == expect
         back = io.read_index(path)
-        assert back.offsets.tolist() == [0, 2, 3]
-        assert back.member_ids.tolist() == [2, 0, 1]
+        assert back.partition.offsets.tolist() == [0, 2, 3]
+        assert back.partition.member_ids.tolist() == [2, 0, 1]
         assert np.array_equal(back.representatives, index.representatives)
 
     def test_representative_beyond_float32_refused(self, tmp_path):
         # float32 would hold 1e39 as inf, which read_index rejects
-        index = MemoryIndex(representatives=np.array([[1e39, 0.0]]), offsets=np.array([0, 1]),
-                            member_ids=np.array([0]), construction="sum")
+        index = MemoryIndex(representatives=np.array([[1e39, 0.0]]),
+                            partition=Partition(np.array([0]), np.array([0, 1])),
+                            construction="sum")
         path = tmp_path / "big.mvix"
         with pytest.raises(FormatError, match="overflows float32"):
             io.write_index(index, path)
@@ -206,10 +207,9 @@ class TestIndexContainer:
             io.write_index(index, path)
             back = io.read_index(path)
             assert back.construction == construction
-            assert back.dim == index.dim and back.total == index.total
-            assert back.num_units == index.num_units
-            assert np.array_equal(back.offsets, index.offsets)
-            assert np.array_equal(back.member_ids, index.member_ids)
+            assert back.dim == index.dim and back.num_units == index.num_units
+            assert np.array_equal(back.partition.offsets, index.partition.offsets)
+            assert np.array_equal(back.partition.member_ids, index.partition.member_ids)
             assert np.array_equal(back.representatives,
                                   index.representatives.astype(np.float32))
 
@@ -218,8 +218,8 @@ class TestIndexContainer:
         path = tmp_path / "w.mvix"
         io.write_index(index, path)
         back = io.read_index(path)
-        assert back.member_ids.dtype == back.offsets.dtype == np.int32
-        assert np.array_equal(back.member_ids, index.member_ids)
+        assert back.partition.member_ids.dtype == back.partition.offsets.dtype == np.int32
+        assert np.array_equal(back.partition.member_ids, index.partition.member_ids)
 
     def test_more_ids_than_int32_holds_rejected(self, tmp_path):
         # the header declares N = 2^31; one unit, as if its count said so
@@ -292,7 +292,7 @@ class TestIndexContainer:
         path = tmp_path / "n.mvix"
         io.write_index(index, path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<I", raw, 9, index.total + 1)
+        struct.pack_into("<I", raw, 9, index.partition.N + 1)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError) as err:
             io.read_index(path)

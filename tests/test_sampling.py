@@ -56,6 +56,11 @@ class TestSampleSphere:
         with pytest.raises(DimensionError):
             sample_sphere(0, Seed(0).generator(), size=1)
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(DomainError, match="sample size must be >= 0, got -1"):
+            sample_sphere(8, Seed(0).generator(), size=-1)
+        assert sample_sphere(8, Seed(0).generator(), size=0).shape == (0, 8)
+
 
 class TestCapSampling:
     def test_correlations_in_range(self):
@@ -100,6 +105,10 @@ class TestCapSampling:
             sample_cap_correlation(1.0, 10, Seed(0).generator(), size=1)
         with pytest.raises(DomainError, match="eta must be < 1"):
             sample_cap(np.ones(4), 1.0, Seed(0).generator(), size=1)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(DomainError, match="sample size must be >= 0, got -2"):
+            sample_cap_correlation(0.5, 10, Seed(0).generator(), size=-2)
 
     @pytest.mark.parametrize("eta", [-1.5, float("nan")])
     def test_eta_below_minus_one_rejected(self, eta):

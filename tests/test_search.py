@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from memvec import search
-from memvec.assignment import Partition, random_assignment
+from memvec.assignment import random_assignment
 from memvec.construction import ConstructionConfig
-from memvec.core import Dataset, MemoryIndex
+from memvec.core import Dataset, MemoryIndex, Partition
 from memvec.errors import DimensionError, DomainError, ModelError, NormalizationError
 from memvec.sampling import Seed, sample_sphere
 from memvec.search import BinaryIndex, binarize, build_index, query, query_binary
@@ -17,14 +17,14 @@ from oracles import asymmetric_inner, hamming_inner, sign_code
 
 def _units(index):
     """Member ids of each unit, from the CSR arrays."""
-    return np.split(index.member_ids, index.offsets[1:-1])
+    return np.split(index.partition.member_ids, index.partition.offsets[1:-1])
 
 
 def _binary_index(rows, unit_of):
     """Sketch of the normalized rows, grouped into units by ``unit_of``."""
     rows = np.asarray(rows, dtype=np.float64)
     data = Dataset(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-    part = Partition(unit_of=np.asarray(unit_of), M=max(unit_of) + 1)
+    part = Partition.from_labels(np.asarray(unit_of), max(unit_of) + 1)
     return binarize(build_index(data, part, ConstructionConfig(kind="sum")), data)
 
 
@@ -53,7 +53,7 @@ class TestBuildIndex:
 
     def test_pinv_fallback_logged(self, caplog):
         X = sample_sphere(16, Seed(36).generator(), size=20)
-        part = Partition(unit_of=np.arange(20) // 5, M=4)
+        part = Partition.from_labels(np.arange(20) // 5, 4)
         with caplog.at_level(logging.WARNING, logger="memvec"):
             build_index(Dataset(X), part, ConstructionConfig(kind="pinv"))
             assert not caplog.records
@@ -78,9 +78,9 @@ class TestBuildIndex:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the index keeps views of the partition's arrays, not copies
-        assert index.member_ids.base is part.order and index.offsets.base is part.offsets
-        kept = sum(a.nbytes for a in (index.representatives, part.order, part.offsets))
+        # the index holds the partition itself, not copies of its arrays
+        assert index.partition is part
+        kept = sum(a.nbytes for a in (index.representatives, part.member_ids, part.offsets))
         assert peak - kept < 2**19
 
     def test_set_up_stages_make_no_index_sized_temporaries(self):
@@ -100,10 +100,10 @@ class TestBuildIndex:
         _, p = peak(lambda: Dataset(X))
         assert p < N * 4
         part, p = peak(lambda: random_assignment(N, n, Seed(48).generator()))
-        assert p - (part.order.nbytes + part.offsets.nbytes) < N * 4
+        assert p - (part.member_ids.nbytes + part.offsets.nbytes) < N * 4
         reps = np.zeros((part.M, 64))  # an (M, d) bool mask would be 1.28 MB
-        _, p = peak(lambda: MemoryIndex(reps, part.offsets, part.order, "pinv"))
-        assert p < N * 4
+        _, p = peak(lambda: MemoryIndex(reps, part, "pinv"))
+        assert p < N  # nor an N-byte permutation mask: the partition checked it
 
 
 class TestQuery:
@@ -189,15 +189,16 @@ class TestGather:
         unit_of = rng.permutation(np.repeat(np.arange(len(self.SIZES)), self.SIZES))
         rows = sample_sphere(d, rng, size=N).astype(request.param)
         data = Dataset(rows)
-        index = build_index(data, Partition(unit_of=unit_of, M=len(self.SIZES)),
+        index = build_index(data, Partition.from_labels(unit_of, len(self.SIZES)),
                             ConstructionConfig(kind="sum"))
-        assert index.sizes.tolist() == list(self.SIZES)
+        assert index.partition.sizes.tolist() == list(self.SIZES)
         return data, index, binarize(index, data)
 
     @staticmethod
     def _slice_oracle(index, vectors, y, pos):
-        members = [index.member_ids[index.offsets[j]:index.offsets[j + 1]] for j in pos]
-        ids = np.concatenate([np.empty(0, dtype=index.member_ids.dtype)] + members)
+        part = index.partition
+        members = [part.member_ids[part.offsets[j]:part.offsets[j + 1]] for j in pos]
+        ids = np.concatenate([np.empty(0, dtype=part.member_ids.dtype)] + members)
         sims = vectors[ids] @ y
         order = np.lexsort((ids, -sims))
         return ids[order].tolist(), sims[order].tolist()
@@ -208,7 +209,7 @@ class TestGather:
         assert [i for i, _ in res.candidates] == ids
         assert [s for _, s in res.candidates] == sims
         assert res.complexity == index.num_units + sum(self.SIZES[j] for j in pos)
-        assert res.complexity_ratio == res.complexity / index.total
+        assert res.complexity_ratio == res.complexity / index.partition.N
         # Python scalars, as the CLI writes them with repr
         for pairs in (res.candidates, res.positive_units):
             assert all(type(i) is int and type(s) is float for i, s in pairs)
@@ -243,8 +244,7 @@ class TestGather:
         # units 0-2 holds none and keeps the argsort order
         data, index, _ = uneven
         rows = data.vectors.copy()
-        two = index.member_ids[index.offsets[2]:index.offsets[3]]
-        three = index.member_ids[index.offsets[3]:index.offsets[4]]
+        two, three = _units(index)[2:]
         rows[three[:6]] = rows[two[:2]].repeat(3, axis=0)
         y = sample_sphere(24, Seed(80).generator(), size=1)[0]
         for scores, ties in ((np.ones(4), True), (np.array([1.0, 1.0, 1.0, -1.0]), False)):
@@ -400,7 +400,7 @@ def _oracle(bindex, y, mode, tau, top_units):
         pos = [j for j in range(units.size) if units[j] > tau]
     else:
         pos = sorted(sorted(range(units.size), key=lambda j: (-units[j], j))[:top_units])
-    members = np.split(bindex.index.member_ids, bindex.index.offsets[1:-1])
+    members = _units(bindex.index)
     ids = np.concatenate([np.empty(0, dtype=np.int64)] + [members[j] for j in pos])
     sims = bindex.dataset.vectors[ids] @ y
     order = sorted(range(ids.size), key=lambda k: (-sims[k], ids[k]))
@@ -473,7 +473,7 @@ class TestPackedLayer:
         # M * d >= 1e6: the +/-1 float matrix of the unit codes would be 8 MB
         M, d = 1000, 1024
         X = sample_sphere(d, Seed(44).generator(), size=M)
-        part = Partition(unit_of=np.arange(M), M=M)
+        part = Partition.from_labels(np.arange(M), M)
         data = Dataset(X)
         bindex = binarize(build_index(data, part, ConstructionConfig(kind="sum")), data)
         y = sample_sphere(d, Seed(45).generator(), size=1)[0]
