@@ -101,7 +101,8 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
         cols, ones = np.arange(n), np.ones(n)
         for js in _batches(sizes, n, step):
             block = None  # free the last batch, so two are never alive at once
-            block = X[member_ids[offsets[js, None] + cols]].astype(np.float64, copy=False)
+            block = np.take(X, member_ids[offsets[js, None] + cols], axis=0)
+            block = block.astype(np.float64, copy=False)
             if cfg.kind == "sum":
                 reps[js] = block.sum(axis=1)
                 continue

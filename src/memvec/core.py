@@ -207,9 +207,5 @@ class MemoryIndex:
         object.__setattr__(self, "representatives", reps)
 
     @property
-    def num_units(self) -> int:
-        return self.representatives.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.representatives.shape[1]

@@ -66,8 +66,8 @@ def evaluate_results(retrieved: list[np.ndarray], matches: list[np.ndarray],
     """Aggregate recall/precision of ranked retrieval lists against match
     lists, plus complexity statistics.
 
-    recall_at_r averages |top-R intersect matches| / min(R, |matches|)
-    over the queries that have at least one match.
+    recall_at_r averages |top-R intersect matches| / min(R, |matches|) over
+    the queries with a match. A repeated retrieved id raises DomainError.
     """
     if len(retrieved) != len(matches):
         raise DimensionError("retrieved/matches length mismatch")
@@ -75,8 +75,11 @@ def evaluate_results(retrieved: list[np.ndarray], matches: list[np.ndarray],
     total_matches = 0
     total_retrieved = 0
     at_r = {r: [] for r in RECALL_RANKS}
-    for ids, gt in zip(retrieved, matches):
+    for q, (ids, gt) in enumerate(zip(retrieved, matches)):
         ids = np.asarray(ids, dtype=np.int64)
+        s = np.sort(ids)  # each copy of a repeated id would count as a hit
+        if np.any(s[1:] == s[:-1]):
+            raise DomainError(f"retrieved list {q} repeats dataset id {s[1:][s[1:] == s[:-1]][0]}")
         # sorted set logic: np.unique and np.isin would import numpy.ma
         gt = np.sort(np.asarray(gt, dtype=np.int64))
         n_gt = gt.size - int(np.count_nonzero(gt[1:] == gt[:-1]))  # repeats count once

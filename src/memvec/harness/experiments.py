@@ -97,9 +97,7 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
         raise DomainError("N and n_queries must be >= 1")
     tau = threshold_for(construction, alpha0, n, d, eps)
     M = -(-N // n)
-    sizes = np.full(M, n, dtype=np.int64)
-    if N % n:
-        sizes[-1] = N % n
+    sizes = np.diff(np.minimum(np.arange(M + 1) * n, N))  # the last unit may be short
     rng = seed.child(f"cost-{construction}-{n}").generator()
     reps = np.empty((M, d))
     for first, _, m in _stream_units(d, n, M, construction, rng):
@@ -205,15 +203,14 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
             else:
                 raise DomainError(f"unknown assignment method {method!r}")
             index = build_index(dataset, part, cfg)
-            sizes = index.partition.sizes
-            unit_of = part.unit_of  # rebuilt on each access: once per index
+            sizes, unit_of = part.sizes, part.unit_of  # unit_of is rebuilt per access
             unit_matches = np.stack([np.bincount(unit_of[m], minlength=part.M)
                                      for m in matches])
             scores = queries @ index.representatives.T  # (Q, M)
             visited = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
             hits = np.take_along_axis(unit_matches, visited, axis=1)  # (Q, top_k)
             scanned = sizes[visited].sum(axis=1) if tau is None else (scores > tau) @ sizes
-            complexities = index.num_units + scanned
+            complexities = part.M + scanned
             positives = np.count_nonzero(hits)
             row = {
                 "method": method,

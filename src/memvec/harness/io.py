@@ -119,7 +119,7 @@ def write_index(index: MemoryIndex, path):
     part = index.partition
     with open(path, "wb") as f:
         f.write(_MAGIC + bytes([_VERSION]))
-        f.write(struct.pack("<4I", index.dim, part.N, index.num_units,
+        f.write(struct.pack("<4I", index.dim, part.N, part.M,
                             _TAGS[index.construction]))
         reps.tofile(f)
         # each unit's uint32 count goes in front of its ids

@@ -77,11 +77,10 @@ def _select_units(unit_scores: np.ndarray, tau: float | None,
     return np.sort(np.argsort(-unit_scores, kind="stable")[:k])
 
 
-def _scan(index: MemoryIndex, vectors: np.ndarray, y: np.ndarray, unit_scores: np.ndarray,
+def _scan(part: Partition, vectors: np.ndarray, y: np.ndarray, unit_scores: np.ndarray,
           tau: float | None, top_units: int | None) -> QueryResult:
     """Layers 2-4 of both query paths: select the positive units, gather their
-    members from the CSR arrays, re-rank them by true inner product, assemble."""
-    part = index.partition
+    members from the partition's CSR, re-rank them by true inner product, assemble."""
     pos = _select_units(unit_scores, tau, top_units)
     lo = part.offsets[pos]
     n = part.offsets[pos + 1] - lo
@@ -93,7 +92,7 @@ def _scan(index: MemoryIndex, vectors: np.ndarray, y: np.ndarray, unit_scores: n
     order = np.argsort(-sims)
     if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
         order = np.lexsort((ids, -sims))
-    complexity = index.num_units + ids.size
+    complexity = part.M + ids.size
     return QueryResult(
         positive_units=tuple(zip(pos.tolist(), unit_scores[pos].tolist())),
         candidates=tuple(zip(ids[order].tolist(), sims[order].tolist())),
@@ -101,10 +100,10 @@ def _scan(index: MemoryIndex, vectors: np.ndarray, y: np.ndarray, unit_scores: n
         complexity_ratio=complexity / part.N)
 
 
-def _checked_query(index: MemoryIndex, dataset: Dataset, y) -> np.ndarray:
-    """y as a float64 unit vector that matches the index and its dataset."""
+def _checked_query(y, d: int) -> np.ndarray:
+    """y as a float64 unit vector of dimension d."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (index.dim,) or dataset.vectors.shape != (index.partition.N, index.dim):
+    if y.shape != (d,):
         raise DimensionError("query, index and dataset disagree in shape")
     if not np.all(np.isfinite(y)) or abs(np.linalg.norm(y) - 1.0) > FILE_NORM_TOL:
         raise NormalizationError("query is not a finite unit vector")
@@ -115,8 +114,10 @@ def query(index: MemoryIndex, dataset: Dataset, y: np.ndarray,
           tau: float | None = None, top_units: int | None = None) -> QueryResult:
     """Scan all memory vectors; re-rank members of units with score > tau
     (or of the top_units highest-scoring units) by true inner product."""
-    y = _checked_query(index, dataset, y)
-    return _scan(index, dataset.vectors, y, index.representatives @ y, tau, top_units)
+    if dataset.vectors.shape != (index.partition.N, index.dim):
+        raise DimensionError("query, index and dataset disagree in shape")
+    y = _checked_query(y, index.dim)
+    return _scan(index.partition, dataset.vectors, y, index.representatives @ y, tau, top_units)
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +145,23 @@ class BinaryIndex:
     by ``np.packbits`` (bit k of a code is bit 7 - k % 8 of byte k // 8; the
     pad bits of the last byte are 0).
 
-    The dataset is kept by reference: candidates re-rank by true inner
-    products.
+    The partition and the dataset are kept by reference: candidates re-rank
+    by true inner products. No float representative is kept.
     """
 
     unit_codes: np.ndarray  # (M, ceil(d / 8)) uint8
-    index: MemoryIndex
+    partition: Partition
     dataset: Dataset
 
     def __post_init__(self):
-        d, nb = self.index.dim, _code_bytes(self.index.dim)
-        if self.dataset.vectors.shape != (self.index.partition.N, d):
-            raise DimensionError("dataset does not match the index")
+        d, nb = self.dataset.dim, _code_bytes(self.dataset.dim)
+        if self.dataset.size != self.partition.N:
+            raise DimensionError("dataset does not match the partition")
         codes = np.asarray(self.unit_codes).view()
         if codes.dtype != np.uint8:
             raise ModelError("unit_codes must be packed uint8 bytes")
-        if codes.shape != (self.index.num_units, nb):
-            raise DimensionError(f"unit_codes must have shape {(self.index.num_units, nb)}")
+        if codes.shape != (self.partition.M, nb):
+            raise DimensionError(f"unit_codes must have shape {(self.partition.M, nb)}")
         if np.any(codes[:, -1] & np.uint8(0xFF >> (d - 8 * (nb - 1)))):
             raise ModelError("unit_codes has pad bits set")
         codes.setflags(write=False)
@@ -178,9 +179,11 @@ def _pack_signs(A: np.ndarray) -> np.ndarray:
 
 
 def binarize(index: MemoryIndex, dataset: Dataset) -> BinaryIndex:
-    """Sign-binarize every unit representative."""
+    """Sign codes of every unit representative, beside the index's partition."""
+    if dataset.vectors.shape != (index.partition.N, index.dim):
+        raise DimensionError("dataset does not match the index")
     return BinaryIndex(unit_codes=_pack_signs(index.representatives),
-                       index=index, dataset=dataset)
+                       partition=index.partition, dataset=dataset)
 
 
 def _symmetric_scores(codes: np.ndarray, code_y: np.ndarray, d: int) -> np.ndarray:
@@ -220,9 +223,9 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
     """
     if mode not in ("symmetric", "asymmetric"):
         raise DomainError(f"unknown binary mode {mode!r}")
-    y = _checked_query(bindex.index, bindex.dataset, y)
+    y = _checked_query(y, bindex.dataset.dim)  # the sketch checked its dataset
     if mode == "symmetric":
         unit_scores = _symmetric_scores(bindex.unit_codes, np.packbits(y >= 0.0), y.size)
     else:
         unit_scores = _asymmetric_scores(bindex.unit_codes, _byte_table(y), y)
-    return _scan(bindex.index, bindex.dataset.vectors, y, unit_scores, tau, top_units)
+    return _scan(bindex.partition, bindex.dataset.vectors, y, unit_scores, tau, top_units)

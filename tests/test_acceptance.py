@@ -106,7 +106,7 @@ def test_03_pinv_constraint_zero_false_negative():
     index = build_index(data, part, ConstructionConfig(kind="pinv"))
     reps = index.representatives
     unit_of = np.empty(1000, dtype=np.int64)
-    for j in range(index.num_units):
+    for j in range(part.M):
         unit_of[part.member_ids[part.offsets[j]:part.offsets[j + 1]]] = j
     probe_rng = _SEED.child("c3-probe").generator()
     for i in probe_rng.choice(1000, size=10, replace=False):

@@ -168,7 +168,7 @@ class TestBuildQueryEval:
         assert run(["build", "--data", db, "--assign", "kmeans",
                     "--construction", "sum", "--M", 10, "--normalize",
                     "--seed", 2, "--out", out]) == 0
-        assert io.read_index(out).num_units == 10
+        assert io.read_index(out).partition.M == 10
 
     def test_build_batch_kmeans(self, pipeline):
         db, q, idx, tmp = pipeline
@@ -176,7 +176,7 @@ class TestBuildQueryEval:
         assert run(["build", "--data", db, "--assign", "batch-kmeans",
                     "--construction", "sum", "--M", 5, "--batch-size", 100,
                     "--seed", 2, "--out", out]) == 0
-        assert io.read_index(out).num_units == 10  # 5 per batch, 2 batches
+        assert io.read_index(out).partition.M == 10  # 5 per batch, 2 batches
 
     @pytest.mark.parametrize("assign, given, ignored", [
         ("random", ["--unit-size", 10, "--M", 5, "--normalize"], "--M"),

@@ -172,7 +172,7 @@ class TestMemoryIndex:
     def test_partition_enforced(self):
         part = self._part([[0, 1], [2]])
         idx = MemoryIndex(np.ones((2, 3)), part, "sum")
-        assert idx.partition is part and idx.num_units == 2 and idx.dim == 3
+        assert idx.partition is part and idx.partition.M == 2 and idx.dim == 3
         assert idx.representatives.shape == (2, 3)
         assert not part.member_ids.flags.writeable
         with pytest.raises(ModelError):  # one representative per unit

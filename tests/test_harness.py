@@ -127,12 +127,19 @@ class TestEvaluateResults:
             complexity_std=float(np.std(ratios)) if ratios.size else 0.0,
         )
 
+    def test_repeated_retrieved_id_rejected(self):
+        # each copy used to count as a hit: recall 1.5
+        with pytest.raises(DomainError, match="retrieved list 1 repeats dataset id 5"):
+            evaluate_results([[1], [5, 7, 5]], [[1], [5, 7]], [0.1, 0.1])
+        rep = evaluate_results([[1], [5, 7]], [[1], [5, 7, 7]], [0.1, 0.1])
+        assert rep.recall_of_matches == 1.0 and rep.recall_at_r[10] == 1.0
+
     def test_matches_set_loop_reference(self):
         rng = Seed(2).generator()
         retrieved, matches = [], []
         for q in range(60):
-            # repeated ids in both lists, empty lists, lists past rank 100
-            retrieved.append(rng.integers(0, 300, size=rng.integers(0, 250)))
+            # repeated ids in the match lists, empty lists, lists past rank 100
+            retrieved.append(rng.permutation(300)[:rng.integers(0, 250)])
             gt = rng.integers(0, 300, size=rng.integers(0, 40))
             matches.append(np.concatenate([gt, gt[: q % 5]]) if q % 7 else gt[:0])
         ratios = rng.random(60)

@@ -207,7 +207,7 @@ class TestIndexContainer:
             io.write_index(index, path)
             back = io.read_index(path)
             assert back.construction == construction
-            assert back.dim == index.dim and back.num_units == index.num_units
+            assert back.dim == index.dim and back.partition.M == index.partition.M
             assert np.array_equal(back.partition.offsets, index.partition.offsets)
             assert np.array_equal(back.partition.member_ids, index.partition.member_ids)
             assert np.array_equal(back.representatives,

@@ -1,5 +1,7 @@
+import gc
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from oracles import asymmetric_inner, hamming_inner, sign_code
 
 
 def _units(index):
-    """Member ids of each unit, from the CSR arrays."""
+    """Member ids of each unit of a MemoryIndex or BinaryIndex, from the
+    CSR arrays of its partition."""
     return np.split(index.partition.member_ids, index.partition.offsets[1:-1])
 
 
@@ -115,7 +118,7 @@ class TestQuery:
         res = query(index, data, y, tau=tau)
 
         scores = index.representatives @ y
-        expect_pos = [j for j in range(index.num_units) if scores[j] > tau]
+        expect_pos = [j for j in range(index.partition.M) if scores[j] > tau]
         assert [j for j, _ in res.positive_units] == expect_pos
         expect_ids = set()
         scanned = 0
@@ -123,7 +126,7 @@ class TestQuery:
             expect_ids |= set(_units(index)[j].tolist())
             scanned += _units(index)[j].size
         assert set(i for i, _ in res.candidates) == expect_ids
-        assert res.complexity == index.num_units + scanned
+        assert res.complexity == index.partition.M + scanned
         assert res.complexity_ratio == pytest.approx(res.complexity / 120)
         # candidates sorted by descending true similarity
         sims = [s for _, s in res.candidates]
@@ -136,14 +139,14 @@ class TestQuery:
         y = sample_sphere(32, Seed(25).generator(), size=1)[0]
         res = query(index, data, y, tau=2.0)
         assert res.candidates == () and res.positive_units == ()
-        assert res.complexity == index.num_units
+        assert res.complexity == index.partition.M
 
     def test_low_threshold_is_exhaustive(self, small_index):
         data, index = small_index
         y = sample_sphere(32, Seed(26).generator(), size=1)[0]
         res = query(index, data, y, tau=-np.inf)
         assert len(res.candidates) == data.size
-        assert res.complexity == index.num_units + data.size
+        assert res.complexity == index.partition.M + data.size
 
     def test_top_units_mode(self, small_index):
         data, index = small_index
@@ -195,21 +198,20 @@ class TestGather:
         return data, index, binarize(index, data)
 
     @staticmethod
-    def _slice_oracle(index, vectors, y, pos):
-        part = index.partition
+    def _slice_oracle(part, vectors, y, pos):
         members = [part.member_ids[part.offsets[j]:part.offsets[j + 1]] for j in pos]
         ids = np.concatenate([np.empty(0, dtype=part.member_ids.dtype)] + members)
         sims = vectors[ids] @ y
         order = np.lexsort((ids, -sims))
         return ids[order].tolist(), sims[order].tolist()
 
-    def _check(self, res, index, vectors, y):
+    def _check(self, res, part, vectors, y):
         pos = [j for j, _ in res.positive_units]
-        ids, sims = self._slice_oracle(index, vectors, y, pos)
+        ids, sims = self._slice_oracle(part, vectors, y, pos)
         assert [i for i, _ in res.candidates] == ids
         assert [s for _, s in res.candidates] == sims
-        assert res.complexity == index.num_units + sum(self.SIZES[j] for j in pos)
-        assert res.complexity_ratio == res.complexity / index.partition.N
+        assert res.complexity == part.M + sum(self.SIZES[j] for j in pos)
+        assert res.complexity_ratio == res.complexity / part.N
         # Python scalars, as the CLI writes them with repr
         for pairs in (res.candidates, res.positive_units):
             assert all(type(i) is int and type(s) is float for i, s in pairs)
@@ -223,7 +225,7 @@ class TestGather:
         for k in range(8):
             y = sample_sphere(24, Seed(61 + k).generator(), size=1)[0]
             res = query(index, data, y, **select)
-            pos = self._check(res, index, data.vectors, y)
+            pos = self._check(res, index.partition, data.vectors, y)
             scores = index.representatives @ y
             assert [s for _, s in res.positive_units] == scores[pos].tolist()
             if "top_units" in select:
@@ -236,7 +238,7 @@ class TestGather:
         for k in range(8):
             y = sample_sphere(24, Seed(71 + k).generator(), size=1)[0]
             res = query_binary(bindex, y, mode=mode, **select)
-            self._check(res, bindex.index, data.vectors, y)
+            self._check(res, bindex.partition, data.vectors, y)
 
     def test_equal_sims_rank_like_lexsort(self, uneven):
         # two rows of unit 2 repeat three times each in unit 3: a scan over
@@ -248,10 +250,10 @@ class TestGather:
         rows[three[:6]] = rows[two[:2]].repeat(3, axis=0)
         y = sample_sphere(24, Seed(80).generator(), size=1)[0]
         for scores, ties in ((np.ones(4), True), (np.array([1.0, 1.0, 1.0, -1.0]), False)):
-            res = search._scan(index, rows, y, scores, 0.0, None)
+            res = search._scan(index.partition, rows, y, scores, 0.0, None)
             sims = [s for _, s in res.candidates]
             assert (len(set(sims)) < len(sims)) == ties
-            self._check(res, index, rows, y)
+            self._check(res, index.partition, rows, y)
 
 
 class TestQueryBoundary:
@@ -388,7 +390,7 @@ class TestQueryBinary:
 def _oracle(bindex, y, mode, tau, top_units):
     """query_binary recomputed on unpacked bool codes, as positive unit ids,
     unit scores, candidate ids and candidate scores."""
-    d = bindex.index.dim
+    d = bindex.dataset.dim
     bits = lambda codes: np.unpackbits(codes, axis=1, count=d).astype(bool)
     # row by row, so rows with equal codes get equal scores
     if mode == "symmetric":
@@ -400,7 +402,7 @@ def _oracle(bindex, y, mode, tau, top_units):
         pos = [j for j in range(units.size) if units[j] > tau]
     else:
         pos = sorted(sorted(range(units.size), key=lambda j: (-units[j], j))[:top_units])
-    members = _units(bindex.index)
+    members = _units(bindex)
     ids = np.concatenate([np.empty(0, dtype=np.int64)] + [members[j] for j in pos])
     sims = bindex.dataset.vectors[ids] @ y
     order = sorted(range(ids.size), key=lambda k: (-sims[k], ids[k]))
@@ -437,7 +439,7 @@ class TestPackedLayer:
         bindex = _binary_index(rng.standard_normal((12, d)), np.arange(12) // 3)
         assert bindex.unit_codes.dtype == np.uint8
         assert bindex.unit_codes.nbytes == 4 * -(-d // 8)
-        assert bindex.index.dim == d
+        assert bindex.dataset.dim == d
 
     def test_binarize_packs_only_the_units(self):
         # N = 20000 rows of d = 256 would pack to 640 KB, M = 1000 units to 32 KB;
@@ -487,11 +489,46 @@ class TestPackedLayer:
         assert peak < M * d * 8
 
 
+class TestSketchOnly:
+    """The sketch shares the index's partition and keeps nothing else of the
+    index, so a caller that serves only sketch queries can drop the index."""
+
+    def test_shares_the_partition(self, small_index):
+        data, index = small_index
+        assert binarize(index, data).partition is index.partition
+
+    def test_index_can_be_dropped(self):
+        data = Dataset(sample_sphere(32, Seed(90).generator(), size=120))
+        index = build_index(data, random_assignment(120, 8, Seed(91).generator()),
+                            ConstructionConfig(kind="pinv"))
+        bindex = binarize(index, data)
+        runs = [(y, mode) for y in sample_sphere(32, Seed(92).generator(), size=6)
+                for mode in ("symmetric", "asymmetric")]
+        before = [query_binary(bindex, y, tau=0.0, mode=mode) for y, mode in runs]
+        ref = weakref.ref(index)
+        del index
+        gc.collect()
+        assert ref() is None
+        assert [query_binary(bindex, y, tau=0.0, mode=mode) for y, mode in runs] == before
+
+    def test_dimension_checked_at_equal_code_width(self):
+        # 13 and 16 signs both pack into 2 bytes with clean pad bits, so only
+        # binarize's own check of d sees the mismatch
+        rng = Seed(93).generator()
+        data13 = Dataset(sample_sphere(13, rng, size=40))
+        data16 = Dataset(sample_sphere(16, rng, size=40))
+        index = build_index(data13, random_assignment(40, 4, rng),
+                            ConstructionConfig(kind="sum"))
+        with pytest.raises(DimensionError, match="dataset does not match the index"):
+            binarize(index, data16)
+
+
 class TestBinaryIndexInvariants:
     def test_rejects_bad_codes(self, small_index):
         data, index = small_index
         unit_codes = np.array(binarize(index, data).unit_codes)
-        make = lambda u, ds=data: BinaryIndex(unit_codes=u, index=index, dataset=ds)
+        make = lambda u, ds=data: BinaryIndex(unit_codes=u, partition=index.partition,
+                                               dataset=ds)
         with pytest.raises(ModelError):  # one bool per bit
             make(sign_code(index.representatives))
         with pytest.raises(ModelError):
@@ -510,12 +547,12 @@ class TestBinaryIndexInvariants:
         unit_codes = np.array(good.unit_codes)
         unit_codes[0, -1] |= 0b00000001
         with pytest.raises(ModelError):
-            BinaryIndex(unit_codes=unit_codes, index=good.index, dataset=good.dataset)
+            BinaryIndex(unit_codes=unit_codes, partition=good.partition, dataset=good.dataset)
 
     def test_frozen(self, small_index):
         data, index = small_index
         unit_codes = np.packbits(index.representatives >= 0, axis=1)
-        bindex = BinaryIndex(unit_codes=unit_codes, index=index, dataset=data)
+        bindex = BinaryIndex(unit_codes=unit_codes, partition=index.partition, dataset=data)
         with pytest.raises(ValueError):
             bindex.unit_codes[0, 0] = 0
         unit_codes[0, 0] ^= 1  # the caller's array stays writeable
