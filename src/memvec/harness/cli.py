@@ -103,7 +103,7 @@ def _cmd_query(args) -> int:
     rows = []
     for qid, y in enumerate(queries):
         res = query(index, data, y, tau=args.tau, top_units=args.top_units)
-        ranked = [(rank, i, repr(s)) for rank, (i, s) in enumerate(res.candidates, start=1)]
+        ranked = [(rank, i, repr(s)) for rank, (i, s) in enumerate(res.candidates.tolist(), 1)]
         for rank, i, s in ranked or [("", "", "")]:  # one blank row when none
             rows.append({"query": qid, "rank": rank, "dataset_id": i, "score": s,
                          "complexity": res.complexity,

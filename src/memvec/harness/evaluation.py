@@ -13,6 +13,7 @@ import numpy as np
 
 from ..core import BLOCK_FLOATS, Dataset
 from ..errors import DimensionError, DomainError
+from ..search import _checked_query
 
 __all__ = ["EvalReport", "cosine_ground_truth", "evaluate_results"]
 
@@ -31,6 +32,8 @@ class EvalReport:
 def cosine_ground_truth(dataset: Dataset, queries: np.ndarray,
                         alpha0: float) -> list[np.ndarray]:
     """Per-query sorted id lists of all vectors with inner product >= alpha0.
+    A query row that is not a finite unit vector raises NormalizationError,
+    as in ``query``.
 
     The queries are scored against one block of dataset rows at a time,
     each copied (widened, when the dataset is float32) into one reused
@@ -39,9 +42,8 @@ def cosine_ground_truth(dataset: Dataset, queries: np.ndarray,
     """
     if np.isnan(alpha0):
         raise DomainError("alpha0 is NaN")
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.shape[1] != dataset.dim:
-        raise DimensionError("query dimension mismatch")
+    queries = np.atleast_2d(queries)
+    queries = _checked_query(queries, (len(queries), dataset.dim))
     X = dataset.vectors
     rows = max(1, BLOCK_FLOATS // max(len(queries), X.shape[1]))
     buf = np.empty((min(rows, len(X)), X.shape[1]))
@@ -69,8 +71,9 @@ def evaluate_results(retrieved: list[np.ndarray], matches: list[np.ndarray],
     recall_at_r averages |top-R intersect matches| / min(R, |matches|) over
     the queries with a match. A repeated retrieved id raises DomainError.
     """
-    if len(retrieved) != len(matches):
-        raise DimensionError("retrieved/matches length mismatch")
+    ratios = np.asarray(complexity_ratios, dtype=np.float64)
+    if len(retrieved) != len(matches) or ratios.shape != (len(matches),):
+        raise DimensionError("retrieved, matches and complexity_ratios differ in length")
     hit = 0
     total_matches = 0
     total_retrieved = 0
@@ -90,7 +93,6 @@ def evaluate_results(retrieved: list[np.ndarray], matches: list[np.ndarray],
         if n_gt:
             for r in RECALL_RANKS:
                 at_r[r].append(int(np.count_nonzero(found[:r])) / min(r, n_gt))
-    ratios = np.asarray(complexity_ratios, dtype=np.float64)
     return EvalReport(
         recall_of_matches=hit / total_matches if total_matches else 0.0,
         precision=hit / total_retrieved if total_retrieved else 0.0,

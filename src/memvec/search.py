@@ -28,17 +28,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    """Scan outcome for one query.
+_UNIT_DTYPE = np.dtype([("unit", np.int64), ("score", np.float64)])
+_CANDIDATE_DTYPE = np.dtype([("id", np.int64), ("sim", np.float64)])
 
-    positive_units: (unit id, unit score) pairs in unit-id order.
-    candidates: (dataset id, similarity) sorted by descending similarity,
+
+@dataclass(frozen=True, eq=False)
+class QueryResult:
+    """Scan outcome for one query; each record of its arrays unpacks as a pair.
+
+    positive_units: (unit int64, score float64) records in unit-id order.
+    candidates: (id int64, sim float64) records sorted by descending sim,
     ties broken by lower id. complexity = M + sum of positive unit sizes.
     """
 
-    positive_units: tuple[tuple[int, float], ...]
-    candidates: tuple[tuple[int, float], ...]
+    positive_units: np.ndarray
+    candidates: np.ndarray
     complexity: int
     complexity_ratio: float
 
@@ -88,24 +92,27 @@ def _scan(part: Partition, vectors: np.ndarray, y: np.ndarray, unit_scores: np.n
     # slot t of it reads member_ids[t + lo[k] - (ends[k] - n[k])]
     ends = np.cumsum(n)
     ids = part.member_ids[np.arange(n.sum()) + np.repeat(lo - ends + n, n)]
+    # keep this gather order: the GEMV's sims, which the CLI writes, depend on it in the last bits
     sims = vectors[ids] @ y
     order = np.argsort(-sims)
     if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
         order = np.lexsort((ids, -sims))
+    units = np.empty(pos.size, _UNIT_DTYPE)
+    units["unit"], units["score"] = pos, unit_scores[pos]
+    cands = np.empty(ids.size, _CANDIDATE_DTYPE)
+    cands["id"], cands["sim"] = ids[order], sims[order]
     complexity = part.M + ids.size
-    return QueryResult(
-        positive_units=tuple(zip(pos.tolist(), unit_scores[pos].tolist())),
-        candidates=tuple(zip(ids[order].tolist(), sims[order].tolist())),
-        complexity=complexity,
-        complexity_ratio=complexity / part.N)
+    return QueryResult(positive_units=units, candidates=cands, complexity=complexity,
+                       complexity_ratio=complexity / part.N)
 
 
-def _checked_query(y, d: int) -> np.ndarray:
-    """y as a float64 unit vector of dimension d."""
+def _checked_query(y, shape: tuple[int, ...]) -> np.ndarray:
+    """y as float64 of the given shape, (d,) or (Q, d), each row a finite unit vector."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (d,):
-        raise DimensionError("query, index and dataset disagree in shape")
-    if not np.all(np.isfinite(y)) or abs(np.linalg.norm(y) - 1.0) > FILE_NORM_TOL:
+    if y.shape != shape:
+        raise DimensionError(f"query shape {y.shape} is not {shape}")
+    # a NaN or inf coefficient makes a row's norm NaN or inf, which fails the test
+    if not (abs(np.linalg.norm(y, axis=-1) - 1.0) <= FILE_NORM_TOL).all():
         raise NormalizationError("query is not a finite unit vector")
     return y
 
@@ -116,7 +123,7 @@ def query(index: MemoryIndex, dataset: Dataset, y: np.ndarray,
     (or of the top_units highest-scoring units) by true inner product."""
     if dataset.vectors.shape != (index.partition.N, index.dim):
         raise DimensionError("query, index and dataset disagree in shape")
-    y = _checked_query(y, index.dim)
+    y = _checked_query(y, (index.dim,))
     return _scan(index.partition, dataset.vectors, y, index.representatives @ y, tau, top_units)
 
 
@@ -223,7 +230,7 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
     """
     if mode not in ("symmetric", "asymmetric"):
         raise DomainError(f"unknown binary mode {mode!r}")
-    y = _checked_query(y, bindex.dataset.dim)  # the sketch checked its dataset
+    y = _checked_query(y, (bindex.dataset.dim,))  # the sketch checked its dataset
     if mode == "symmetric":
         unit_scores = _symmetric_scores(bindex.unit_codes, np.packbits(y >= 0.0), y.size)
     else:

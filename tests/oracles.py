@@ -6,7 +6,8 @@ inner products behind them are computed coefficient by coefficient.
 Y'm, for Y uniform on the sphere and a fixed m, is given here as a CDF, a
 density and the large-d Gaussian CDF; the library keeps only its log
 survival, ``analytic.score_sf_log``. ``cap_moment_quadrature`` integrates
-that density over a cap, against ``analytic.cap_moment``.
+that density over a cap, against ``analytic.cap_moment``. ``as_lists``
+turns a ``QueryResult`` into Python values that compare with ==.
 """
 
 import math
@@ -16,6 +17,13 @@ from scipy.integrate import quad
 
 from memvec.analytic import log_beta, score_sf_log, std_normal_cdf
 from memvec.construction import ConstructionConfig, representatives
+
+
+def as_lists(res) -> tuple:
+    """A QueryResult's fields as Python lists and scalars, so two results
+    compare with ==."""
+    return (res.positive_units.tolist(), res.candidates.tolist(), res.complexity,
+            res.complexity_ratio)
 
 
 def sign_code(v) -> np.ndarray:

@@ -8,6 +8,7 @@ from memvec.core import Dataset
 from memvec.harness import io
 from memvec.harness.cli import main
 from memvec.harness.evaluation import cosine_ground_truth
+from memvec.search import query
 
 
 def run(argv):
@@ -71,6 +72,26 @@ class TestBuildQueryEval:
             rows = list(csv.DictReader(handle))
         assert set(rows[0]) == {"query", "rank", "dataset_id", "score",
                                 "complexity", "complexity_ratio"}
+
+    def test_query_csv_rows_are_the_library_answer(self, pipeline):
+        # the CSV writes the records of QueryResult.candidates in rank order,
+        # each sim as the repr of the Python float that tolist gives
+        db, q, idx, tmp = pipeline
+        out = tmp / "res.csv"
+        assert run(["query", "--index", idx, "--data", db, "--queries", q,
+                    "--tau", 0.2, "--out", out]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        index, data = io.read_index(idx), Dataset(io.read_fvecs(db))
+        for qid, y in enumerate(io.read_fvecs(q)):
+            res = query(index, data, y, tau=0.2)
+            assert res.positive_units.dtype == np.dtype([("unit", np.int64),
+                                                         ("score", np.float64)])
+            assert res.candidates.dtype == np.dtype([("id", np.int64), ("sim", np.float64)])
+            pairs = res.candidates.tolist()
+            assert pairs and all(type(i) is int and type(s) is float for i, s in pairs)
+            written = [(r["dataset_id"], r["score"]) for r in rows if r["query"] == str(qid)]
+            assert written == [(str(i), repr(float(s))) for i, s in res.candidates]
 
     def test_impossible_threshold_scans_only_units(self, pipeline):
         db, q, idx, tmp = pipeline
@@ -141,6 +162,27 @@ class TestBuildQueryEval:
         assert run(["eval", "--results", res, "--gt", gt]) == 1
         assert capsys.readouterr().err == (
             f"error: {res}: no rows for query 2; query ids must run 0..2\n")
+
+    @pytest.mark.parametrize("bad", ["scaled", "nan"])
+    def test_eval_of_queries_query_refuses_is_1(self, pipeline, bad, capsys):
+        # scaled by 3, the queries met every match at alpha0 0.5: recall 1.0
+        db, q, idx, tmp = pipeline
+        res, bad_q, out = tmp / "res.csv", tmp / "bad.fvecs", tmp / "eval.csv"
+        run(["query", "--index", idx, "--data", db, "--queries", q,
+             "--tau", 0.2, "--out", res])
+        Y = io.read_fvecs(q)
+        if bad == "scaled":
+            Y = 3.0 * Y
+        else:
+            Y[1, 0] = np.nan
+        io.write_fvecs(Y, bad_q)
+        assert run(["query", "--index", idx, "--data", db, "--queries", bad_q,
+                    "--tau", 0.2]) == 1
+        capsys.readouterr()
+        assert run(["eval", "--results", res, "--data", db, "--queries", bad_q,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--data", "--queries", "--alpha0"])
     def test_eval_gt_rejects_cosine_options(self, pipeline, option, capsys):

@@ -11,7 +11,7 @@ from memvec.errors import (
     ModelError,
     NormalizationError,
 )
-from memvec.search import binarize
+from memvec.search import binarize, query
 
 
 class TestNormalize:
@@ -240,7 +240,8 @@ class TestMemoryIndex:
             self._index([[0, 1], [2]], d=0)
 
 
-@pytest.mark.parametrize("name", ["Partition", "Dataset", "MemoryIndex", "BinaryIndex"])
+@pytest.mark.parametrize("name", ["Partition", "Dataset", "MemoryIndex", "BinaryIndex",
+                                  "QueryResult"])
 def test_array_dataclasses_compare_by_identity(name):
     # field-wise == would ask numpy for the truth value of an array
     X = np.eye(3)
@@ -249,7 +250,8 @@ def test_array_dataclasses_compare_by_identity(name):
     make = {"Partition": lambda: Partition.from_labels(np.array([0, 1, 0]), 2),
             "Dataset": lambda: Dataset(X),
             "MemoryIndex": lambda: MemoryIndex(X[:2], part, "sum"),
-            "BinaryIndex": lambda: binarize(index, Dataset(X))}[name]
+            "BinaryIndex": lambda: binarize(index, Dataset(X)),
+            "QueryResult": lambda: query(index, Dataset(X), X[0], tau=0.0)}[name]
     a, b = make(), make()
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2

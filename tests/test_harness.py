@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memvec.core import Dataset
-from memvec.errors import DomainError
+from memvec.errors import DimensionError, DomainError, NormalizationError
 from memvec.harness import evaluation
 from memvec.harness.evaluation import (
     RECALL_RANKS,
@@ -41,6 +41,16 @@ class TestGroundTruth:
     def test_nan_threshold_rejected(self):
         with pytest.raises(DomainError, match="alpha0 is NaN"):
             cosine_ground_truth(Dataset(np.eye(2)), np.array([[1.0, 0.0]]), math.nan)
+
+    def test_queries_must_be_finite_unit_vectors(self):
+        # query's rule: scaled queries would meet more matches at the same alpha0
+        data = Dataset(sample_sphere(16, Seed(54).generator(), size=50))
+        Q = sample_sphere(16, Seed(55).generator(), size=4)
+        nan_row = Q.copy()
+        nan_row[2, 0] = np.nan
+        for bad in (3.0 * Q, nan_row, Q[0] * 1.01):
+            with pytest.raises(NormalizationError):
+                cosine_ground_truth(data, bad, 0.5)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "small-blocks"])
@@ -133,6 +143,12 @@ class TestEvaluateResults:
             evaluate_results([[1], [5, 7, 5]], [[1], [5, 7]], [0.1, 0.1])
         rep = evaluate_results([[1], [5, 7]], [[1], [5, 7, 7]], [0.1, 0.1])
         assert rep.recall_of_matches == 1.0 and rep.recall_at_r[10] == 1.0
+
+    def test_complexity_ratio_count_must_match(self):
+        # three ratios for one query used to average to 0.5
+        for ratios in ([0.1, 0.9, 0.5], [], 0.1):
+            with pytest.raises(DimensionError):
+                evaluate_results([[1]], [[1]], ratios)
 
     def test_matches_set_loop_reference(self):
         rng = Seed(2).generator()

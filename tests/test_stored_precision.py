@@ -16,6 +16,8 @@ from memvec.harness.evaluation import cosine_ground_truth
 from memvec.sampling import Seed, h1_queries, make_clustered_dataset, sample_sphere
 from memvec.search import binarize, build_index, query, query_binary
 
+from oracles import as_lists
+
 
 @pytest.fixture(scope="module")
 def pair():
@@ -60,10 +62,10 @@ def test_queries_identical(pair, partition):
     assert np.array_equal(search._pack_signs(ds32.vectors), search._pack_signs(ds64.vectors))
     for y in queries:
         for kw in ({"top_units": 5}, {"tau": 0.5}):
-            assert query(index, ds32, y, **kw) == query(index, ds64, y, **kw)
+            assert as_lists(query(index, ds32, y, **kw)) == as_lists(query(index, ds64, y, **kw))
         for mode in ("asymmetric", "symmetric"):
             kw = {"top_units": 5, "mode": mode}
-            assert query_binary(b32, y, **kw) == query_binary(b64, y, **kw)
+            assert as_lists(query_binary(b32, y, **kw)) == as_lists(query_binary(b64, y, **kw))
 
 
 def test_ground_truth_identical(pair):
