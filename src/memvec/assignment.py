@@ -8,12 +8,13 @@ member lists the index shares: no per-id label array stays resident."""
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import BLOCK_FLOATS, ID_DTYPE, Dataset, Partition, _check_id_count, _stable_order
+from .core import BLOCK_FLOATS, ID_DTYPE, Dataset, Partition, _check_id_count
 from .errors import DomainError
 from .sampling import Seed
 
@@ -38,8 +39,11 @@ class KMeansConfig:
     def __post_init__(self):
         if self.mode not in ("sum", "pinv"):
             raise DomainError(f"unknown k-means mode {self.mode!r}")
-        if self.M < 1 or self.max_iters < 1:
-            raise DomainError("M and max_iters must be >= 1")
+        try:  # a float count would fail inside numpy
+            if operator.index(self.M) < 1 or operator.index(self.max_iters) < 1:
+                raise DomainError("M and max_iters must be >= 1")
+        except TypeError as exc:
+            raise DomainError(f"M and max_iters must be integers: {exc}") from exc
 
 
 def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
@@ -51,8 +55,11 @@ def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     state). Each chunk is sorted in place, so the permutation becomes the
     partition's ``member_ids`` and ``offsets[k] = min(k n, N)``; no N
     labels are sorted."""
-    if n < 1 or n > N:
-        raise DomainError("need 1 <= n <= N")
+    try:  # a float n would fail inside numpy
+        if operator.index(n) < 1 or n > N:
+            raise DomainError("need 1 <= n <= N")
+    except TypeError as exc:
+        raise DomainError(f"n must be an integer: {exc}") from exc
     _check_id_count(N)
     order = np.arange(N, dtype=ID_DTYPE)
     rng.shuffle(order)
@@ -98,7 +105,7 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
         labels = new_labels
         part = Partition.from_labels(labels, cfg.M)
         reps = None  # freed before its successor is built, not after
-        reps = representatives(X, part.member_ids, part.offsets, construction)
+        reps = representatives(X, part, construction)
         if cfg.normalize_representative:
             norms = np.linalg.norm(reps, axis=1, keepdims=True)
             reps = np.divide(reps, norms, out=reps, where=norms > 0.0)
@@ -225,7 +232,7 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
     member, is never the largest. They do not depend on the draws, so one
     ``rng.integers`` call on the pool sizes draws every member index, with
     the values and generator state of one draw per empty unit. A donor's
-    ascending pool is a list taken from one stable argsort that loses each
+    pool, its ascending members in ``Partition.from_labels``, loses each
     stolen id, so each draw picks what a fresh ``flatnonzero`` would.
     """
     sizes = np.bincount(labels, minlength=M)
@@ -242,14 +249,10 @@ def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> N
         pool_sizes.append(-neg_size)
         heapq.heapreplace(heap, (neg_size + 1, largest))
     picks = rng.integers(pool_sizes).tolist()
-    order = _stable_order(labels, M)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    pools: dict[int, list[int]] = {}
+    part = Partition.from_labels(labels, M)
+    pools = {u: part.members_of(np.array([u])).tolist() for u in set(donors)}
     for j, largest, pick in zip(empties.tolist(), donors, picks):
-        pool = pools.get(largest)
-        if pool is None:
-            pool = pools[largest] = order[offsets[largest]:offsets[largest + 1]].tolist()
-        labels[pool.pop(pick)] = j
+        labels[pools[largest].pop(pick)] = j
 
 
 def batch_assignment(dataset: Dataset, batch_size: int, inner: KMeansConfig) -> Partition:
@@ -262,8 +265,11 @@ def batch_assignment(dataset: Dataset, batch_size: int, inner: KMeansConfig) -> 
     offsets shifted by its first dataset id: the stable sort of the global
     labels, without making them.
     """
-    if batch_size < 1:
-        raise DomainError("batch_size must be >= 1")
+    try:  # a float batch_size would fail inside numpy
+        if operator.index(batch_size) < 1:
+            raise DomainError("batch_size must be >= 1")
+    except TypeError as exc:
+        raise DomainError(f"batch_size must be an integer: {exc}") from exc
     if not isinstance(inner, KMeansConfig):
         raise DomainError("inner must be a KMeansConfig")
     N = dataset.size

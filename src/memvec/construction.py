@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Partition
 from .errors import DomainError, EmptyUnitError, SingularGramError
 
 __all__ = ["ConstructionConfig", "representatives"]
@@ -75,10 +76,10 @@ def _batches(sizes: np.ndarray, n: int, step: int):
             yield units[s:s + step]
 
 
-def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
-                    cfg: ConstructionConfig, report: dict | None = None) -> np.ndarray:
-    """(M, d) representatives of the CSR units ``X[member_ids[offsets[j]:
-    offsets[j + 1]]]``, gathered in (b, n, d) batches of equal size n.
+def representatives(X: np.ndarray, partition: Partition, cfg: ConstructionConfig,
+                    report: dict | None = None) -> np.ndarray:
+    """(M, d) representatives of the partition's units, their rows of X
+    gathered by ``partition.members_of`` in (b, n, d) batches of equal size n.
     X is used as stored (float32 or float64); each batch is widened to
     float64, so sums and solves are float64 whatever X holds.
 
@@ -90,7 +91,7 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     receives ``fallbacks``, the units that took the ridge, and
     ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
     X = np.asarray(X)
-    sizes = np.diff(offsets)
+    sizes = partition.sizes
     if np.any(sizes <= 0):
         raise EmptyUnitError("empty member set")
     d = X.shape[1]
@@ -98,10 +99,10 @@ def representatives(X: np.ndarray, member_ids: np.ndarray, offsets: np.ndarray,
     fallbacks, worst = 0, 0.0
     for n in np.flatnonzero(np.bincount(sizes)):  # not np.unique, which imports np.ma
         step = max(1, _BATCH_FLOATS // (n * d))
-        cols, ones = np.arange(n), np.ones(n)
+        ones = np.ones(n)
         for js in _batches(sizes, n, step):
             block = None  # free the last batch, so two are never alive at once
-            block = np.take(X, member_ids[offsets[js, None] + cols], axis=0)
+            block = np.take(X, partition.members_of(js).reshape(js.size, n), axis=0)
             block = block.astype(np.float64, copy=False)
             if cfg.kind == "sum":
                 reps[js] = block.sum(axis=1)

@@ -11,6 +11,7 @@ dataset holds fewer than 2^31 vectors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +100,6 @@ def _check_id_count(N: int) -> None:
         raise DomainError(f"N = {N} ids: a partition holds at most {MAX_IDS}")
 
 
-def _stable_order(unit_of: np.ndarray, M: int) -> np.ndarray:
-    """``np.argsort(unit_of, kind="stable")`` for ids in [0, M), sorted on
-    the narrowest unsigned key that holds M - 1: numpy radix-sorts keys of
-    16 bits or less, and a narrower key is a smaller copy."""
-    return np.argsort(unit_of.astype(np.min_scalar_type(M - 1)), kind="stable")
-
-
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Assignment of N dataset ids to M units in CSR layout: unit j holds
@@ -122,6 +116,8 @@ class Partition:
     offsets: np.ndarray  # (M + 1,) ID_DTYPE
 
     def __post_init__(self):
+        if any(np.asarray(a).dtype.kind not in "iu" for a in (self.offsets, self.member_ids)):
+            raise ModelError("member ids and offsets must be integers, not floats or bools")
         offsets, ids = (a if a.dtype == ID_DTYPE else a.astype(np.int64, copy=False)
                         for a in map(np.asarray, (self.offsets, self.member_ids)))
         if ids.size > MAX_IDS:
@@ -152,11 +148,16 @@ class Partition:
             raise DomainError(f"unit ids must be integers, not {u.dtype}")
         u = u.astype(np.int64, copy=False)
         _check_id_count(u.size)
-        if M < 1 or u.min() < 0 or u.max() >= M:
-            raise DomainError("unit ids out of range")
+        try:  # a float M would fail inside numpy
+            if operator.index(M) < 1 or u.min() < 0 or u.max() >= M:
+                raise DomainError("unit ids out of range")
+        except TypeError as exc:
+            raise DomainError(f"M must be an integer: {exc}") from exc
         offsets = np.zeros(M + 1, dtype=ID_DTYPE)
         np.cumsum(np.bincount(u, minlength=M), out=offsets[1:])
-        return cls(_stable_order(u, M).astype(ID_DTYPE), offsets)
+        # the narrowest unsigned key that holds M - 1: numpy radix-sorts keys of 16 bits or less
+        order = np.argsort(u.astype(np.min_scalar_type(M - 1)), kind="stable")
+        return cls(order.astype(ID_DTYPE), offsets)
 
     @property
     def M(self) -> int:
@@ -177,6 +178,16 @@ class Partition:
         unit_of = np.empty(self.N, dtype=np.int64)
         unit_of[self.member_ids] = np.repeat(np.arange(self.M), self.sizes)
         return unit_of
+
+    def members_of(self, units: np.ndarray) -> np.ndarray:
+        """Member ids of the integer array ``units``: their CSR slices concatenated."""
+        lo, hi = self.offsets[units], self.offsets[1:][units]
+        n = hi - lo
+        # one index, not a slice per unit: with ends = cumsum(n), the k-th unit
+        # fills slots [ends[k] - n[k], ends[k]), slot t reading member_ids[t + hi[k] - ends[k]]
+        idx = (hi - n.cumsum()).repeat(n)
+        idx += np.arange(idx.size)
+        return self.member_ids[idx]
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ import numpy as np
 from ..analytic import error_rates, expected_cost_ratio, score_law, threshold_for
 from ..assignment import KMeansConfig, imbalance_factor, random_assignment, spherical_kmeans
 from ..construction import ConstructionConfig, representatives
-from ..core import Dataset
+from ..core import Dataset, Partition
 from ..errors import DomainError
 from ..sampling import Seed, h1_queries, sample_sphere
 from ..search import build_index
@@ -40,8 +40,8 @@ def _stream_units(d: int, n: int, units: int, construction: str,
     for first in range(0, units, batch):
         b = min(batch, units - first)
         X = sample_sphere(d, rng, size=b * n)
-        yield first, X, representatives(X, np.arange(b * n),
-                                        np.arange(0, b * n + 1, n), cfg)
+        part = Partition(np.arange(b * n), np.arange(0, b * n + 1, n))  # consecutive units
+        yield first, X, representatives(X, part, cfg)
 
 
 def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,

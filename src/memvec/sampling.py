@@ -10,6 +10,7 @@ state; parallel workers derive independent generators by seed splitting.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,11 @@ def sample_sphere(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, d) uniform unit vectors: d standard normals per row, normalized."""
     if d < 1:
         raise DimensionError("d must be >= 1")
-    if size < 0:
-        raise DomainError(f"sample size must be >= 0, got {size}")
+    try:  # a float size would fail inside numpy
+        if operator.index(size) < 0:
+            raise DomainError(f"sample size must be >= 0, got {size}")
+    except TypeError as exc:
+        raise DomainError(f"sample size must be an integer: {exc}") from exc
     g = rng.standard_normal((size, d))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     while np.any(norms == 0.0):  # measure-zero redraw

@@ -54,8 +54,7 @@ def build_index(dataset: Dataset, partition: Partition, cfg: ConstructionConfig)
     if partition.N != dataset.size:
         raise DimensionError("partition size does not match the dataset")
     report = {}
-    reps = representatives(dataset.vectors, partition.member_ids, partition.offsets,
-                           cfg, report)
+    reps = representatives(dataset.vectors, partition, cfg, report)
     if report["fallbacks"]:
         logging.getLogger("memvec").warning(
             "%d of %d units took the pinv ridge fallback; worst |<m_j, x_i> - 1| = %.3e",
@@ -84,14 +83,9 @@ def _select_units(unit_scores: np.ndarray, tau: float | None,
 def _scan(part: Partition, vectors: np.ndarray, y: np.ndarray, unit_scores: np.ndarray,
           tau: float | None, top_units: int | None) -> QueryResult:
     """Layers 2-4 of both query paths: select the positive units, gather their
-    members from the partition's CSR, re-rank them by true inner product, assemble."""
+    members by ``Partition.members_of``, re-rank them by true inner product, assemble."""
     pos = _select_units(unit_scores, tau, top_units)
-    lo = part.offsets[pos]
-    n = part.offsets[pos + 1] - lo
-    # the k-th positive unit fills gather slots [ends[k] - n[k], ends[k]);
-    # slot t of it reads member_ids[t + lo[k] - (ends[k] - n[k])]
-    ends = np.cumsum(n)
-    ids = part.member_ids[np.arange(n.sum()) + np.repeat(lo - ends + n, n)]
+    ids = part.members_of(pos)
     # keep this gather order: the GEMV's sims, which the CLI writes, depend on it in the last bits
     sims = vectors[ids] @ y
     order = np.argsort(-sims)

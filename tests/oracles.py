@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from memvec.analytic import log_beta, score_sf_log, std_normal_cdf
 from memvec.construction import ConstructionConfig, representatives
+from memvec.core import Partition
 
 
 def as_lists(res) -> tuple:
@@ -49,7 +50,7 @@ def pinv_vector(X, report: dict | None = None) -> np.ndarray:
     """pinv representative of the one unit that holds every row of X."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    return representatives(X, np.arange(n), np.array([0, n]),
+    return representatives(X, Partition(np.arange(n), np.array([0, n])),
                            ConstructionConfig(kind="pinv"), report)[0]
 
 

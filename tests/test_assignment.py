@@ -282,7 +282,7 @@ def _kmeans_reference(dataset, cfg):
             break
         labels = new_labels
         part = Partition.from_labels(labels, cfg.M)
-        reps = representatives(X, part.member_ids, part.offsets, construction)
+        reps = representatives(X, part, construction)
         if cfg.normalize_representative:
             norms = np.linalg.norm(reps, axis=1, keepdims=True)
             reps = np.divide(reps, norms, out=reps, where=norms > 0.0)
@@ -599,3 +599,19 @@ class TestBatchAssignment:
             batch_assignment(ds, 10, "random")
         with pytest.raises(DomainError, match="batch_size"):
             batch_assignment(ds, 0, KMeansConfig(M=2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ds, rng: KMeansConfig(M=2.5),
+    lambda ds, rng: KMeansConfig(M=2, max_iters=1.5),
+    lambda ds, rng: random_assignment(50, 2.5, rng),
+    lambda ds, rng: batch_assignment(ds, 2.5, KMeansConfig(M=2)),
+    lambda ds, rng: Partition.from_labels(np.array([0, 1, 0]), 2.5),
+    lambda ds, rng: sample_sphere(8, rng, size=2.5),
+], ids=["kmeans-M", "kmeans-max_iters", "random-n", "batch_size", "from_labels-M",
+        "sample-size"])
+def test_non_integer_count_is_a_domain_error(call):
+    # each once raised numpy's TypeError from deep inside
+    ds = Dataset(sample_sphere(4, Seed(19).generator(), size=10))
+    with pytest.raises(DomainError, match="must be an integer|must be integers"):
+        call(ds, Seed(20).generator())

@@ -4,7 +4,7 @@ import pytest
 from memvec import construction
 from memvec.assignment import KMeansConfig, spherical_kmeans
 from memvec.construction import ConstructionConfig, representatives
-from memvec.core import Dataset
+from memvec.core import Dataset, Partition
 from memvec.errors import DomainError, EmptyUnitError, SingularGramError
 from memvec.sampling import Seed, sample_sphere
 
@@ -20,12 +20,13 @@ class TestConstructionConfig:
 class TestSumVector:
     def test_plain_sum(self):
         X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        out = representatives(X, np.arange(3), np.array([0, 3]), ConstructionConfig(kind="sum"))
+        out = representatives(X, Partition(np.arange(3), np.array([0, 3])),
+                              ConstructionConfig(kind="sum"))
         assert np.array_equal(out, [[2.0, 3.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyUnitError):
-            representatives(np.zeros((0, 2)), np.arange(0), np.array([0, 0]),
+            representatives(np.zeros((0, 2)), Partition(np.arange(0), np.array([0, 0])),
                             ConstructionConfig(kind="sum"))
 
 
@@ -84,7 +85,7 @@ class TestPinvVector:
         X = sample_sphere(8, Seed(8).generator(), size=9)
         X[3:6] = 0.0
         with pytest.raises(SingularGramError):
-            representatives(X, np.arange(9), np.array([0, 3, 6, 9]),
+            representatives(X, Partition(np.arange(9), np.array([0, 3, 6, 9])),
                             ConstructionConfig(kind="pinv"))
 
 
@@ -106,11 +107,11 @@ class TestRepresentativesKernel:
         X = X.copy()
         first = part.offsets[j]
         X[part.member_ids[first + 1]] = X[part.member_ids[first]]
-        return X, part.member_ids, part.offsets
+        return X, part
 
     @staticmethod
-    def _units(X, ids, offsets):
-        return [X[ids[offsets[j]:offsets[j + 1]]] for j in range(offsets.size - 1)]
+    def _units(X, part):
+        return [X[part.member_ids[part.offsets[j]:part.offsets[j + 1]]] for j in range(part.M)]
 
     def test_sum_bit_identical(self, layout):
         report = {}
@@ -140,9 +141,10 @@ class TestRepresentativesKernel:
         assert np.array_equal(representatives(*layout, ConstructionConfig(kind=kind)), whole)
 
     def test_empty_unit_rejected(self, layout):
-        X, ids, _ = layout
+        X, part = layout
         with pytest.raises(EmptyUnitError):
-            representatives(X, ids, np.array([0, 0, ids.size]), ConstructionConfig())
+            representatives(X, Partition(part.member_ids, np.array([0, 0, part.N])),
+                            ConstructionConfig())
 
 
 class TestNearDependentUnits:
@@ -166,14 +168,14 @@ class TestNearDependentUnits:
     @pytest.mark.parametrize("pair, noise", LAYOUTS)
     def test_units_do_not_depend_on_their_batch(self, pair, noise):
         X = self._data(pair, noise)
-        ids, offsets = np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4)
+        units = Partition(np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4))
         report = {}
-        reps = representatives(X, ids, offsets, ConstructionConfig(kind="pinv"), report)
+        reps = representatives(X, units, ConstructionConfig(kind="pinv"), report)
 
         fallbacks, worst = 0, 0.0
         for j in range(self.UNITS):
             unit = {}
-            alone = representatives(X, ids[4 * j:4 * j + 4], np.array([0, 4]),
+            alone = representatives(X[4 * j:4 * j + 4], Partition(np.arange(4), np.array([0, 4])),
                                     ConstructionConfig(kind="pinv"), unit)
             assert np.array_equal(reps[j], alone[0])
             fallbacks += unit["fallbacks"]
@@ -212,8 +214,8 @@ class TestNearDependentUnits:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(X[28:32] @ X[28:32].T, np.ones(4))
         report = {}
-        reps = representatives(X, np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4),
-                               ConstructionConfig(kind="pinv"), report)
+        units = Partition(np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4))
+        reps = representatives(X, units, ConstructionConfig(kind="pinv"), report)
         fallbacks = 0
         for j in range(self.UNITS):
             unit = {}

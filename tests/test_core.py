@@ -162,7 +162,8 @@ class TestMemoryIndex:
             self._part([[1, 1]])
         with pytest.raises(EmptyUnitError):
             MemoryIndex(representatives=np.ones((0, 3)),
-                        partition=Partition(np.zeros(0), np.zeros(1)), construction="sum")
+                        partition=Partition(np.zeros(0, np.int32), np.zeros(1, np.int32)),
+                        construction="sum")
 
     def test_sizes(self):
         part = self._part([[4, 0, 2], [1, 3]])
@@ -195,6 +196,14 @@ class TestMemoryIndex:
         # 2^32 + 1 would narrow to the valid id 1
         with pytest.raises(ModelError):
             self._part([[0, 2**32 + 1], [2]])
+
+    @pytest.mark.parametrize("ids, offsets", [
+        ([0.9, 1.2, 2.0, 3.7], [0, 4]), ([0, 1, 2, 3], [0, 2.5, 4]), ([True, False], [0, 2])],
+        ids=["float-ids", "float-offsets", "bool-ids"])
+    def test_non_integer_csr_rejected(self, ids, offsets):
+        # once truncated to ids [0, 1, 2, 3] or offsets [0, 2, 4], or read as ids 1 and 0
+        with pytest.raises(ModelError, match="must be integers"):
+            Partition(np.array(ids), np.array(offsets))
 
     def test_more_ids_than_int32_holds_rejected(self):
         ids = np.broadcast_to(np.int32(0), 2**31)  # zero-stride: not allocated

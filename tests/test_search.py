@@ -9,7 +9,7 @@ import pytest
 from memvec import search
 from memvec.assignment import random_assignment
 from memvec.construction import ConstructionConfig
-from memvec.core import Dataset, MemoryIndex, Partition
+from memvec.core import ID_DTYPE, Dataset, MemoryIndex, Partition
 from memvec.errors import DimensionError, DomainError, ModelError, NormalizationError
 from memvec.sampling import Seed, sample_sphere
 from memvec.search import BinaryIndex, binarize, build_index, query, query_binary
@@ -180,8 +180,8 @@ class TestQuery:
 
 
 class TestGather:
-    """Both query paths gather members from the CSR offsets: against one
-    slice per positive unit, on uneven units whose members are scattered."""
+    """Both query paths gather members by ``Partition.members_of``: against
+    one slice per positive unit, on uneven units whose members are scattered."""
 
     SIZES = (1, 2, 7, 40)
 
@@ -198,12 +198,32 @@ class TestGather:
         return data, index, binarize(index, data)
 
     @staticmethod
-    def _slice_oracle(part, vectors, y, pos):
-        members = [part.member_ids[part.offsets[j]:part.offsets[j + 1]] for j in pos]
-        ids = np.concatenate([np.empty(0, dtype=part.member_ids.dtype)] + members)
+    def _slices(part, units):
+        """The member ids of ``units``: one CSR slice per unit, concatenated."""
+        members = [part.member_ids[part.offsets[j]:part.offsets[j + 1]] for j in units]
+        return np.concatenate([np.empty(0, dtype=part.member_ids.dtype)] + members)
+
+    @classmethod
+    def _slice_oracle(cls, part, vectors, y, pos):
+        ids = cls._slices(part, pos)
         sims = vectors[ids] @ y
         order = np.lexsort((ids, -sims))
         return ids[order].tolist(), sims[order].tolist()
+
+    @pytest.mark.parametrize("units", [[], [1], [3], [0, 1, 2, 3, 4, 5], [5, 4, 1, 0],
+                                       [3, 3, 1, 3], [4, 1, 4]],
+                             ids=["none", "empty", "one", "all", "unsorted", "repeated",
+                                  "empty-repeated"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_members_of(self, units, dtype):
+        # units 1 and 4 are empty; members are scattered over the ids
+        sizes = (1, 0, 2, 7, 0, 40)
+        unit_of = Seed(62).generator().permutation(np.repeat(np.arange(6), sizes))
+        part = Partition.from_labels(unit_of, len(sizes))
+        units = np.array(units, dtype=dtype)
+        got = part.members_of(units)
+        assert got.dtype == ID_DTYPE
+        assert np.array_equal(got, self._slices(part, units))
 
     def _check(self, res, part, vectors, y):
         pos = [j for j, _ in res.positive_units]
