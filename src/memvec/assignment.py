@@ -7,14 +7,12 @@ member lists the index shares: no per-id label array stays resident."""
 
 from __future__ import annotations
 
-import heapq
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import BLOCK_FLOATS, ID_DTYPE, Dataset, Partition, _check_id_count
+from .core import BLOCK_FLOATS, ID_DTYPE, Dataset, Partition, _check_count, _check_id_count
 from .errors import DomainError
 from .sampling import Seed
 
@@ -39,11 +37,8 @@ class KMeansConfig:
     def __post_init__(self):
         if self.mode not in ("sum", "pinv"):
             raise DomainError(f"unknown k-means mode {self.mode!r}")
-        try:  # a float count would fail inside numpy
-            if operator.index(self.M) < 1 or operator.index(self.max_iters) < 1:
-                raise DomainError("M and max_iters must be >= 1")
-        except TypeError as exc:
-            raise DomainError(f"M and max_iters must be integers: {exc}") from exc
+        _check_count(self.M, "M", 1)
+        _check_count(self.max_iters, "max_iters", 1)
 
 
 def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
@@ -55,11 +50,8 @@ def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     state). Each chunk is sorted in place, so the permutation becomes the
     partition's ``member_ids`` and ``offsets[k] = min(k n, N)``; no N
     labels are sorted."""
-    try:  # a float n would fail inside numpy
-        if operator.index(n) < 1 or n > N:
-            raise DomainError("need 1 <= n <= N")
-    except TypeError as exc:
-        raise DomainError(f"n must be an integer: {exc}") from exc
+    if _check_count(n, "n", 1) > N:
+        raise DomainError("need 1 <= n <= N")
     _check_id_count(N)
     order = np.arange(N, dtype=ID_DTYPE)
     rng.shuffle(order)
@@ -95,15 +87,13 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     # X never changes, so its row norms are computed once, without an (N, d) temporary
     xnorm = np.sqrt(np.einsum("ij,ij->i", X, X, dtype=np.float64))
 
-    labels = None
+    part = None
     for _ in range(cfg.max_iters):
-        new_labels = _nearest(X, xnorm, reps)
-        _fill_empty_units(new_labels, cfg.M, rng)
-
-        if labels is not None and np.array_equal(new_labels, labels):
+        new = _fill_empty_units(_nearest(X, xnorm, reps), cfg.M, rng)
+        if part is not None and (np.array_equal(new.member_ids, part.member_ids)
+                                 and np.array_equal(new.offsets, part.offsets)):
             break
-        labels = new_labels
-        part = Partition.from_labels(labels, cfg.M)
+        part = new
         reps = None  # freed before its successor is built, not after
         reps = representatives(X, part, construction)
         if cfg.normalize_representative:
@@ -224,35 +214,36 @@ def _score_band(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray, ids: np.ndar
         labels[at] = np.where(win, b_lab, o_lab)
 
 
-def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> None:
+def _fill_empty_units(labels: np.ndarray, M: int, rng: np.random.Generator) -> Partition:
     """Give each empty unit, in id order, a seeded-random member of the
-    then-largest unit (lowest id among equals), in place.
+    then-largest unit (lowest id among equals), in place, and return the
+    partition of the repaired labels.
 
-    Donors come from a heap on (-size, id); a refilled unit, with one
-    member, is never the largest. They do not depend on the draws, so one
+    A refilled unit, with one member, is never the largest, so unit u
+    donates at sizes s_u, s_u - 1, ..., 2: the first E of those
+    (size, unit) pairs by (-size, id), E the number of empty units, are
+    the donors in turn. They do not depend on the draws, so one
     ``rng.integers`` call on the pool sizes draws every member index, with
     the values and generator state of one draw per empty unit. A donor's
-    pool, its ascending members in ``Partition.from_labels``, loses each
-    stolen id, so each draw picks what a fresh ``flatnonzero`` would.
+    pool, its ascending CSR slice, loses each stolen id, so each draw
+    picks what a fresh ``flatnonzero`` would.
     """
-    sizes = np.bincount(labels, minlength=M)
+    part = Partition.from_labels(labels, M)
+    sizes, offsets = part.sizes, part.offsets
     empties = np.flatnonzero(sizes == 0)
     if empties.size == 0:
-        return
-    filled = np.flatnonzero(sizes)
-    heap = list(zip((-sizes[filled]).tolist(), filled.tolist()))
-    heapq.heapify(heap)
-    donors, pool_sizes = [], []
-    for _ in range(empties.size):
-        neg_size, largest = heap[0]
-        donors.append(largest)
-        pool_sizes.append(-neg_size)
-        heapq.heapreplace(heap, (neg_size + 1, largest))
-    picks = rng.integers(pool_sizes).tolist()
-    part = Partition.from_labels(labels, M)
-    pools = {u: part.members_of(np.array([u])).tolist() for u in set(donors)}
-    for j, largest, pick in zip(empties.tolist(), donors, picks):
-        labels[pools[largest].pop(pick)] = j
+        return part
+    # at most E pairs per unit, so at most min(N, E M) in all; unit u's run
+    # starts at slot c_u, and slot t holds size s_u - (t - c_u)
+    count = np.clip(sizes - 1, 0, empties.size)
+    units = np.repeat(np.arange(M), count)
+    pool_sizes = np.repeat(sizes + (np.cumsum(count) - count), count) - np.arange(units.size)
+    first = np.lexsort((units, -pool_sizes))[:empties.size]
+    donors, picks = units[first].tolist(), rng.integers(pool_sizes[first]).tolist()
+    pools = {u: part.member_ids[offsets[u]:offsets[u + 1]].tolist() for u in set(donors)}
+    for j, u, pick in zip(empties.tolist(), donors, picks):
+        labels[pools[u].pop(pick)] = j
+    return Partition.from_labels(labels, M)
 
 
 def batch_assignment(dataset: Dataset, batch_size: int, inner: KMeansConfig) -> Partition:
@@ -265,11 +256,7 @@ def batch_assignment(dataset: Dataset, batch_size: int, inner: KMeansConfig) -> 
     offsets shifted by its first dataset id: the stable sort of the global
     labels, without making them.
     """
-    try:  # a float batch_size would fail inside numpy
-        if operator.index(batch_size) < 1:
-            raise DomainError("batch_size must be >= 1")
-    except TypeError as exc:
-        raise DomainError(f"batch_size must be an integer: {exc}") from exc
+    _check_count(batch_size, "batch_size", 1)
     if not isinstance(inner, KMeansConfig):
         raise DomainError("inner must be a KMeansConfig")
     N = dataset.size

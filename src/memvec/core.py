@@ -100,6 +100,18 @@ def _check_id_count(N: int) -> None:
         raise DomainError(f"N = {N} ids: a partition holds at most {MAX_IDS}")
 
 
+def _check_count(value, name: str, least: int, error: type = DomainError) -> int:
+    """``value`` as an int of at least ``least``; a float count raises
+    ``error`` here, not a TypeError inside numpy."""
+    try:
+        n = operator.index(value)
+    except TypeError as exc:
+        raise error(f"{name} must be an integer: {exc}") from exc
+    if n < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Assignment of N dataset ids to M units in CSR layout: unit j holds
@@ -148,11 +160,9 @@ class Partition:
             raise DomainError(f"unit ids must be integers, not {u.dtype}")
         u = u.astype(np.int64, copy=False)
         _check_id_count(u.size)
-        try:  # a float M would fail inside numpy
-            if operator.index(M) < 1 or u.min() < 0 or u.max() >= M:
-                raise DomainError("unit ids out of range")
-        except TypeError as exc:
-            raise DomainError(f"M must be an integer: {exc}") from exc
+        M = _check_count(M, "M", 1)
+        if u.min() < 0 or u.max() >= M:
+            raise DomainError("unit ids out of range")
         offsets = np.zeros(M + 1, dtype=ID_DTYPE)
         np.cumsum(np.bincount(u, minlength=M), out=offsets[1:])
         # the narrowest unsigned key that holds M - 1: numpy radix-sorts keys of 16 bits or less

@@ -77,7 +77,8 @@ def read_ivecs(path) -> np.ndarray:
 
 
 def _write_vecs(arr: np.ndarray, path, dtype):
-    if arr.ndim != 2 or arr.shape[1] < 1:
+    # a 0-row file would be empty, which the readers refuse
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError("expected a non-empty (N, d) array")
     n, d = arr.shape
     out = np.empty((n, 1 + d), dtype=dtype)

@@ -10,13 +10,12 @@ state; parallel workers derive independent generators by seed splitting.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import score_sf_log
-from .core import Dataset, normalize
+from .core import Dataset, _check_count, normalize
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -47,13 +46,8 @@ class Seed:
 
 def sample_sphere(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, d) uniform unit vectors: d standard normals per row, normalized."""
-    if d < 1:
-        raise DimensionError("d must be >= 1")
-    try:  # a float size would fail inside numpy
-        if operator.index(size) < 0:
-            raise DomainError(f"sample size must be >= 0, got {size}")
-    except TypeError as exc:
-        raise DomainError(f"sample size must be an integer: {exc}") from exc
+    d = _check_count(d, "d", 1, DimensionError)
+    size = _check_count(size, "sample size", 0)
     g = rng.standard_normal((size, d))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     while np.any(norms == 0.0):  # measure-zero redraw
@@ -74,10 +68,8 @@ def sample_cap_correlation(eta: float, d: int, rng: np.random.Generator,
         raise DomainError("eta must be < 1")
     if not eta >= -1.0:  # NaN fails too
         raise DomainError(f"eta must be >= -1, got {eta}")
-    if d < 2:
-        raise DimensionError("cap sampling requires d >= 2")
-    if size < 0:
-        raise DomainError(f"sample size must be >= 0, got {size}")
+    d = _check_count(d, "cap sampling d", 2, DimensionError)
+    size = _check_count(size, "sample size", 0)
     # v in (0, 1]: solve sf(s) = v * sf(eta)
     v = 1.0 - rng.random(size)
     log_sf_eta = score_sf_log(np.array([eta]), 1.0, d)[0]
@@ -129,8 +121,7 @@ def make_clustered_dataset(K: int, per_cluster: int, d: int, eta: float,
 
     Returns the dataset and the ground-truth labels (length K * per_cluster).
     """
-    if K < 1 or per_cluster < 1:
-        raise DomainError("K and per_cluster must be >= 1")
+    K, per_cluster = _check_count(K, "K", 1), _check_count(per_cluster, "per_cluster", 1)
     axes = sample_sphere(d, rng, size=K)
     labels = np.repeat(np.arange(K), per_cluster)
     blocks = [sample_cap(axis, eta, rng, size=per_cluster) for axis in axes]

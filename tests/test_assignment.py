@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memvec import assignment
 from memvec.assignment import (
@@ -15,8 +17,8 @@ from memvec.assignment import (
 )
 from memvec.construction import ConstructionConfig, representatives
 from memvec.core import Dataset
-from memvec.errors import DomainError
-from memvec.sampling import Seed, make_clustered_dataset, sample_sphere
+from memvec.errors import DimensionError, DomainError
+from memvec.sampling import Seed, make_clustered_dataset, sample_cap_correlation, sample_sphere
 
 
 def _members(p, j):
@@ -264,6 +266,20 @@ def _fill_empty_units_reference(labels, M, rng):
         largest = int(np.argmax(np.bincount(labels, minlength=M)))
         pool = np.flatnonzero(labels == largest)
         labels[int(pool[rng.integers(len(pool))])] = j
+
+
+def _check_repair(labels, M, seed):
+    """Repair ``labels`` in place and check it against the replaced repair:
+    the labels, the returned partition and each generator's next draw."""
+    ref = labels.copy()
+    rng, ref_rng = Seed(seed).generator(), Seed(seed).generator()
+    part = assignment._fill_empty_units(labels, M, rng)
+    _fill_empty_units_reference(ref, M, ref_rng)
+    assert np.array_equal(labels, ref)
+    expected = Partition.from_labels(ref, M)
+    assert np.array_equal(part.member_ids, expected.member_ids)
+    assert np.array_equal(part.offsets, expected.offsets)
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
 def _kmeans_reference(dataset, cfg):
@@ -533,13 +549,26 @@ class TestKMeansAgainstReference:
         reps[:8] = 50.0 * X[::50]  # eight long units take every row
         labels = assignment._nearest(X, np.sqrt(np.einsum("ij,ij->i", X, X)), reps)
         assert np.unique(labels).size <= 8
-        ref = labels.copy()
-        rng, ref_rng = Seed(41).generator(), Seed(41).generator()
-        assignment._fill_empty_units(labels, M, rng)
-        _fill_empty_units_reference(ref, M, ref_rng)
-        assert np.array_equal(labels, ref)
+        _check_repair(labels, M, 41)
         assert np.all(np.bincount(labels, minlength=M) > 0)
-        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 300), st.sampled_from(["skewed", "ties", "uniform", "drain"]),
+           st.integers(0, 2**32 - 1))
+    def test_empty_unit_repair_matches_reference_on_random_labels(self, M, shape, seed):
+        rng = np.random.default_rng(seed)
+        N = M if shape == "drain" else int(rng.integers(M, 4 * M + 1))
+        used = int(rng.integers(1, M + 1))
+        if shape == "skewed":  # a few units hold nearly everything
+            weights = 0.5 ** np.arange(used)
+            local = rng.choice(used, size=N, p=weights / weights.sum())
+        elif shape == "ties":  # equal donors, the remainder in the first ones
+            local = np.arange(N) % used
+        else:
+            local = rng.integers(used, size=N)
+        labels = rng.choice(M, size=used, replace=False)[rng.permutation(local)]
+        _check_repair(labels, M, seed)
+        assert np.all(np.bincount(labels, minlength=M) > 0)
 
     @pytest.mark.parametrize("M", [2, 256, 257, 65536, 65537])
     def test_empty_unit_repair_across_key_widths(self, M):
@@ -549,13 +578,8 @@ class TestKMeansAgainstReference:
         # which become the largest units the repair steals from
         for j in rng.choice(M, size=min(5, M - 1), replace=False):
             labels[labels == j] = (j + 1) % M
-        ref = labels.copy()
-        rng, ref_rng = Seed(43).generator(), Seed(43).generator()
-        assignment._fill_empty_units(labels, M, rng)
-        _fill_empty_units_reference(ref, M, ref_rng)
-        assert np.array_equal(labels, ref)
+        _check_repair(labels, M, 43)
         assert np.all(np.bincount(labels, minlength=M) > 0)
-        assert rng.integers(2**62) == ref_rng.integers(2**62)
 
     def test_every_point_its_own_unit(self, clustered):
         # M = N: the repair drains the largest units down to one member each
@@ -608,10 +632,23 @@ class TestBatchAssignment:
     lambda ds, rng: batch_assignment(ds, 2.5, KMeansConfig(M=2)),
     lambda ds, rng: Partition.from_labels(np.array([0, 1, 0]), 2.5),
     lambda ds, rng: sample_sphere(8, rng, size=2.5),
+    lambda ds, rng: sample_cap_correlation(0.5, 16, rng, size=2.5),
+    lambda ds, rng: make_clustered_dataset(2, 3.5, 8, 0.5, rng),
+    lambda ds, rng: make_clustered_dataset(2.0, 3, 8, 0.5, rng),
 ], ids=["kmeans-M", "kmeans-max_iters", "random-n", "batch_size", "from_labels-M",
-        "sample-size"])
+        "sample-size", "cap-size", "clustered-per_cluster", "clustered-K"])
 def test_non_integer_count_is_a_domain_error(call):
     # each once raised numpy's TypeError from deep inside
     ds = Dataset(sample_sphere(4, Seed(19).generator(), size=10))
     with pytest.raises(DomainError, match="must be an integer|must be integers"):
         call(ds, Seed(20).generator())
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: sample_sphere(2.5, rng, 3),
+    lambda rng: sample_cap_correlation(0.5, 16.0, rng, size=2),
+    lambda rng: make_clustered_dataset(2, 3, 8.0, 0.5, rng),
+], ids=["sample-d", "cap-d", "clustered-d"])
+def test_non_integer_dimension_is_a_dimension_error(call):
+    with pytest.raises(DimensionError, match="d must be an integer"):
+        call(Seed(20).generator())

@@ -157,6 +157,13 @@ class TestIvecs:
                 io.write_ivecs(bad, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("write", [io.write_fvecs, io.write_ivecs])
+    def test_zero_rows_refused(self, tmp_path, write):
+        path = tmp_path / "z.vecs"
+        with pytest.raises(FormatError, match="non-empty"):
+            write(np.empty((0, 4)), path)
+        assert not path.exists()
+
     def test_inconsistent_dimension(self, tmp_path):
         path = tmp_path / "t.ivecs"
         path.write_bytes(struct.pack("<2i", 1, 5) + struct.pack("<2i", 1, 6)
