@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_count
 from .errors import DomainError
 
 __all__ = [
@@ -199,7 +200,7 @@ def score_sf_log(s, m_norm: float, d: int) -> np.ndarray:
     """log of the survival function P(Y'm > s), stable near s = m_norm:
     P(Y'm > s) = (1 - sign(t) I_{t^2}(1/2, b)) / 2 with t = s / ||m|| and
     b = (d - 1) / 2."""
-    if d < 2:
+    if _check_count(d, "d", -math.inf) < 2:  # the integer check, then the range
         raise DomainError("score distribution requires d >= 2")
     if m_norm <= 0.0:
         raise DomainError("m_norm must be positive")
@@ -221,6 +222,7 @@ def score_law(construction: str, alpha: float, n: int, d: int) -> tuple[ScoreLaw
     """
     if construction not in ("sum", "pinv"):
         raise DomainError(f"unknown construction {construction!r}")
+    n, d = _check_count(n, "n", -math.inf), _check_count(d, "d", -math.inf)
     if n < 1 or d < 2:
         raise DomainError("need n >= 1 and d >= 2")
     if construction == "pinv" and n >= d:
@@ -281,7 +283,7 @@ def cap_moment(kappa: int, eta: float, d: int) -> float:
     """
     if kappa not in (1, 2):
         raise DomainError("kappa must be 1 or 2")
-    if d < 2:
+    if _check_count(d, "d", -math.inf) < 2:
         raise DomainError("cap moments require d >= 2")
     if eta >= 1.0:
         raise DomainError("eta must be < 1")
@@ -322,6 +324,7 @@ def cap_stats(construction: str, eta: float, d: int, n: int, alpha: float) -> Ca
     """
     if construction not in ("sum", "pinv"):
         raise DomainError(f"unknown construction {construction!r}")
+    n, d = _check_count(n, "n", -math.inf), _check_count(d, "d", -math.inf)
     if n < 2 or d <= n:
         raise DomainError("need 2 <= n < d")
     if not 0.0 <= alpha <= 1.0:

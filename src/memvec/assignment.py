@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import BLOCK_FLOATS, ID_DTYPE, Dataset, Partition, _check_count, _check_id_count
+from .core import (BLOCK_FLOATS, FILE_NORM_TOL, ID_DTYPE, Dataset, Partition, _check_count,
+                   _check_id_count)
 from .errors import DomainError
 from .sampling import Seed
 
@@ -39,6 +40,8 @@ class KMeansConfig:
             raise DomainError(f"unknown k-means mode {self.mode!r}")
         _check_count(self.M, "M", 1)
         _check_count(self.max_iters, "max_iters", 1)
+        if not isinstance(self.seed, Seed):
+            raise DomainError(f"seed must be a Seed, not {type(self.seed).__name__}")
 
 
 def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
@@ -84,12 +87,10 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     # widened, so the first step's scores are float64 like the rest
     reps = X[rng.choice(N, size=cfg.M, replace=False)].astype(np.float64, copy=False)
     construction = ConstructionConfig(kind=cfg.mode)
-    # X never changes, so its row norms are computed once, without an (N, d) temporary
-    xnorm = np.sqrt(np.einsum("ij,ij->i", X, X, dtype=np.float64))
 
     part = None
     for _ in range(cfg.max_iters):
-        new = _fill_empty_units(_nearest(X, xnorm, reps), cfg.M, rng)
+        new = _fill_empty_units(_nearest(X, reps), cfg.M, rng)
         if part is not None and (np.array_equal(new.member_ids, part.member_ids)
                                  and np.array_equal(new.offsets, part.offsets)):
             break
@@ -104,22 +105,24 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
 
 
 _PRUNE_SLACK = 1e-9  # relative margin over the Cauchy-Schwarz bound for rounding
+# Dataset caps row norms at 1 + FILE_NORM_TOL; the slack covers its float64 rounding
+_MAX_NORM = (1.0 + FILE_NORM_TOL) * (1.0 + _PRUNE_SLACK)
 _SMALL_FLOATS = 1 << 14  # a float64 temporary of 128 KiB, glibc's initial mmap threshold
 
 
-def _nearest(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """``np.argmax(X @ reps.T, axis=1)``, ties to the lowest unit id,
-    without the (N, M) score matrix; ``xnorm`` holds the row norms of X.
+def _nearest(X: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """``np.argmax(X @ reps.T, axis=1)`` for ``Dataset`` rows X, ties to
+    the lowest unit id, without the (N, M) score matrix.
 
     Units are split into norm bands, from the longest down: each band
     holds the remaining units whose norm is at least half the largest
     remaining one. Every band, the first included, is scored the same way
     (``_score_band``) over the rows still open. A unit of a later band
-    scores at most ||x|| * that band's largest norm (Cauchy-Schwarz), so a
-    row whose best score clears the next band's bound is closed and skips
-    every later band. The row norms enter only that bound, whose slack
-    covers their rounding. Scores are screened in float32 and decided in
-    float64, so the labels are those of float64 scoring.
+    scores at most ``_MAX_NORM`` * that band's largest norm (Cauchy-Schwarz
+    and the Dataset check), so a row whose best score clears the next
+    band's bound is closed and skips every later band; no row norm is
+    computed. Scores are screened in float32 and decided in float64, so the
+    labels are those of float64 scoring.
     """
     rnorm = np.sqrt(np.einsum("ij,ij->i", reps, reps))
     order = np.argsort(-rnorm, kind="stable")
@@ -132,12 +135,11 @@ def _nearest(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray) -> np.ndarray:
         # desc is non-increasing, so the band is a prefix of desc[first:]; it
         # holds at least its first unit (all the rest when that norm is 0)
         last = first + int(np.count_nonzero(desc[first:] >= 0.5 * desc[first]))
-        _score_band(X, xnorm, reps, np.sort(order[first:last]), desc[first],
-                    open_rows, best, labels)
+        _score_band(X, reps, np.sort(order[first:last]), desc[first], open_rows, best, labels)
         first = last
         if first < len(desc):
             # best only grows and bounds only shrink, so closed rows stay closed
-            open_rows = np.flatnonzero(best <= xnorm * (desc[first] * (1.0 + _PRUNE_SLACK)))
+            open_rows = np.flatnonzero(best <= _MAX_NORM * desc[first])
     return labels
 
 
@@ -147,9 +149,8 @@ def _gamma(n: int, unit_roundoff: float) -> float:
     return n * unit_roundoff / (1.0 - n * unit_roundoff)
 
 
-def _score_band(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray, ids: np.ndarray,
-                top_norm: float, open_rows: np.ndarray, best: np.ndarray,
-                labels: np.ndarray) -> None:
+def _score_band(X: np.ndarray, reps: np.ndarray, ids: np.ndarray, top_norm: float,
+                open_rows: np.ndarray, best: np.ndarray, labels: np.ndarray) -> None:
     """Update ``best`` and ``labels`` of ``open_rows`` in place from the
     band ``ids`` (ascending, largest norm ``top_norm``) as float64 scoring
     would: a row takes the band's argmax, lowest id among equals, when it
@@ -160,9 +161,9 @@ def _score_band(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray, ids: np.ndar
     rows overflows. For d < 2^23 a float32 score is within ``(gamma32(d+3)
     + gamma64(d+3)) ||x|| R + (||x|| + 1) d 2^-124`` of the float64 one,
     for any summation order and with subnormals flushed or not. A row whose
-    top two float32 scores are more than twice that apart keeps its float32
-    argmax and that unit's float64 score; the other rows (near ties,
-    all-zero bands) are scored in float64. Buffers are allocated once per
+    top two float32 scores differ by more than twice that at ||x|| =
+    ``_MAX_NORM`` keeps its float32 argmax and that unit's float64 score;
+    the other rows (near ties, all-zero bands) are scored in float64. Buffers are allocated once per
     band: float32 scores of ``BLOCK_FLOATS`` float64s' bytes, rows of at
     most ``BLOCK_FLOATS`` coefficients.
     """
@@ -174,11 +175,10 @@ def _score_band(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray, ids: np.ndar
     step = max(1, _SMALL_FLOATS // d)
     for start in range(0, len(ids), step):
         np.ldexp(reps[ids[start:start + step]].T, -e, out=band32_t[:, start:start + step])
-    # the slack covers the rounding of xnorm, top_norm and the gap itself
+    # the slack covers the rounding of top_norm and of the gap itself
     rel = (_gamma(d + 3, 2.0**-24) + _gamma(d + 3, 2.0**-53)) * (1.0 + _PRUNE_SLACK)
     floor = d * 2.0**-124
-    # twice the bound, as per_norm * ||x|| + fixed
-    per_norm, fixed = 2.0 * (rel * np.ldexp(top_norm, -e) + floor), 2.0 * floor
+    margin = 2.0 * ((rel * np.ldexp(top_norm, -e) + floor) * _MAX_NORM + floor)
     rows = max(1, min(2 * BLOCK_FLOATS // len(ids), BLOCK_FLOATS // d))
     k_max = min(rows, open_rows.size)
     x_rows = np.empty((k_max, d), dtype=X.dtype)
@@ -198,7 +198,7 @@ def _score_band(X: np.ndarray, xnorm: np.ndarray, reps: np.ndarray, ids: np.ndar
         top = scores[rk, arg].astype(np.float64)
         scores[rk, arg] = -np.inf  # now the runner-up leads (argmax beats max on short rows)
         gap = top - scores[rk, np.argmax(scores, axis=1)]
-        near = np.flatnonzero(gap <= per_norm * xnorm[at] + fixed)
+        near = np.flatnonzero(gap <= margin)
         b_lab = ids[arg]
         b_best = np.vecdot(xs, np.take(reps, b_lab, axis=0, out=gathered[:k], mode="clip"))
         if near.size:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 
 import numpy as np
@@ -35,14 +36,18 @@ _IGNORED_BY = {"random": ("M", "normalize", "batch_size"),
                "batch-kmeans": ("unit_size",)}
 
 
-def _write_csv(rows: list[dict], out_path: str | None):
-    if not rows:
+def _write_csv(rows: Iterable[dict], out_path: str | None):
+    """Write ``rows`` as they come, under the first row's keys; no rows,
+    no output (not even a header, and --out is not created)."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         return
-    fields = list(rows[0].keys())
     handle = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
-        writer = csv.DictWriter(handle, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(handle, fieldnames=list(first), lineterminator="\n")
         writer.writeheader()
+        writer.writerow(first)
         writer.writerows(rows)
     finally:
         if out_path:
@@ -100,15 +105,18 @@ def _cmd_query(args) -> int:
     index = io.read_index(args.index)
     data = Dataset(io.read_fvecs(args.data))
     queries = io.read_fvecs(args.queries)
-    rows = []
-    for qid, y in enumerate(queries):
-        res = query(index, data, y, tau=args.tau, top_units=args.top_units)
-        ranked = [(rank, i, repr(s)) for rank, (i, s) in enumerate(res.candidates.tolist(), 1)]
-        for rank, i, s in ranked or [("", "", "")]:  # one blank row when none
-            rows.append({"query": qid, "rank": rank, "dataset_id": i, "score": s,
-                         "complexity": res.complexity,
-                         "complexity_ratio": res.complexity_ratio})
-    _write_csv(rows, args.out)
+
+    def rows():  # one query's rows at a time, as it is answered
+        for qid, y in enumerate(queries):
+            res = query(index, data, y, tau=args.tau, top_units=args.top_units)
+            ranked = [(rank, i, repr(s))
+                      for rank, (i, s) in enumerate(res.candidates.tolist(), 1)]
+            for rank, i, s in ranked or [("", "", "")]:  # one blank row when none
+                yield {"query": qid, "rank": rank, "dataset_id": i, "score": s,
+                       "complexity": res.complexity,
+                       "complexity_ratio": res.complexity_ratio}
+
+    _write_csv(rows(), args.out)
     return 0
 
 

@@ -36,6 +36,10 @@ class Seed:
 
     value: int
 
+    def __post_init__(self):
+        # numpy's default_rng refuses a negative seed with a bare ValueError
+        _check_count(self.value, "seed", 0)
+
     def child(self, label: str) -> "Seed":
         digest = hashlib.sha256(f"{self.value}:{label}".encode()).digest()
         return Seed(int.from_bytes(digest[:8], "little"))
@@ -112,7 +116,10 @@ def h1_queries(planted: np.ndarray, alpha: float, rng: np.random.Generator) -> n
     lie in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:  # NaN fails too
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    return _perturb(np.asarray(planted, dtype=np.float64), alpha, rng)
+    planted = np.asarray(planted, dtype=np.float64)
+    if planted.ndim != 2:
+        raise DimensionError(f"planted must be an (n, d) array, not {planted.ndim}-d")
+    return _perturb(planted, alpha, rng)
 
 
 def make_clustered_dataset(K: int, per_cluster: int, d: int, eta: float,

@@ -243,6 +243,24 @@ class TestErrorRates:
         assert rep.pfn_at_alpha0 == pytest.approx(0.01, abs=1e-9)
 
 
+@pytest.mark.parametrize("call, says", [
+    (lambda: A.score_sf_log(0.1, 1.0, 1), "score distribution requires d >= 2"),
+    (lambda: A.score_sf_log(0.1, 0.0, 8), "m_norm must be positive"),
+    (lambda: A.threshold_for("sum", 0.9, 4, 16, 0.5), r"eps must lie in \(0, 1/2\)"),
+    (lambda: A.threshold_for("sum", 0.0, 4, 16, 0.01), r"alpha0 must lie in \(0, 1\]"),
+    (lambda: A.cap_moment(1, 0.5, 1), "cap moments require d >= 2"),
+    (lambda: A.gaussian_kl(0.0, 0.0, 0.0, 1.0), "variances must be positive"),
+    (lambda: A.gaussian_kl(0.0, 1.0, 0.0, -1.0), "variances must be positive"),
+    (lambda: A.mp_pdf(1.0, 1.0), r"aspect ratio c must lie in \(0, 1\)"),
+    (lambda: A.mp_pinv_norm_limit(0.0), r"aspect ratio c must lie in \(0, 1\)"),
+], ids=["score_sf_log-d", "score_sf_log-m_norm", "threshold_for-eps",
+        "threshold_for-alpha0", "cap_moment-d", "gaussian_kl-var0", "gaussian_kl-var1",
+        "mp_pdf-c", "mp_pinv_norm_limit-c"])
+def test_outside_the_domain_is_a_domain_error(call, says):
+    with pytest.raises(DomainError, match=says):
+        call()
+
+
 class TestCapMoments:
     def test_full_sphere_limits(self):
         for d in (2, 3, 8, 100, 1000):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memvec import analytic as A
 from memvec import assignment
 from memvec.assignment import (
     KMeansConfig,
@@ -16,7 +17,7 @@ from memvec.assignment import (
     spherical_kmeans,
 )
 from memvec.construction import ConstructionConfig, representatives
-from memvec.core import Dataset
+from memvec.core import FILE_NORM_TOL, Dataset
 from memvec.errors import DimensionError, DomainError
 from memvec.sampling import Seed, make_clustered_dataset, sample_cap_correlation, sample_sphere
 
@@ -34,6 +35,13 @@ class TestPartition:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             Partition.from_labels(np.array([0, 3]), 3)
+
+    @pytest.mark.parametrize("unit_of", [np.array([], dtype=np.int64),
+                                         np.zeros((2, 3), dtype=np.int64)],
+                             ids=["empty", "2-d"])
+    def test_labels_must_be_a_non_empty_1d_array(self, unit_of):
+        with pytest.raises(DomainError, match="non-empty 1-d array"):
+            Partition.from_labels(unit_of, 2)
 
     @pytest.mark.parametrize("unit_of", [[0.7, 1.9, 0.2], [True, False, True]],
                              ids=["float", "bool"])
@@ -355,10 +363,8 @@ class TestNearest:
         return x, np.vstack([A, B])
 
     @staticmethod
-    def _check(X, R, xnorm=None):
-        if xnorm is None:
-            xnorm = np.sqrt(np.einsum("ij,ij->i", X, X))
-        got = assignment._nearest(X, xnorm, R)
+    def _check(X, R):
+        got = assignment._nearest(X, R)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.argmax(X @ R.T, axis=1))
         return got
@@ -371,7 +377,7 @@ class TestNearest:
         if long_.all():
             return np.zeros(len(X), dtype=bool)
         best = (X @ R[long_].T).max(axis=1)
-        return best > np.linalg.norm(X, axis=1) * rn[~long_].max() * (1 + 1e-9)
+        return best > assignment._MAX_NORM * rn[~long_].max()
 
     def test_duplicate_representatives_tie_to_lowest_id(self, blocks):
         R = sample_sphere(8, Seed(30).generator(), size=6)
@@ -389,10 +395,10 @@ class TestNearest:
         pruned = self._pruned(X, R)
         assert pruned.any() and not pruned.all()
         self._check(X, R)
-        # float32 rows, float64 norms as spherical_kmeans computes them
+        # float32 rows, as spherical_kmeans gets them from a file
         X32 = X.astype(np.float32)
         assert self._pruned(X32, R).any()
-        self._check(X32, R, np.sqrt(np.einsum("ij,ij->i", X32, X32, dtype=np.float64)))
+        self._check(X32, R)
 
     def test_equal_norms_do_not_prune(self, blocks):
         R = sample_sphere(12, Seed(34).generator(), size=40)
@@ -410,6 +416,19 @@ class TestNearest:
         assert not self._pruned(X, R)[0]
         assert np.array_equal(self._check(X, R), [0, 1, 2])
 
+    def test_rows_at_the_dataset_norm_cap_stay_open(self, blocks):
+        # ||x|| = 1 + 0.9 FILE_NORM_TOL, which Dataset accepts. The long unit
+        # (band 1) scores 1 + 4e-5, over the short unit's bound at ||x|| = 1,
+        # but the short unit e0 (band 2) scores ||x|| and wins: the bound
+        # must hold for every row norm the check lets through
+        scale = 1.0 + 0.9 * FILE_NORM_TOL
+        a = 0.99995 / 2.5
+        long_ = 2.5 * np.array([a, np.sqrt(1.0 - a * a), 0.0])
+        R = np.vstack([np.eye(3)[0], long_])
+        X = Dataset(scale * np.eye(3)[:1]).vectors
+        assert (X @ R.T)[0, 1] > 1.0
+        assert np.array_equal(self._check(X, R), [0])
+
     @staticmethod
     def _closing_band(X, R):
         """Per row, the band after which it closes (the number of bands if
@@ -421,11 +440,10 @@ class TestNearest:
                 top = v
                 tops.append(v)
         scores = X @ R.T
-        xn = np.linalg.norm(X, axis=1)
         closed = np.full(len(X), len(tops))
         for b in range(len(tops) - 1, 0, -1):
             best = scores[:, rn >= 0.5 * tops[b - 1]].max(axis=1)
-            closed[best > xn * tops[b] * (1 + 1e-9)] = b
+            closed[best > assignment._MAX_NORM * tops[b]] = b
         return closed
 
     def test_many_bands_prune_at_different_bands(self, blocks):
@@ -435,9 +453,7 @@ class TestNearest:
         R = sample_sphere(16, Seed(39).generator(), size=48) * scales[:, None]
         R[[0, 9, 20, 30]] = X[[0, 25, 50, 75]] * scales[[0, 9, 20, 30], None]
         assert len(np.unique(self._closing_band(X, R))) >= 3
-        # the norms enter only the bound: computed two ways, the same labels
         self._check(X, R)
-        self._check(X, R, np.linalg.norm(X, axis=1))
 
     def test_ties_within_and_across_bands_and_zero_units(self, blocks):
         # bands {3, 5}, {1}, {0}, {2, 4}; x = e0 scores 1 on a unit of each
@@ -459,7 +475,7 @@ class TestNearest:
         R = sample_sphere(64, Seed(41).generator(), size=8) * 0.3 ** np.arange(8)[:, None]
         tracemalloc.start()
         try:
-            got = assignment._nearest(X, np.sqrt(np.einsum("ij,ij->i", X, X)), R)
+            got = assignment._nearest(X, R)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -547,7 +563,7 @@ class TestKMeansAgainstReference:
         M = 150
         reps = 0.1 * sample_sphere(24, Seed(40).generator(), size=M)
         reps[:8] = 50.0 * X[::50]  # eight long units take every row
-        labels = assignment._nearest(X, np.sqrt(np.einsum("ij,ij->i", X, X)), reps)
+        labels = assignment._nearest(X, reps)
         assert np.unique(labels).size <= 8
         _check_repair(labels, M, 41)
         assert np.all(np.bincount(labels, minlength=M) > 0)
@@ -635,13 +651,30 @@ class TestBatchAssignment:
     lambda ds, rng: sample_cap_correlation(0.5, 16, rng, size=2.5),
     lambda ds, rng: make_clustered_dataset(2, 3.5, 8, 0.5, rng),
     lambda ds, rng: make_clustered_dataset(2.0, 3, 8, 0.5, rng),
+    lambda ds, rng: A.threshold_for("pinv", 0.9, 2.5, 16, 0.01),
+    lambda ds, rng: A.score_law("sum", 0.5, 4, 16.5),
+    lambda ds, rng: A.score_sf_log(0.1, 1.0, 2.5),
+    lambda ds, rng: A.cap_moment(1, 0.5, 2.5),
+    lambda ds, rng: A.cap_stats("sum", 0.5, 16, 2.5, 0.5),
+    lambda ds, rng: A.cap_stats("pinv", 0.5, 16.0, 4, 0.5),
 ], ids=["kmeans-M", "kmeans-max_iters", "random-n", "batch_size", "from_labels-M",
-        "sample-size", "cap-size", "clustered-per_cluster", "clustered-K"])
+        "sample-size", "cap-size", "clustered-per_cluster", "clustered-K",
+        "threshold_for-n", "score_law-d", "score_sf_log-d", "cap_moment-d",
+        "cap_stats-n", "cap_stats-d"])
 def test_non_integer_count_is_a_domain_error(call):
     # each once raised numpy's TypeError from deep inside
     ds = Dataset(sample_sphere(4, Seed(19).generator(), size=10))
     with pytest.raises(DomainError, match="must be an integer|must be integers"):
         call(ds, Seed(20).generator())
+
+
+@pytest.mark.parametrize("kwargs, says", [
+    ({"mode": "foo"}, "unknown k-means mode 'foo'"),
+    ({"seed": 3}, "seed must be a Seed, not int"),  # once an AttributeError in the run
+], ids=["mode", "seed"])
+def test_kmeans_config_rejects(kwargs, says):
+    with pytest.raises(DomainError, match=says):
+        KMeansConfig(M=5, **kwargs)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,11 +1,12 @@
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from memvec.core import Dataset
-from memvec.harness import io
+from memvec.harness import cli, io
 from memvec.harness.cli import main
 from memvec.harness.evaluation import cosine_ground_truth
 from memvec.search import query
@@ -195,6 +196,33 @@ class TestBuildQueryEval:
         assert run(["eval", "--results", res, "--gt", gt, option, value]) == 1
         assert capsys.readouterr().err == f"error: {option} has no effect with --gt\n"
 
+    def test_query_memory_is_flat_in_the_number_of_queries(self, tmp_path):
+        # each query's rows are written as it is answered: at tau 0 about
+        # half of the 200 pinv units pass, so each self-query gives ~1000 rows
+        db, idx, out = tmp_path / "db.fvecs", tmp_path / "idx.mvix", tmp_path / "r.csv"
+        run(["gen", "--n", 2000, "--d", 16, "--seed", 3, "--out", db])
+        assert run(["build", "--data", db, "--unit-size", 10, "--out", idx]) == 0
+        peaks = []
+        for k in (4, 40):
+            q = tmp_path / f"q{k}.fvecs"
+            io.write_fvecs(io.read_fvecs(db)[:k], q)
+            tracemalloc.start()
+            try:
+                assert run(["query", "--index", idx, "--data", db, "--queries", q,
+                            "--tau", 0.0, "--out", out]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        with open(out, newline="") as handle:
+            assert sum(1 for _ in handle) > 20_000
+        # kept rows would cost ~17 MB more for the 36 extra queries
+        assert peaks[1] - peaks[0] < 2**20
+
+    def test_no_rows_write_nothing(self, tmp_path):
+        out = tmp_path / "none.csv"
+        cli._write_csv(iter(()), out)
+        assert not out.exists()
+
     def test_query_deterministic(self, pipeline):
         db, q, idx, tmp = pipeline
         r1, r2 = tmp / "r1.csv", tmp / "r2.csv"
@@ -219,6 +247,28 @@ class TestBuildQueryEval:
                     "--construction", "sum", "--M", 5, "--batch-size", 100,
                     "--seed", 2, "--out", out]) == 0
         assert io.read_index(out).partition.M == 10  # 5 per batch, 2 batches
+
+    @pytest.mark.parametrize("argv, says", [
+        (["build", "--assign", "random"], "--unit-size required for random assignment"),
+        (["build", "--assign", "kmeans"], "--M required for kmeans assignment"),
+        (["build", "--assign", "batch-kmeans", "--batch-size", 50],
+         "--M and --batch-size required for batch-kmeans"),
+        (["build", "--assign", "batch-kmeans", "--M", 5],
+         "--M and --batch-size required for batch-kmeans"),
+        (["build", "--unit-size", 10, "--seed", -1], "seed must be >= 0, got -1"),
+        (["eval"], "eval needs --gt, or --data and --queries"),
+        (["eval", "--data", "DB"], "eval needs --gt, or --data and --queries"),
+    ], ids=["random-unit-size", "kmeans-M", "batch-kmeans-M", "batch-kmeans-batch-size",
+            "build-negative-seed", "eval-no-truth", "eval-data-only"])
+    def test_missing_or_bad_option_is_1(self, pipeline, argv, says, capsys):
+        db, _, _, tmp = pipeline
+        res, built = tmp / "res.csv", tmp / "o.mvix"
+        res.write_text("query,rank,dataset_id,complexity_ratio\n0,1,3,0.1\n")
+        files = {"build": ["--data", db, "--out", built], "eval": ["--results", res]}
+        argv = [db if a == "DB" else a for a in argv] + files[argv[0]]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert not built.exists()
 
     @pytest.mark.parametrize("assign, given, ignored", [
         ("random", ["--unit-size", 10, "--M", 5, "--normalize"], "--M"),
@@ -369,10 +419,16 @@ class TestExitCodes:
         (["experiment", "cost", "--d", 1, "--eps", 0.01, "--alpha0", 0.9, "--n-max", 5,
           "--constructions", "pinv"], "no curve has a point"),
         (["gen", "--n", -1, "--d", 8, "--out", os.devnull], "sample size must be >= 0, got -1"),
+        # once numpy's ValueError traceback from default_rng
+        (["gen", "--n", 10, "--d", 4, "--seed", -1, "--out", os.devnull],
+         "seed must be >= 0, got -1"),
+        (["experiment", "roc", "--d", 16, "--n", 4, "--alpha", 0.8, "--trials", 5,
+          "--seed", -1], "seed must be >= 0, got -1"),
     ], ids=["trials-0", "trials-neg", "cost-queries-0", "cost-N-0", "assignment-queries-0",
             "top-k-above-M", "top-k-neg", "top-k-0", "tau-steps-neg", "tau-steps-0",
             "n-seeds-0", "n-seeds-neg", "experiment-n-max-0", "theory-n-max-0",
-            "theory-n-max-neg", "theory-pinv-n-ge-d", "experiment-pinv-n-ge-d", "gen-n-neg"])
+            "theory-n-max-neg", "theory-pinv-n-ge-d", "experiment-pinv-n-ge-d", "gen-n-neg",
+            "gen-seed-neg", "roc-seed-neg"])
     def test_bad_count_is_1(self, argv, says, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err

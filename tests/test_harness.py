@@ -244,6 +244,12 @@ class TestAssignmentReport:
         # clustering concentrates matches into fewer units
         assert km_row["matches_per_positive"] > random_row["matches_per_positive"]
 
+    def test_unknown_method_rejected(self):
+        data, _ = make_clustered_dataset(4, 10, 16, 0.9, Seed(8).generator())
+        with pytest.raises(DomainError, match="unknown assignment method 'mean-km'"):
+            run_assignment_report(data, ["mean-km"], 4, [0], alpha=0.9, alpha0=0.6,
+                                  n_queries=5, top_k=2, seed=Seed(9))
+
     def test_nan_tau_rejected(self):
         data, _ = make_clustered_dataset(4, 10, 16, 0.9, Seed(8).generator())
         with pytest.raises(DomainError, match="tau is NaN"):

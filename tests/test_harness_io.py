@@ -294,6 +294,33 @@ class TestIndexContainer:
         with pytest.raises(FormatError):
             io.read_index(path)
 
+    # _make_index: d = 24, M = 6, so the representatives take bytes [21, 597)
+    # and the first unit's count is 7
+    @pytest.mark.parametrize("keep, says, offset", [
+        (20, "truncated header", 0),
+        (596, "truncated representatives", 596),
+        (601, "truncated membership list", 597 + 4 * 8),
+    ], ids=["header", "representatives", "membership"])
+    def test_truncated_section(self, tmp_path, keep, says, offset):
+        _, index = _make_index()
+        path = tmp_path / "t.mvix"
+        io.write_index(index, path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match=says) as err:
+            io.read_index(path)
+        assert err.value.offset == offset
+
+    def test_unknown_construction_tag(self, tmp_path):
+        _, index = _make_index()
+        path = tmp_path / "tag.mvix"
+        io.write_index(index, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 17, 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unknown construction tag 2") as err:
+            io.read_index(path)
+        assert err.value.offset == 17
+
     def test_member_count_must_match_header(self, tmp_path):
         _, index = _make_index()
         path = tmp_path / "n.mvix"

@@ -30,6 +30,12 @@ class TestSeed:
         b = Seed(3).generator().standard_normal(5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("value", [-1, 2.5, "a"])
+    def test_bad_value_is_a_domain_error(self, value):
+        # -1 once reached np.random.default_rng, a bare ValueError
+        with pytest.raises(DomainError, match="seed must be"):
+            Seed(value)
+
     def test_child_streams_differ(self):
         a = Seed(3).child("x").generator().standard_normal(100)
         b = Seed(3).child("y").generator().standard_normal(100)
@@ -158,6 +164,12 @@ class TestH1Queries:
         X = sample_sphere(8, Seed(15).generator(), size=3)
         with pytest.raises(DomainError):
             h1_queries(X, alpha, Seed(16).generator())
+
+    def test_one_planted_row_must_be_a_2d_array(self):
+        # a 1-d row once raised numpy's AxisError
+        x = sample_sphere(8, Seed(17).generator(), size=1)[0]
+        with pytest.raises(DimensionError, match="planted must be an"):
+            h1_queries(x, 0.9, Seed(18).generator())
 
 
 class TestClusteredDataset:

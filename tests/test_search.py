@@ -46,6 +46,12 @@ class TestBuildIndex:
             devs = data.vectors[ids] @ index.representatives[j] - 1.0
             assert np.max(np.abs(devs)) < 1e-9
 
+    def test_partition_of_another_size_rejected(self, small_index):
+        data, index = small_index
+        with pytest.raises(DimensionError, match="partition size does not match"):
+            build_index(Dataset(data.vectors[:100]), index.partition,
+                        ConstructionConfig(kind="sum"))
+
     def test_sum_representatives(self):
         data = Dataset(sample_sphere(16, Seed(22).generator(), size=20))
         part = random_assignment(20, 5, Seed(23).generator())
@@ -326,7 +332,8 @@ class TestQueryBoundary:
         y = sample_sphere(32, Seed(49).generator(), size=1)[0]
         for run in (lambda **kw: query(index, data, y, **kw),
                     lambda **kw: query_binary(bindex, y, **kw)):
-            for bad in ({"top_units": 2.5}, {"top_units": "3"}, {"tau": "0.5"}):
+            for bad in ({"top_units": 2.5}, {"top_units": "3"}, {"tau": "0.5"},
+                        {"top_units": -1}):
                 with pytest.raises(DomainError):
                     run(**bad)
 
