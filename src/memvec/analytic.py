@@ -202,9 +202,11 @@ def score_sf_log(s, m_norm: float, d: int) -> np.ndarray:
     b = (d - 1) / 2."""
     if _check_count(d, "d", -math.inf) < 2:  # the integer check, then the range
         raise DomainError("score distribution requires d >= 2")
-    if m_norm <= 0.0:
+    if not m_norm > 0.0:  # NaN fails too
         raise DomainError("m_norm must be positive")
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
+    if np.isnan(s).any():  # it would clip to a finite t
+        raise DomainError("score is NaN")
     t = np.clip(s / m_norm, -1.0, 1.0)
     return _log_tail(t, 0.5, (d - 1) / 2.0) - math.log(2.0)
 
@@ -214,21 +216,26 @@ def score_sf_log(s, m_norm: float, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_model(construction: str, alpha: float, n: int, d: int) -> tuple[int, int]:
+    # the domain score_law and cap_stats share; each checks its own range of the ints n, d
+    if construction not in ("sum", "pinv"):
+        raise DomainError(f"unknown construction {construction!r}")
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise DomainError("alpha must lie in [0, 1]")
+    return _check_count(n, "n", -math.inf), _check_count(d, "d", -math.inf)
+
+
 def score_law(construction: str, alpha: float, n: int, d: int) -> tuple[ScoreLaw, ScoreLaw]:
     """Gaussian score laws (H0, H1) of m'Y for one construction.
 
     sum:  H0 N(0, n/d),      H1 N(alpha, (n-1)/d)
     pinv: H0 N(0, n/(d-n)),  H1 N(alpha, beta^2 n/(d-n)),  beta^2 = 1 - alpha^2
     """
-    if construction not in ("sum", "pinv"):
-        raise DomainError(f"unknown construction {construction!r}")
-    n, d = _check_count(n, "n", -math.inf), _check_count(d, "d", -math.inf)
+    n, d = _check_model(construction, alpha, n, d)
     if n < 1 or d < 2:
         raise DomainError("need n >= 1 and d >= 2")
     if construction == "pinv" and n >= d:
         raise DomainError("pinv law requires n < d")
-    if not 0.0 <= alpha <= 1.0:  # NaN fails too
-        raise DomainError("alpha must lie in [0, 1]")
     if construction == "sum":
         return ScoreLaw(0.0, n / d), ScoreLaw(alpha, (n - 1) / d)
     return ScoreLaw(0.0, n / (d - n)), ScoreLaw(alpha, (1.0 - alpha * alpha) * n / (d - n))
@@ -274,6 +281,11 @@ def expected_cost_ratio(construction: str, n: int, d: int, alpha0: float, eps: f
 _ETA_ONE = 1.0 - 1e-9
 
 
+def _check_eta(eta: float) -> None:
+    if not -1.0 <= eta < 1.0:  # NaN fails too
+        raise DomainError("eta must be < 1" if eta >= 1.0 else f"eta must be >= -1, got {eta}")
+
+
 def cap_moment(kappa: int, eta: float, d: int) -> float:
     """kappa-th moment (kappa in {1, 2}) of the axis correlation S' of a
     uniform sample from the cap {x : x'u > eta}.
@@ -285,10 +297,7 @@ def cap_moment(kappa: int, eta: float, d: int) -> float:
         raise DomainError("kappa must be 1 or 2")
     if _check_count(d, "d", -math.inf) < 2:
         raise DomainError("cap moments require d >= 2")
-    if eta >= 1.0:
-        raise DomainError("eta must be < 1")
-    if not eta >= -1.0:  # NaN fails too
-        raise DomainError(f"eta must be >= -1, got {eta}")
+    _check_eta(eta)
     if eta > _ETA_ONE:  # cap collapses onto the axis
         return 1.0
 
@@ -306,7 +315,7 @@ def cap_moment(kappa: int, eta: float, d: int) -> float:
 
 def gaussian_kl(mean0: float, var0: float, mean1: float, var1: float) -> float:
     """KL(N(mean0, var0) || N(mean1, var1))."""
-    if var0 <= 0.0 or var1 <= 0.0:
+    if not (var0 > 0.0 and var1 > 0.0):  # NaN fails too
         raise DomainError("variances must be positive")
     return float(0.5 * math.log(var1 / var0)
                  + (var0 + (mean0 - mean1) ** 2) / (2.0 * var1) - 0.5)
@@ -322,13 +331,9 @@ def cap_stats(construction: str, eta: float, d: int, n: int, alpha: float) -> Ca
     pinv: the H0 and H1 variances come from the Sherman-Morrison lower
     bound on E||m*||^2; they are approximations, flagged by ``bound_based``.
     """
-    if construction not in ("sum", "pinv"):
-        raise DomainError(f"unknown construction {construction!r}")
-    n, d = _check_count(n, "n", -math.inf), _check_count(d, "d", -math.inf)
+    n, d = _check_model(construction, alpha, n, d)
     if n < 2 or d <= n:
         raise DomainError("need 2 <= n < d")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
     mu1, mu2, beta2 = cap_moment(1, eta, d), cap_moment(2, eta, d), 1.0 - alpha * alpha
 
     if construction == "sum":

@@ -53,7 +53,8 @@ def random_assignment(N: int, n: int, rng: np.random.Generator) -> Partition:
     state). Each chunk is sorted in place, so the permutation becomes the
     partition's ``member_ids`` and ``offsets[k] = min(k n, N)``; no N
     labels are sorted."""
-    if _check_count(n, "n", 1) > N:
+    n = _check_count(n, "n", 1)
+    if n > N:
         raise DomainError("need 1 <= n <= N")
     _check_id_count(N)
     order = np.arange(N, dtype=ID_DTYPE)

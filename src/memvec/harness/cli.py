@@ -19,7 +19,7 @@ import numpy as np
 from .. import analytic
 from ..assignment import KMeansConfig, batch_assignment, random_assignment, spherical_kmeans
 from ..construction import ConstructionConfig
-from ..core import Dataset
+from ..core import Dataset, _check_count
 from ..errors import DomainError, MemvecError
 from ..sampling import Seed, make_clustered_dataset, sample_sphere
 from ..search import build_index, query
@@ -30,10 +30,11 @@ __all__ = ["main", "build_parser"]
 
 _MP_CHUNK = 1 << 16  # `theory mp` quadrature points per chunk, 0.5 MB per float64 array
 _MP_MAX_POINTS = 1 << 24  # 0.9 s on a 2-core VM; enough for c up to 1 - 2.4e-6
-# the `build` options each --assign mode ignores; giving one is an error
-_IGNORED_BY = {"random": ("M", "normalize", "batch_size"),
-               "kmeans": ("unit_size", "batch_size"),
-               "batch-kmeans": ("unit_size",)}
+# per `build --assign` mode: its name in errors, the options it needs (each
+# nonzero) and the options it ignores (an error when given)
+_BUILD_OPTIONS = {"random": ("random assignment", ("unit_size",), ("M", "normalize", "batch_size")),
+                  "kmeans": ("kmeans assignment", ("M",), ("unit_size", "batch_size")),
+                  "batch-kmeans": ("batch-kmeans", ("M", "batch_size"), ("unit_size",))}
 
 
 def _write_csv(rows: Iterable[dict], out_path: str | None):
@@ -73,29 +74,26 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    for dest in _IGNORED_BY[args.assign]:
+    name, needs, ignores = _BUILD_OPTIONS[args.assign]
+    for dest in ignores:
         if getattr(args, dest):  # its default is 0 or False
             raise MemvecError(f"--{dest.replace('_', '-')} has no effect with "
                               f"--assign {args.assign}")
-    data = Dataset(io.read_fvecs(args.data))
+    if not all(getattr(args, dest) for dest in needs):
+        flags = " and ".join(f"--{dest.replace('_', '-')}" for dest in needs)
+        raise MemvecError(f"{flags} required for {name}")
     seed = Seed(args.seed)
     cfg = ConstructionConfig(kind=args.construction)
+    if args.assign != "random":
+        km = KMeansConfig(M=args.M, mode=args.construction,
+                          normalize_representative=args.normalize, seed=seed)
+    data = Dataset(io.read_fvecs(args.data))
     if args.assign == "random":
-        if not args.unit_size:
-            raise MemvecError("--unit-size required for random assignment")
         part = random_assignment(data.size, args.unit_size, seed.generator())
     elif args.assign == "kmeans":
-        if not args.M:
-            raise MemvecError("--M required for kmeans assignment")
-        part, _ = spherical_kmeans(data, KMeansConfig(
-            M=args.M, mode=args.construction,
-            normalize_representative=args.normalize, seed=seed))
+        part, _ = spherical_kmeans(data, km)
     else:  # batch-kmeans
-        if not (args.M and args.batch_size):
-            raise MemvecError("--M and --batch-size required for batch-kmeans")
-        inner = KMeansConfig(M=args.M, mode=args.construction,
-                             normalize_representative=args.normalize, seed=seed)
-        part = batch_assignment(data, args.batch_size, inner)
+        part = batch_assignment(data, args.batch_size, km)
     index = build_index(data, part, cfg)
     io.write_index(index, args.out)
     return 0
@@ -121,7 +119,6 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    retrieved, ratios = _read_results(args.results)
     if args.gt:
         for dest in ("data", "queries", "alpha0"):
             if getattr(args, dest) is not None:
@@ -135,6 +132,7 @@ def _cmd_eval(args) -> int:
         matches = cosine_ground_truth(data, queries, alpha0)
     else:
         raise MemvecError("eval needs --gt, or --data and --queries")
+    retrieved, ratios = _read_results(args.results)
     report = evaluate_results(retrieved, matches, np.asarray(ratios))
     row = {
         "alpha0": alpha0,
@@ -188,9 +186,8 @@ def _read_results(path: str) -> tuple[list[np.ndarray], list[float]]:
 def _cmd_theory(args) -> int:
     rows: list[dict] = []
     if args.theory_cmd == "roc":
-        if args.tau_steps < 1:
-            raise DomainError("--tau-steps must be >= 1")
-        taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
+        taus = np.linspace(args.tau_min, args.tau_max,
+                           _check_count(args.tau_steps, "--tau-steps", 1))
         for construction in args.constructions:
             for tau in taus:
                 pfp, pfn = analytic.error_rates(construction, float(tau),

@@ -6,12 +6,15 @@ bit-reproducible from its (config, seed) arguments.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from ..analytic import error_rates, expected_cost_ratio, score_law, threshold_for
 from ..assignment import KMeansConfig, imbalance_factor, random_assignment, spherical_kmeans
 from ..construction import ConstructionConfig, representatives
-from ..core import Dataset, Partition
+from ..core import Dataset, Partition, _check_count
 from ..errors import DomainError
 from ..sampling import Seed, h1_queries, sample_sphere
 from ..search import build_index
@@ -54,8 +57,7 @@ def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
     checks the model's domain before anything is drawn.
     """
     score_law(construction, alpha, n, d)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    trials = _check_count(trials, "trials", 1)
     h0 = np.empty(trials)
     h1 = np.empty(trials)
     for first, X, m in _stream_units(d, n, trials, construction, rng):
@@ -93,6 +95,7 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
     Member vectors are generated unit-by-unit and discarded after the
     representative is computed, so N can be large.
     """
+    N, n_queries = _check_count(N, "N", -math.inf), _check_count(n_queries, "n_queries", -math.inf)
     if N < 1 or n_queries < 1:
         raise DomainError("N and n_queries must be >= 1")
     tau = threshold_for(construction, alpha0, n, d, eps)
@@ -155,7 +158,9 @@ def run_cost_curve(d: int, eps: float, alpha0: float, n_values: list[int],
     return rows
 
 
-_KM_METHODS = {
+# method: (construction, normalized k-means representatives or None for random assignment)
+_METHODS = {
+    "random": ("pinv", None),
     "sum-km": ("sum", False),
     "pinv-km": ("pinv", False),
     "sum-km-norm": ("sum", True),
@@ -176,10 +181,17 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
     whose score exceeds the threshold is scanned (the production policy).
     ``kmeans_iters`` overrides the k-means iteration budget.
     """
+    n_queries = _check_count(n_queries, "n_queries", -math.inf)
+    top_k = _check_count(top_k, "top_k", -math.inf)
     if n_queries < 1 or not seeds or not 1 <= top_k <= M:
         raise DomainError("need n_queries >= 1, n_seeds >= 1 and 1 <= top_k <= M")
     if tau is not None and np.isnan(tau):
         raise DomainError("tau is NaN")
+    for method in methods:
+        if method not in _METHODS:
+            raise DomainError(f"unknown assignment method {method!r}")
+    km_kwargs = {} if kmeans_iters is None else {"max_iters": kmeans_iters}
+    km = KMeansConfig(M=M, **km_kwargs)  # checks M and the iteration budget before any work
     N = dataset.size
     qrng = seed.child("queries").generator()
     planted = qrng.integers(N, size=n_queries)
@@ -188,21 +200,15 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
 
     rows = []
     for method in methods:
+        mode, norm = _METHODS[method]
         for s in seeds:
             method_seed = seed.child(f"{method}-{s}")
-            if method == "random":
+            if norm is None:
                 part = random_assignment(N, max(1, N // M), method_seed.generator())
-                cfg = ConstructionConfig(kind="pinv")
-            elif method in _KM_METHODS:
-                mode, norm = _KM_METHODS[method]
-                km_kwargs = {} if kmeans_iters is None else {"max_iters": kmeans_iters}
-                part, _ = spherical_kmeans(dataset, KMeansConfig(
-                    M=M, mode=mode, normalize_representative=norm,
-                    seed=method_seed, **km_kwargs))
-                cfg = ConstructionConfig(kind=mode)
             else:
-                raise DomainError(f"unknown assignment method {method!r}")
-            index = build_index(dataset, part, cfg)
+                part, _ = spherical_kmeans(dataset, replace(
+                    km, mode=mode, normalize_representative=norm, seed=method_seed))
+            index = build_index(dataset, part, ConstructionConfig(kind=mode))
             sizes, unit_of = part.sizes, part.unit_of  # unit_of is rebuilt per access
             unit_matches = np.stack([np.bincount(unit_of[m], minlength=part.M)
                                      for m in matches])

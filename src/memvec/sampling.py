@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import score_sf_log
+from .analytic import _check_eta, score_sf_log
 from .core import Dataset, _check_count, normalize
 from .errors import DimensionError, DomainError
 
@@ -68,10 +68,7 @@ def sample_cap_correlation(eta: float, d: int, rng: np.random.Generator,
     Inverts the restricted score CDF by bisection on the log survival
     function (stable for narrow caps); |Delta S'| <= 1e-10.
     """
-    if eta >= 1.0:
-        raise DomainError("eta must be < 1")
-    if not eta >= -1.0:  # NaN fails too
-        raise DomainError(f"eta must be >= -1, got {eta}")
+    _check_eta(eta)
     d = _check_count(d, "cap sampling d", 2, DimensionError)
     size = _check_count(size, "sample size", 0)
     # v in (0, 1]: solve sf(s) = v * sf(eta)

@@ -136,34 +136,42 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                            axis=1).astype(np.float64)
 
 
-def _code_bytes(d: int) -> int:
+def _sign_bytes(d: int) -> int:
     return -(-d // 8)
+
+
+def _code_bytes(d: int) -> int:
+    """Stored bytes per code: its sign bytes padded to whole 8-byte words,
+    so symmetric scores count 64 bits at a time."""
+    return 8 * -(-d // 64)
 
 
 @dataclass(frozen=True, eq=False)
 class BinaryIndex:
     """Sign codes of the unit representatives, packed eight bits to a byte
-    by ``np.packbits`` (bit k of a code is bit 7 - k % 8 of byte k // 8; the
-    pad bits of the last byte are 0).
+    by ``np.packbits`` (bit k of a code is bit 7 - k % 8 of byte k // 8) and
+    zero-padded to whole 8-byte words: every bit after bit d - 1 is 0.
 
     The partition and the dataset are kept by reference: candidates re-rank
     by true inner products. No float representative is kept.
     """
 
-    unit_codes: np.ndarray  # (M, ceil(d / 8)) uint8
+    unit_codes: np.ndarray  # (M, 8 ceil(d / 64)) uint8
     partition: Partition
     dataset: Dataset
 
     def __post_init__(self):
-        d, nb = self.dataset.dim, _code_bytes(self.dataset.dim)
+        d = self.dataset.dim
+        nb, last = _code_bytes(d), _sign_bytes(d) - 1  # last: the last byte with sign bits
         if self.dataset.size != self.partition.N:
             raise DimensionError("dataset does not match the partition")
-        codes = np.asarray(self.unit_codes).view()
+        codes = np.ascontiguousarray(self.unit_codes).view()  # symmetric scoring views words
         if codes.dtype != np.uint8:
             raise ModelError("unit_codes must be packed uint8 bytes")
         if codes.shape != (self.partition.M, nb):
             raise DimensionError(f"unit_codes must have shape {(self.partition.M, nb)}")
-        if np.any(codes[:, -1] & np.uint8(0xFF >> (d - 8 * (nb - 1)))):
+        if (np.any(codes[:, last] & np.uint8(0xFF >> (d - 8 * last)))
+                or np.any(codes[:, last + 1:])):
             raise ModelError("unit_codes has pad bits set")
         codes.setflags(write=False)
         object.__setattr__(self, "unit_codes", codes)
@@ -172,10 +180,10 @@ class BinaryIndex:
 def _pack_signs(A: np.ndarray) -> np.ndarray:
     """Packed sign codes of the rows of A, binarized a chunk of rows at a time."""
     n, d = A.shape
-    out = np.empty((n, _code_bytes(d)), dtype=np.uint8)
+    out = np.zeros((n, _code_bytes(d)), dtype=np.uint8)
     step = max(1, _CHUNK_BITS // d)
     for s in range(0, n, step):
-        out[s:s + step] = np.packbits(A[s:s + step] >= 0.0, axis=1)
+        out[s:s + step, :_sign_bytes(d)] = np.packbits(A[s:s + step] >= 0.0, axis=1)
     return out
 
 
@@ -188,27 +196,29 @@ def binarize(index: MemoryIndex, dataset: Dataset) -> BinaryIndex:
 
 
 def _symmetric_scores(codes: np.ndarray, code_y: np.ndarray, d: int) -> np.ndarray:
-    """(d - 2 hamming) / d of each packed code against the packed query code."""
-    ham = np.bitwise_count(codes ^ code_y).sum(axis=1, dtype=np.int64)
-    return (d - 2 * ham) / d
+    """(d - 2 hamming) / d of each packed code against the packed query code,
+    XORed and counted a 64-bit word at a time."""
+    ham = np.bitwise_count(codes.view(np.uint64) ^ code_y.view(np.uint64))
+    return (d - 2 * ham.sum(axis=1, dtype=np.int64)) / d
 
 
 def _byte_table(y: np.ndarray) -> np.ndarray:
     """T[b, v]: sum of y over the set bits of byte value v at byte b."""
-    padded = np.zeros(8 * _code_bytes(y.size))
+    padded = np.zeros(8 * _sign_bytes(y.size))
     padded[:y.size] = y
     return padded.reshape(-1, 8) @ _BYTE_BITS.T
 
 
 def _asymmetric_scores(codes: np.ndarray, table: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(sum of +/- y_k) / sqrt(d) of each packed code, as
-    (2 sum_b T[b, code_b] - sum(y)) / sqrt(d), a chunk of rows at a time."""
+    (2 sum_b T[b, code_b] - sum(y)) / sqrt(d) over its sign bytes b, a chunk
+    of rows at a time."""
     nb = table.shape[0]
     flat, base = table.ravel(), 256 * np.arange(nb)
     on = np.empty(len(codes))
     step = max(1, _CHUNK_BITS // (8 * nb))
     for s in range(0, len(codes), step):
-        on[s:s + step] = flat.take(codes[s:s + step] + base).sum(axis=1)
+        on[s:s + step] = flat.take(codes[s:s + step, :nb] + base).sum(axis=1)
     return (2.0 * on - y.sum()) / np.sqrt(y.size)
 
 
@@ -226,7 +236,7 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
         raise DomainError(f"unknown binary mode {mode!r}")
     y = _checked_query(y, (bindex.dataset.dim,))  # the sketch checked its dataset
     if mode == "symmetric":
-        unit_scores = _symmetric_scores(bindex.unit_codes, np.packbits(y >= 0.0), y.size)
+        unit_scores = _symmetric_scores(bindex.unit_codes, _pack_signs(y[None]), y.size)
     else:
         unit_scores = _asymmetric_scores(bindex.unit_codes, _byte_table(y), y)
     return _scan(bindex.partition, bindex.dataset.vectors, y, unit_scores, tau, top_units)

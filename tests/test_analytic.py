@@ -251,11 +251,17 @@ class TestErrorRates:
     (lambda: A.cap_moment(1, 0.5, 1), "cap moments require d >= 2"),
     (lambda: A.gaussian_kl(0.0, 0.0, 0.0, 1.0), "variances must be positive"),
     (lambda: A.gaussian_kl(0.0, 1.0, 0.0, -1.0), "variances must be positive"),
+    # NaN fails each test, instead of slipping past a `<= 0` one
+    (lambda: A.score_sf_log(0.1, math.nan, 16), "m_norm must be positive"),
+    (lambda: A.score_sf_log(np.array([0.1, math.nan, 2.0]), 1.0, 16), "score is NaN"),
+    (lambda: A.gaussian_kl(0.0, math.nan, 0.0, 1.0), "variances must be positive"),
+    (lambda: A.gaussian_kl(0.0, 1.0, 0.0, math.nan), "variances must be positive"),
     (lambda: A.mp_pdf(1.0, 1.0), r"aspect ratio c must lie in \(0, 1\)"),
     (lambda: A.mp_pinv_norm_limit(0.0), r"aspect ratio c must lie in \(0, 1\)"),
 ], ids=["score_sf_log-d", "score_sf_log-m_norm", "threshold_for-eps",
         "threshold_for-alpha0", "cap_moment-d", "gaussian_kl-var0", "gaussian_kl-var1",
-        "mp_pdf-c", "mp_pinv_norm_limit-c"])
+        "score_sf_log-nan-m_norm", "score_sf_log-nan-score", "gaussian_kl-nan-var0",
+        "gaussian_kl-nan-var1", "mp_pdf-c", "mp_pinv_norm_limit-c"])
 def test_outside_the_domain_is_a_domain_error(call, says):
     with pytest.raises(DomainError, match=says):
         call()

@@ -19,6 +19,7 @@ from memvec.assignment import (
 from memvec.construction import ConstructionConfig, representatives
 from memvec.core import FILE_NORM_TOL, Dataset
 from memvec.errors import DimensionError, DomainError
+from memvec.harness import experiments
 from memvec.sampling import Seed, make_clustered_dataset, sample_cap_correlation, sample_sphere
 
 
@@ -96,6 +97,12 @@ class TestRandomAssignment:
     def test_domain(self):
         with pytest.raises(DomainError):
             random_assignment(5, 6, Seed(0).generator())
+
+    def test_unit_size_is_used_as_the_integer_it_converts_to(self):
+        # True passes the integer check as 1, and once reached numpy's reshape as True
+        a = random_assignment(60, True, Seed(3).generator())
+        b = random_assignment(60, 1, Seed(3).generator())
+        assert np.array_equal(a.member_ids, b.member_ids) and np.array_equal(a.offsets, b.offsets)
 
     def test_more_ids_than_int32_holds_rejected_before_allocating(self):
         rng, ref = Seed(0).generator(), Seed(0).generator()
@@ -657,15 +664,30 @@ class TestBatchAssignment:
     lambda ds, rng: A.cap_moment(1, 0.5, 2.5),
     lambda ds, rng: A.cap_stats("sum", 0.5, 16, 2.5, 0.5),
     lambda ds, rng: A.cap_stats("pinv", 0.5, 16.0, 4, 0.5),
+    lambda ds, rng: experiments.simulate_unit_scores(16, 4, 0.9, "pinv", 2.5, rng),
+    lambda ds, rng: experiments.measure_cost("sum", 4, 16, 0.9, 0.05, 2.5, 2, Seed(1)),
+    lambda ds, rng: experiments.run_assignment_report(ds, ["random"], 2, [0], 0.9, 0.7,
+                                                      n_queries=2.5, top_k=1, seed=Seed(1)),
+    lambda ds, rng: experiments.run_assignment_report(ds, ["random"], 2, [0], 0.9, 0.7,
+                                                      n_queries=2, top_k=1.5, seed=Seed(1)),
 ], ids=["kmeans-M", "kmeans-max_iters", "random-n", "batch_size", "from_labels-M",
         "sample-size", "cap-size", "clustered-per_cluster", "clustered-K",
         "threshold_for-n", "score_law-d", "score_sf_log-d", "cap_moment-d",
-        "cap_stats-n", "cap_stats-d"])
+        "cap_stats-n", "cap_stats-d", "simulate-trials", "cost-N",
+        "report-n_queries", "report-top_k"])
 def test_non_integer_count_is_a_domain_error(call):
     # each once raised numpy's TypeError from deep inside
     ds = Dataset(sample_sphere(4, Seed(19).generator(), size=10))
     with pytest.raises(DomainError, match="must be an integer|must be integers"):
         call(ds, Seed(20).generator())
+
+
+def test_assignment_report_names_the_count_it_was_given():
+    # a float M once failed as the unit size N // M: "n must be an integer"
+    ds = Dataset(sample_sphere(4, Seed(19).generator(), size=10))
+    with pytest.raises(DomainError, match="^M must be an integer"):
+        experiments.run_assignment_report(ds, ["random"], 6.5, [0], 0.9, 0.7,
+                                          n_queries=2, top_k=1, seed=Seed(1))
 
 
 @pytest.mark.parametrize("kwargs, says", [

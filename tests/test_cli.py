@@ -264,11 +264,13 @@ class TestBuildQueryEval:
         db, _, _, tmp = pipeline
         res, built = tmp / "res.csv", tmp / "o.mvix"
         res.write_text("query,rank,dataset_id,complexity_ratio\n0,1,3,0.1\n")
-        files = {"build": ["--data", db, "--out", built], "eval": ["--results", res]}
-        argv = [db if a == "DB" else a for a in argv] + files[argv[0]]
-        assert run(argv) == 1
-        assert capsys.readouterr().err == f"error: {says}\n"
-        assert not built.exists()
+        argv = [db if a == "DB" else a for a in argv]
+        # options are checked before the --data or --results file is opened
+        for data, results in ((db, res), (tmp / "absent.fvecs", tmp / "absent.csv")):
+            files = {"build": ["--data", data, "--out", built], "eval": ["--results", results]}
+            assert run(argv + files[argv[0]]) == 1
+            assert capsys.readouterr().err == f"error: {says}\n"
+            assert not built.exists()
 
     @pytest.mark.parametrize("assign, given, ignored", [
         ("random", ["--unit-size", 10, "--M", 5, "--normalize"], "--M"),

@@ -7,7 +7,7 @@ import pytest
 
 from memvec.core import Dataset
 from memvec.errors import DimensionError, DomainError, NormalizationError
-from memvec.harness import evaluation
+from memvec.harness import evaluation, experiments
 from memvec.harness.evaluation import (
     RECALL_RANKS,
     EvalReport,
@@ -249,6 +249,21 @@ class TestAssignmentReport:
         with pytest.raises(DomainError, match="unknown assignment method 'mean-km'"):
             run_assignment_report(data, ["mean-km"], 4, [0], alpha=0.9, alpha0=0.6,
                                   n_queries=5, top_k=2, seed=Seed(9))
+
+    @pytest.mark.parametrize("methods, kwargs, says", [
+        (["random", "foo"], {}, "unknown assignment method 'foo'"),
+        (["random", "sum-km"], {"kmeans_iters": 0}, "max_iters must be >= 1"),
+    ], ids=["unknown-method", "kmeans-iters-0"])
+    def test_bad_argument_rejected_before_any_index_is_built(self, methods, kwargs, says,
+                                                            monkeypatch):
+        def build_index(*args):
+            raise AssertionError("an index was built before the arguments were checked")
+
+        monkeypatch.setattr(experiments, "build_index", build_index)
+        data, _ = make_clustered_dataset(4, 10, 16, 0.9, Seed(8).generator())
+        with pytest.raises(DomainError, match=says):
+            run_assignment_report(data, methods, 4, [0], alpha=0.9, alpha0=0.6,
+                                  n_queries=5, top_k=2, seed=Seed(9), **kwargs)
 
     def test_nan_tau_rejected(self):
         data, _ = make_clustered_dataset(4, 10, 16, 0.9, Seed(8).generator())

@@ -343,19 +343,21 @@ class TestBinaryPrimitives:
         v = np.array([0.3, -0.1, 0.7, 0.2, -0.5, -0.9, 0.4, -0.2])
         assert sign_code(v).tolist() == [True, False, True, True,
                                          False, False, True, False]
-        # packed most significant bit first, pad bits 0
+        # packed most significant bit first, pad bits 0 up to a whole 8-byte word
         v13 = np.concatenate([v, [0.1, -0.3, -0.2, 0.5, 0.6]])
         bindex = _binary_index(np.vstack([v13, -v13]), [0, 0])
         assert search._pack_signs(bindex.dataset.vectors).tolist() == [
-            [0b10110010, 0b10011000], [0b01001101, 0b01100000]]
+            [0b10110010, 0b10011000] + [0] * 6, [0b01001101, 0b01100000] + [0] * 6]
         # the sum of a row and its negation is 0, whose 13 bits are all set
-        assert bindex.unit_codes.tolist() == [[0b11111111, 0b11111000]]
+        assert bindex.unit_codes.tolist() == [[0b11111111, 0b11111000] + [0] * 6]
         bindex = _binary_index(np.array([[1.0], [-1.0]]), [0, 1])
-        assert search._pack_signs(bindex.dataset.vectors).tolist() == [[0b10000000], [0]]
-        assert bindex.unit_codes.tolist() == [[0b10000000], [0]]
+        assert search._pack_signs(bindex.dataset.vectors).tolist() == [[0b10000000] + [0] * 7,
+                                                                       [0] * 8]
+        assert bindex.unit_codes.tolist() == [[0b10000000] + [0] * 7, [0] * 8]
 
     def test_zero_maps_to_positive_bit(self):
-        assert search._pack_signs(np.array([[0.0], [-0.0]])).tolist() == [[0b10000000]] * 2
+        assert search._pack_signs(np.array([[0.0], [-0.0]])).tolist() == [
+            [0b10000000] + [0] * 7] * 2
 
     def test_hamming_identity_exhaustive_d8(self):
         rng = Seed(30).generator()
@@ -465,7 +467,7 @@ class TestPackedLayer:
         rng = Seed(41).generator()
         bindex = _binary_index(rng.standard_normal((12, d)), np.arange(12) // 3)
         assert bindex.unit_codes.dtype == np.uint8
-        assert bindex.unit_codes.nbytes == 4 * -(-d // 8)
+        assert bindex.unit_codes.nbytes == 4 * 8 * -(-d // 64)  # whole 64-bit words
         assert bindex.dataset.dim == d
 
     def test_binarize_packs_only_the_units(self):
@@ -494,7 +496,9 @@ class TestPackedLayer:
         # 3 rows of 13 bits per binarize chunk, 3 rows of 2 bytes per lookup chunk
         monkeypatch.setattr(search, "_CHUNK_BITS", 48)
         chunked = _binary_index(X, np.arange(10) // 2)
-        assert np.array_equal(search._pack_signs(X), np.packbits(X >= 0, axis=1))
+        packed = search._pack_signs(X)
+        assert np.array_equal(packed[:, :2], np.packbits(X >= 0, axis=1))
+        assert not packed[:, 2:].any()
         assert np.array_equal(chunked.unit_codes, whole.unit_codes)
         assert as_lists(query_binary(chunked, y, tau=-np.inf, mode="asymmetric")) == expect
 
@@ -539,7 +543,7 @@ class TestSketchOnly:
         assert [as_lists(query_binary(bindex, y, tau=0.0, mode=mode)) for y, mode in runs] == before
 
     def test_dimension_checked_at_equal_code_width(self):
-        # 13 and 16 signs both pack into 2 bytes with clean pad bits, so only
+        # 13 and 16 signs both pack into one 8-byte word with clean pad bits, so only
         # binarize's own check of d sees the mismatch
         rng = Seed(93).generator()
         data13 = Dataset(sample_sphere(13, rng, size=40))
@@ -571,14 +575,16 @@ class TestBinaryIndexInvariants:
     def test_rejects_set_pad_bits(self):
         X = Seed(46).generator().standard_normal((4, 13))
         good = _binary_index(X, [0, 0, 1, 1])
-        unit_codes = np.array(good.unit_codes)
-        unit_codes[0, -1] |= 0b00000001
-        with pytest.raises(ModelError):
-            BinaryIndex(unit_codes=unit_codes, partition=good.partition, dataset=good.dataset)
+        for byte in (1, -1):  # the last sign byte's pad bits, then a pad byte
+            unit_codes = np.array(good.unit_codes)
+            unit_codes[0, byte] |= 0b00000001
+            with pytest.raises(ModelError):
+                BinaryIndex(unit_codes=unit_codes, partition=good.partition,
+                            dataset=good.dataset)
 
     def test_frozen(self, small_index):
         data, index = small_index
-        unit_codes = np.packbits(index.representatives >= 0, axis=1)
+        unit_codes = search._pack_signs(index.representatives)
         bindex = BinaryIndex(unit_codes=unit_codes, partition=index.partition, dataset=data)
         with pytest.raises(ValueError):
             bindex.unit_codes[0, 0] = 0
