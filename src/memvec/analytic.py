@@ -216,12 +216,16 @@ def score_sf_log(s, m_norm: float, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def _check_model(construction: str, alpha: float, n: int, d: int) -> tuple[int, int]:
     # the domain score_law and cap_stats share; each checks its own range of the ints n, d
     if construction not in ("sum", "pinv"):
         raise DomainError(f"unknown construction {construction!r}")
-    if not 0.0 <= alpha <= 1.0:  # NaN fails too
-        raise DomainError("alpha must lie in [0, 1]")
+    _check_alpha(alpha)
     return _check_count(n, "n", -math.inf), _check_count(d, "d", -math.inf)
 
 

@@ -22,7 +22,7 @@ from ..construction import ConstructionConfig
 from ..core import Dataset, _check_count
 from ..errors import DomainError, MemvecError
 from ..sampling import Seed, make_clustered_dataset, sample_sphere
-from ..search import build_index, query
+from ..search import _selector, build_index, query_batch
 from . import experiments, io
 from .evaluation import RECALL_RANKS, cosine_ground_truth, evaluate_results
 
@@ -82,6 +82,8 @@ def _cmd_build(args) -> int:
     if not all(getattr(args, dest) for dest in needs):
         flags = " and ".join(f"--{dest.replace('_', '-')}" for dest in needs)
         raise MemvecError(f"{flags} required for {name}")
+    for dest in needs:  # each count under the name the library checks it by
+        _check_count(getattr(args, dest), {"unit_size": "n"}.get(dest, dest), 1)
     seed = Seed(args.seed)
     cfg = ConstructionConfig(kind=args.construction)
     if args.assign != "random":
@@ -100,13 +102,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    _selector(args.tau, args.top_units)  # a bad selector is reported before any file is read
     index = io.read_index(args.index)
     data = Dataset(io.read_fvecs(args.data))
-    queries = io.read_fvecs(args.queries)
+    answers = query_batch(index, data, io.read_fvecs(args.queries), args.tau, args.top_units)
 
     def rows():  # one query's rows at a time, as it is answered
-        for qid, y in enumerate(queries):
-            res = query(index, data, y, tau=args.tau, top_units=args.top_units)
+        for qid, res in enumerate(answers):
             ranked = [(rank, i, repr(s))
                       for rank, (i, s) in enumerate(res.candidates.tolist(), 1)]
             for rank, i, s in ranked or [("", "", "")]:  # one blank row when none
@@ -127,9 +129,10 @@ def _cmd_eval(args) -> int:
         matches = [row[row >= 0] for row in io.read_ivecs(args.gt)]
     elif args.data and args.queries:
         alpha0 = 0.5 if args.alpha0 is None else args.alpha0
-        data = Dataset(io.read_fvecs(args.data))
-        queries = io.read_fvecs(args.queries)
-        matches = cosine_ground_truth(data, queries, alpha0)
+        if np.isnan(alpha0):  # cosine_ground_truth's check, before the files are read
+            raise DomainError("alpha0 is NaN")
+        matches = cosine_ground_truth(Dataset(io.read_fvecs(args.data)),
+                                      io.read_fvecs(args.queries), alpha0)
     else:
         raise MemvecError("eval needs --gt, or --data and --queries")
     retrieved, ratios = _read_results(args.results)

@@ -42,8 +42,7 @@ def cosine_ground_truth(dataset: Dataset, queries: np.ndarray,
     """
     if np.isnan(alpha0):
         raise DomainError("alpha0 is NaN")
-    queries = np.atleast_2d(queries)
-    queries = _checked_query(queries, (len(queries), dataset.dim))
+    queries = _checked_query(np.atleast_2d(queries), dataset.dim)
     X = dataset.vectors
     rows = max(1, BLOCK_FLOATS // max(len(queries), X.shape[1]))
     buf = np.empty((min(rows, len(X)), X.shape[1]))

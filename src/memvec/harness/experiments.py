@@ -17,7 +17,7 @@ from ..construction import ConstructionConfig, representatives
 from ..core import Dataset, Partition, _check_count
 from ..errors import DomainError
 from ..sampling import Seed, h1_queries, sample_sphere
-from ..search import build_index
+from ..search import build_index, query_batch
 from .evaluation import cosine_ground_truth
 
 __all__ = [
@@ -209,14 +209,15 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
                 part, _ = spherical_kmeans(dataset, replace(
                     km, mode=mode, normalize_representative=norm, seed=method_seed))
             index = build_index(dataset, part, ConstructionConfig(kind=mode))
-            sizes, unit_of = part.sizes, part.unit_of  # unit_of is rebuilt per access
+            unit_of = part.unit_of  # rebuilt per access
             unit_matches = np.stack([np.bincount(unit_of[m], minlength=part.M)
                                      for m in matches])
-            scores = queries @ index.representatives.T  # (Q, M)
-            visited = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
+            top = list(query_batch(index, dataset, queries, top_units=top_k))
+            visited = np.stack([u["unit"][np.argsort(-u["score"], kind="stable")]
+                                for u in (r.positive_units for r in top)])  # ties to lower ids
             hits = np.take_along_axis(unit_matches, visited, axis=1)  # (Q, top_k)
-            scanned = sizes[visited].sum(axis=1) if tau is None else (scores > tau) @ sizes
-            complexities = part.M + scanned
+            scanned = top if tau is None else query_batch(index, dataset, queries, tau=tau)
+            complexities = np.array([r.complexity for r in scanned])
             positives = np.count_nonzero(hits)
             row = {
                 "method": method,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _check_eta, score_sf_log
+from .analytic import _check_alpha, _check_eta, score_sf_log
 from .core import Dataset, _check_count, normalize
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 
 __all__ = [
     "Seed",
@@ -111,8 +111,7 @@ def h1_queries(planted: np.ndarray, alpha: float, rng: np.random.Generator) -> n
     uniform on the unit sphere orthogonal to x, renormalized. float32 rows
     are widened first, so the queries are computed in float64. alpha must
     lie in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:  # NaN fails too
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     planted = np.asarray(planted, dtype=np.float64)
     if planted.ndim != 2:
         raise DimensionError(f"planted must be an (n, d) array, not {planted.ndim}-d")

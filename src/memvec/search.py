@@ -10,12 +10,13 @@ from __future__ import annotations
 import logging
 import math
 import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import FILE_NORM_TOL, Dataset, MemoryIndex, Partition
+from .core import BLOCK_FLOATS, FILE_NORM_TOL, Dataset, MemoryIndex, Partition
 from .errors import DimensionError, DomainError, ModelError, NormalizationError
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "BinaryIndex",
     "build_index",
     "query",
+    "query_batch",
     "binarize",
     "query_binary",
 ]
@@ -62,63 +64,76 @@ def build_index(dataset: Dataset, partition: Partition, cfg: ConstructionConfig)
     return MemoryIndex(representatives=reps, partition=partition, construction=cfg.kind)
 
 
-def _select_units(unit_scores: np.ndarray, tau: float | None,
-                  top_units: int | None) -> np.ndarray:
+def _selector(tau: float | None, top_units: int | None) -> Callable[[np.ndarray], np.ndarray]:
+    """The checked selector: one query's unit scores -> its positive unit ids, ascending."""
     if (tau is None) == (top_units is None):
         raise DomainError("exactly one of tau / top_units must be given")
     try:  # tau must convert to a float, top_units be an integer
         if tau is not None:
             if math.isnan(tau):
                 raise DomainError("tau is NaN")
-            return np.flatnonzero(unit_scores > tau)
-        k = min(operator.index(top_units), unit_scores.size)
+            return lambda scores: np.flatnonzero(scores > tau)
+        k = operator.index(top_units)
     except TypeError as exc:
         raise DomainError(f"bad unit selector: {exc}") from exc
     if k < 0:
         raise DomainError("top_units must be non-negative")
     # highest scores; the stable sort breaks ties by lower unit id
-    return np.sort(np.argsort(-unit_scores, kind="stable")[:k])
+    return lambda scores: np.sort(np.argsort(-scores, kind="stable")[:k])
 
 
-def _scan(part: Partition, vectors: np.ndarray, y: np.ndarray, unit_scores: np.ndarray,
-          tau: float | None, top_units: int | None) -> QueryResult:
-    """Layers 2-4 of both query paths: select the positive units, gather their
-    members by ``Partition.members_of``, re-rank them by true inner product, assemble."""
-    pos = _select_units(unit_scores, tau, top_units)
-    ids = part.members_of(pos)
-    # keep this gather order: the GEMV's sims, which the CLI writes, depend on it in the last bits
-    sims = vectors[ids] @ y
-    order = np.argsort(-sims)
-    if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
-        order = np.lexsort((ids, -sims))
-    units = np.empty(pos.size, _UNIT_DTYPE)
-    units["unit"], units["score"] = pos, unit_scores[pos]
-    cands = np.empty(ids.size, _CANDIDATE_DTYPE)
-    cands["id"], cands["sim"] = ids[order], sims[order]
-    complexity = part.M + ids.size
-    return QueryResult(positive_units=units, candidates=cands, complexity=complexity,
-                       complexity_ratio=complexity / part.N)
+def _scan(part: Partition, vectors: np.ndarray, Q: np.ndarray, score: Callable,
+          select: Callable) -> Iterator[QueryResult]:
+    """Layers 2-4 of every query path, on Q (B, d) a block of rows at a time:
+    check and widen the block and ``score`` it (b, M); per row, select the positive
+    units, gather their members by ``Partition.members_of``, re-rank, assemble."""
+    rows = max(1, BLOCK_FLOATS // part.M)
+    for start in range(0, len(Q), rows):
+        Y = _checked_query(Q[start:start + rows], vectors.shape[1])
+        for y, scores in zip(Y, score(Y)):
+            pos = select(scores)
+            ids = part.members_of(pos)
+            # keep this gather order: the sims the CLI writes depend on it in the last bits
+            sims = vectors[ids] @ y
+            order = np.argsort(-sims)
+            if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
+                order = np.lexsort((ids, -sims))
+            units = np.empty(pos.size, _UNIT_DTYPE)
+            units["unit"], units["score"] = pos, scores[pos]
+            cands = np.empty(ids.size, _CANDIDATE_DTYPE)
+            cands["id"], cands["sim"] = ids[order], sims[order]
+            complexity = part.M + ids.size
+            yield QueryResult(positive_units=units, candidates=cands, complexity=complexity,
+                              complexity_ratio=complexity / part.N)
 
 
-def _checked_query(y, shape: tuple[int, ...]) -> np.ndarray:
-    """y as float64 of the given shape, (d,) or (Q, d), each row a finite unit vector."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != shape:
-        raise DimensionError(f"query shape {y.shape} is not {shape}")
+def _checked_query(Y, d: int) -> np.ndarray:
+    """Y as a float64 (b, d) array, each row a finite unit vector."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[1] != d:
+        raise DimensionError(f"query shape {Y.shape} is not (b, {d})")
     # a NaN or inf coefficient makes a row's norm NaN or inf, which fails the test
-    if not (abs(np.linalg.norm(y, axis=-1) - 1.0) <= FILE_NORM_TOL).all():
+    if not (abs(np.linalg.norm(Y, axis=1) - 1.0) <= FILE_NORM_TOL).all():
         raise NormalizationError("query is not a finite unit vector")
-    return y
+    return Y
+
+
+def query_batch(index: MemoryIndex, dataset: Dataset, Q: np.ndarray,
+                tau: float | None = None, top_units: int | None = None) -> Iterator[QueryResult]:
+    """``query`` of each row of Q (B, d), in order. The selector and dataset are checked
+    now, each block of rows when it is reached. A block is scored by one product of at most
+    ``BLOCK_FLOATS`` scores, so unit scores may differ from ``query``'s in the last bits."""
+    select = _selector(tau, top_units)
+    if dataset.vectors.shape != (index.partition.N, index.dim):
+        raise DimensionError("query, index and dataset disagree in shape")
+    return _scan(index.partition, dataset.vectors, Q, lambda Y: Y @ index.representatives.T, select)
 
 
 def query(index: MemoryIndex, dataset: Dataset, y: np.ndarray,
           tau: float | None = None, top_units: int | None = None) -> QueryResult:
     """Scan all memory vectors; re-rank members of units with score > tau
     (or of the top_units highest-scoring units) by true inner product."""
-    if dataset.vectors.shape != (index.partition.N, index.dim):
-        raise DimensionError("query, index and dataset disagree in shape")
-    y = _checked_query(y, (index.dim,))
-    return _scan(index.partition, dataset.vectors, y, index.representatives @ y, tau, top_units)
+    return next(query_batch(index, dataset, np.asarray(y)[None], tau, top_units))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +249,9 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
     """
     if mode not in ("symmetric", "asymmetric"):
         raise DomainError(f"unknown binary mode {mode!r}")
-    y = _checked_query(y, (bindex.dataset.dim,))  # the sketch checked its dataset
+    select = _selector(tau, top_units)  # the sketch checked its dataset; the scan checks y
     if mode == "symmetric":
-        unit_scores = _symmetric_scores(bindex.unit_codes, _pack_signs(y[None]), y.size)
+        score = lambda Y: _symmetric_scores(bindex.unit_codes, _pack_signs(Y), Y.shape[1])[None]
     else:
-        unit_scores = _asymmetric_scores(bindex.unit_codes, _byte_table(y), y)
-    return _scan(bindex.partition, bindex.dataset.vectors, y, unit_scores, tau, top_units)
+        score = lambda Y: _asymmetric_scores(bindex.unit_codes, _byte_table(Y[0]), Y[0])[None]
+    return next(_scan(bindex.partition, bindex.dataset.vectors, np.asarray(y)[None], score, select))

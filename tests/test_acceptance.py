@@ -28,7 +28,7 @@ from memvec.harness.experiments import (
 )
 from memvec.sampling import Seed, h1_queries, make_clustered_dataset, \
     sample_cap_correlation, sample_sphere
-from memvec.search import binarize, build_index, query, query_binary
+from memvec.search import binarize, build_index, query, query_batch, query_binary
 
 from oracles import (
     cap_moment_quadrature,
@@ -380,9 +380,10 @@ def _binary_comparison(d: int, N: int, n: int, alpha: float, n_queries: int,
     out = {}
     results = {"real": [], "symmetric": [], "asymmetric": []}
     ratios = {k: [] for k in results}
-    for q, y in enumerate(h1_queries(data.vectors[planted], alpha, qrng)):
+    queries = h1_queries(data.vectors[planted], alpha, qrng)
+    for q, (y, real) in enumerate(zip(queries, query_batch(index, data, queries, tau=tau_real))):
         runs = {
-            "real": query(index, data, y, tau=tau_real),
+            "real": real,
             "symmetric": query_binary(bindex, y, tau=tau_binary, mode="symmetric"),
             "asymmetric": query_binary(bindex, y, tau=tau_binary, mode="asymmetric"),
         }

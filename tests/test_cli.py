@@ -256,19 +256,30 @@ class TestBuildQueryEval:
         (["build", "--assign", "batch-kmeans", "--M", 5],
          "--M and --batch-size required for batch-kmeans"),
         (["build", "--unit-size", 10, "--seed", -1], "seed must be >= 0, got -1"),
+        (["build", "--unit-size", -3], "n must be >= 1, got -3"),
+        (["build", "--assign", "batch-kmeans", "--M", 3, "--batch-size", -5],
+         "batch_size must be >= 1, got -5"),
         (["eval"], "eval needs --gt, or --data and --queries"),
         (["eval", "--data", "DB"], "eval needs --gt, or --data and --queries"),
+        (["eval", "--data", "DB", "--queries", "Q", "--alpha0", "nan"], "alpha0 is NaN"),
+        (["query", "--tau", "nan"], "tau is NaN"),
+        (["query", "--top-units", -2], "top_units must be non-negative"),
     ], ids=["random-unit-size", "kmeans-M", "batch-kmeans-M", "batch-kmeans-batch-size",
-            "build-negative-seed", "eval-no-truth", "eval-data-only"])
+            "build-negative-seed", "random-negative-unit-size", "negative-batch-size",
+            "eval-no-truth", "eval-data-only", "eval-nan-alpha0", "query-nan-tau",
+            "query-negative-top-units"])
     def test_missing_or_bad_option_is_1(self, pipeline, argv, says, capsys):
-        db, _, _, tmp = pipeline
+        db, q, idx, tmp = pipeline
         res, built = tmp / "res.csv", tmp / "o.mvix"
         res.write_text("query,rank,dataset_id,complexity_ratio\n0,1,3,0.1\n")
-        argv = [db if a == "DB" else a for a in argv]
-        # options are checked before the --data or --results file is opened
-        for data, results in ((db, res), (tmp / "absent.fvecs", tmp / "absent.csv")):
-            files = {"build": ["--data", data, "--out", built], "eval": ["--results", results]}
-            assert run(argv + files[argv[0]]) == 1
+        absent = (tmp / "absent.fvecs", tmp / "absent-q.fvecs", tmp / "absent.mvix",
+                  tmp / "absent.csv")
+        # options are checked before any input file is opened
+        for data, queries, index, results in ((db, q, idx, res), absent):
+            files = {"build": ["--data", data, "--out", built], "eval": ["--results", results],
+                     "query": ["--index", index, "--data", data, "--queries", queries]}
+            given = [{"DB": data, "Q": queries}.get(a, a) for a in argv]
+            assert run(given + files[argv[0]]) == 1
             assert capsys.readouterr().err == f"error: {says}\n"
             assert not built.exists()
 

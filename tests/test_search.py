@@ -11,8 +11,8 @@ from memvec.assignment import random_assignment
 from memvec.construction import ConstructionConfig
 from memvec.core import ID_DTYPE, Dataset, MemoryIndex, Partition
 from memvec.errors import DimensionError, DomainError, ModelError, NormalizationError
-from memvec.sampling import Seed, sample_sphere
-from memvec.search import BinaryIndex, binarize, build_index, query, query_binary
+from memvec.sampling import Seed, h1_queries, sample_sphere
+from memvec.search import BinaryIndex, binarize, build_index, query, query_batch, query_binary
 
 from oracles import as_lists, asymmetric_inner, hamming_inner, sign_code
 
@@ -185,6 +185,66 @@ class TestQuery:
         assert ids.index(1) < ids.index(3)
 
 
+class TestQueryBatch:
+    """``query_batch`` answers each row as ``query`` does, a block of rows at a time."""
+
+    @staticmethod
+    def _pool(data, k=7):
+        # H1-like rows near dataset vectors, so some units pass a high tau
+        rng = Seed(110).generator()
+        return h1_queries(data.vectors[rng.integers(data.size, size=k)], 0.8, rng)
+
+    @pytest.mark.parametrize("select", [{"tau": 0.3}, {"tau": -np.inf}, {"top_units": 3}])
+    @pytest.mark.parametrize("rows, blocks", [(None, [7]), (1, [1] * 7), (7, [7]),
+                                              (6, [6, 1])],
+                             ids=["default", "row-blocks", "one-block", "block-plus-row"])
+    def test_rows_answer_as_query(self, small_index, monkeypatch, select, rows, blocks):
+        data, index = small_index
+        Q = self._pool(data)
+        if rows is not None:
+            monkeypatch.setattr(search, "BLOCK_FLOATS", rows * index.partition.M)
+        seen, checked = [], search._checked_query
+        monkeypatch.setattr(search, "_checked_query",
+                            lambda Y, d: seen.append(len(Y)) or checked(Y, d))
+        got = list(query_batch(index, data, Q, **select))
+        assert seen == blocks
+        assert len(got) == len(Q)
+        for y, b in zip(Q, got):
+            r = query(index, data, y, **select)
+            for field in ("id", "sim"):
+                assert np.array_equal(b.candidates[field], r.candidates[field])
+            assert np.array_equal(b.positive_units["unit"], r.positive_units["unit"])
+            assert (b.complexity, b.complexity_ratio) == (r.complexity, r.complexity_ratio)
+            # a GEMM over the block may sum in another order than a GEMV
+            want = r.positive_units["score"]
+            assert np.all(np.abs(b.positive_units["score"] - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_no_rows_yield_nothing_but_selector_is_checked(self, small_index):
+        data, index = small_index
+        assert list(query_batch(index, data, np.empty((0, 32)), tau=0.5)) == []
+        for bad in ({"tau": np.nan}, {"top_units": -1}, {}, {"tau": 0.5, "top_units": 2}):
+            with pytest.raises(DomainError):
+                query_batch(index, data, np.empty((0, 32)), **bad)
+
+    def test_bad_rows_rejected(self, small_index):
+        data, index = small_index
+        Q = self._pool(data)
+        nan_row, scaled = Q.copy(), Q.copy()
+        nan_row[5, 0] = np.nan
+        scaled[2] *= 3.0
+        for bad, error in ((Q[:, :31], DimensionError), (Q[0], DimensionError),
+                           (Q[None], DimensionError), (nan_row, NormalizationError),
+                           (scaled, NormalizationError)):
+            with pytest.raises(error):
+                list(query_batch(index, data, bad, tau=0.5))
+
+    def test_dataset_must_match_index(self, small_index):
+        data, index = small_index
+        with pytest.raises(DimensionError):
+            query_batch(index, Dataset(data.vectors[:100]), self._pool(data), tau=0.5)
+
+
 class TestGather:
     """Both query paths gather members by ``Partition.members_of``: against
     one slice per positive unit, on uneven units whose members are scattered."""
@@ -276,7 +336,8 @@ class TestGather:
         rows[three[:6]] = rows[two[:2]].repeat(3, axis=0)
         y = sample_sphere(24, Seed(80).generator(), size=1)[0]
         for scores, ties in ((np.ones(4), True), (np.array([1.0, 1.0, 1.0, -1.0]), False)):
-            res = search._scan(index.partition, rows, y, scores, 0.0, None)
+            res = next(search._scan(index.partition, rows, y[None], lambda Y: scores[None],
+                                    search._selector(0.0, None)))
             sims = [s for _, s in res.candidates]
             assert (len(set(sims)) < len(sims)) == ties
             self._check(res, index.partition, rows, y)

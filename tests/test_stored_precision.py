@@ -14,7 +14,7 @@ from memvec.core import Dataset
 from memvec.harness import io
 from memvec.harness.evaluation import cosine_ground_truth
 from memvec.sampling import Seed, h1_queries, make_clustered_dataset, sample_sphere
-from memvec.search import binarize, build_index, query, query_binary
+from memvec.search import binarize, build_index, query, query_batch, query_binary
 
 from oracles import as_lists
 
@@ -60,6 +60,10 @@ def test_queries_identical(pair, partition):
     index = build_index(ds64, partition, ConstructionConfig(kind="pinv"))
     b32, b64 = binarize(index, ds32), binarize(index, ds64)
     assert np.array_equal(search._pack_signs(ds32.vectors), search._pack_signs(ds64.vectors))
+    for kw in ({"top_units": 5}, {"tau": 0.5}):
+        a32, a64 = ([as_lists(r) for r in query_batch(index, ds, queries, **kw)]
+                    for ds in (ds32, ds64))
+        assert a32 == a64
     for y in queries:
         for kw in ({"top_units": 5}, {"tau": 0.5}):
             assert as_lists(query(index, ds32, y, **kw)) == as_lists(query(index, ds64, y, **kw))
