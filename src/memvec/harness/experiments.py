@@ -17,7 +17,7 @@ from ..construction import ConstructionConfig, representatives
 from ..core import Dataset, Partition, _check_count
 from ..errors import DomainError
 from ..sampling import Seed, h1_queries, sample_sphere
-from ..search import build_index, query_batch
+from ..search import _selector, _units, build_index
 from .evaluation import cosine_ground_truth
 
 __all__ = [
@@ -105,10 +105,9 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
     reps = np.empty((M, d))
     for first, _, m in _stream_units(d, n, M, construction, rng):
         reps[first:first + len(m)] = m
-    queries = sample_sphere(d, rng, size=n_queries)
-    scores = queries @ reps.T  # (Q, M)
-    scanned = (scores > tau) @ sizes
-    ratios = (M + scanned) / N
+    rows = _units(sample_sphere(d, rng, size=n_queries), d, M, lambda Y: Y @ reps.T,
+                  _selector(tau, None))
+    ratios = (M + np.array([sizes[u].sum() for *_, u in rows])) / N
     theory = expected_cost_ratio(construction, n, d, alpha0, eps)
     return {
         "construction": construction,
@@ -185,8 +184,8 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
     top_k = _check_count(top_k, "top_k", -math.inf)
     if n_queries < 1 or not seeds or not 1 <= top_k <= M:
         raise DomainError("need n_queries >= 1, n_seeds >= 1 and 1 <= top_k <= M")
-    if tau is not None and np.isnan(tau):
-        raise DomainError("tau is NaN")
+    top = _selector(None, top_k, ranked=True)  # the selectors are checked before any work
+    over = None if tau is None else _selector(tau, None)
     for method in methods:
         if method not in _METHODS:
             raise DomainError(f"unknown assignment method {method!r}")
@@ -209,15 +208,15 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
                 part, _ = spherical_kmeans(dataset, replace(
                     km, mode=mode, normalize_representative=norm, seed=method_seed))
             index = build_index(dataset, part, ConstructionConfig(kind=mode))
-            unit_of = part.unit_of  # rebuilt per access
+            sizes, unit_of = part.sizes, part.unit_of  # unit_of is rebuilt per access
             unit_matches = np.stack([np.bincount(unit_of[m], minlength=part.M)
                                      for m in matches])
-            top = list(query_batch(index, dataset, queries, top_units=top_k))
-            visited = np.stack([u["unit"][np.argsort(-u["score"], kind="stable")]
-                                for u in (r.positive_units for r in top)])  # ties to lower ids
-            hits = np.take_along_axis(unit_matches, visited, axis=1)  # (Q, top_k)
-            scanned = top if tau is None else query_batch(index, dataset, queries, tau=tau)
-            complexities = np.array([r.complexity for r in scanned])
+            ranked = _units(queries, dataset.dim, part.M, lambda Y: Y @ index.representatives.T,
+                            top)  # per query: its top-k units, best first, and its unit scores
+            visited, scanned = zip(*((u, sizes[u if over is None else over(sc)].sum())
+                                     for _, sc, u in ranked))
+            hits = np.take_along_axis(unit_matches, np.stack(visited), axis=1)  # (Q, top_k)
+            complexities = part.M + np.array(scanned)
             positives = np.count_nonzero(hits)
             row = {
                 "method": method,

@@ -64,8 +64,10 @@ def build_index(dataset: Dataset, partition: Partition, cfg: ConstructionConfig)
     return MemoryIndex(representatives=reps, partition=partition, construction=cfg.kind)
 
 
-def _selector(tau: float | None, top_units: int | None) -> Callable[[np.ndarray], np.ndarray]:
-    """The checked selector: one query's unit scores -> its positive unit ids, ascending."""
+def _selector(tau: float | None, top_units: int | None,
+              ranked: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """The checked selector: one query's unit scores -> its positive unit ids, ascending
+    (``ranked`` top units come best first instead)."""
     if (tau is None) == (top_units is None):
         raise DomainError("exactly one of tau / top_units must be given")
     try:  # tau must convert to a float, top_units be an integer
@@ -78,33 +80,39 @@ def _selector(tau: float | None, top_units: int | None) -> Callable[[np.ndarray]
         raise DomainError(f"bad unit selector: {exc}") from exc
     if k < 0:
         raise DomainError("top_units must be non-negative")
-    # highest scores; the stable sort breaks ties by lower unit id
-    return lambda scores: np.sort(np.argsort(-scores, kind="stable")[:k])
+    best = lambda scores: np.argsort(-scores, kind="stable")[:k]  # ties to the lower unit id
+    return best if ranked else lambda scores: np.sort(best(scores))
+
+
+def _units(Q, d: int, M: int, score: Callable, select: Callable) -> Iterator[tuple]:
+    """Layers 1-2 of every query path, on Q (B, d) a block of rows at a time: check and
+    widen the block and ``score`` it (b, M), at most ``BLOCK_FLOATS`` scores; per row,
+    yield (y, its unit scores, its units chosen by ``select``)."""
+    rows = max(1, BLOCK_FLOATS // M)
+    for start in range(0, len(Q), rows):
+        Y = _checked_query(Q[start:start + rows], d)
+        for y, scores in zip(Y, score(Y)):
+            yield y, scores, select(scores)
 
 
 def _scan(part: Partition, vectors: np.ndarray, Q: np.ndarray, score: Callable,
           select: Callable) -> Iterator[QueryResult]:
-    """Layers 2-4 of every query path, on Q (B, d) a block of rows at a time:
-    check and widen the block and ``score`` it (b, M); per row, select the positive
-    units, gather their members by ``Partition.members_of``, re-rank, assemble."""
-    rows = max(1, BLOCK_FLOATS // part.M)
-    for start in range(0, len(Q), rows):
-        Y = _checked_query(Q[start:start + rows], vectors.shape[1])
-        for y, scores in zip(Y, score(Y)):
-            pos = select(scores)
-            ids = part.members_of(pos)
-            # keep this gather order: the sims the CLI writes depend on it in the last bits
-            sims = vectors[ids] @ y
-            order = np.argsort(-sims)
-            if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
-                order = np.lexsort((ids, -sims))
-            units = np.empty(pos.size, _UNIT_DTYPE)
-            units["unit"], units["score"] = pos, scores[pos]
-            cands = np.empty(ids.size, _CANDIDATE_DTYPE)
-            cands["id"], cands["sim"] = ids[order], sims[order]
-            complexity = part.M + ids.size
-            yield QueryResult(positive_units=units, candidates=cands, complexity=complexity,
-                              complexity_ratio=complexity / part.N)
+    """Layers 3-4 of every query path: per row of ``_units``, gather the members of its
+    positive units (ascending) by ``Partition.members_of``, re-rank, assemble."""
+    for y, scores, pos in _units(Q, vectors.shape[1], part.M, score, select):
+        ids = part.members_of(pos)
+        # keep this gather order: the sims the CLI writes depend on it in the last bits
+        sims = vectors[ids] @ y
+        order = np.argsort(-sims)
+        if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
+            order = np.lexsort((ids, -sims))
+        units = np.empty(pos.size, _UNIT_DTYPE)
+        units["unit"], units["score"] = pos, scores[pos]
+        cands = np.empty(ids.size, _CANDIDATE_DTYPE)
+        cands["id"], cands["sim"] = ids[order], sims[order]
+        complexity = part.M + ids.size
+        yield QueryResult(positive_units=units, candidates=cands, complexity=complexity,
+                          complexity_ratio=complexity / part.N)
 
 
 def _checked_query(Y, d: int) -> np.ndarray:

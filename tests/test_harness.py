@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from memvec import search
 from memvec.core import Dataset
 from memvec.errors import DimensionError, DomainError, NormalizationError
 from memvec.harness import evaluation, experiments
@@ -227,6 +228,18 @@ class TestCostCurve:
         out = measure_cost("sum", 10, 300, 0.9, 0.05, 5000, 20, Seed(7))
         assert out["ratio_mc"] == pytest.approx(out["ratio_theory"], rel=0.3)
 
+    def test_measure_cost_scores_queries_in_blocks(self, monkeypatch):
+        # the engine's layers 1-2, not one (n_queries, M) score matrix
+        args = ("pinv", 10, 64, 0.9, 0.05, 2000, 50, Seed(7))  # M = 200 units
+        want = measure_cost(*args)["ratio_mc"]
+        monkeypatch.setattr(search, "BLOCK_FLOATS", 1000)  # 5 rows of 200 scores
+        seen, checked = [], search._checked_query
+        monkeypatch.setattr(search, "_checked_query",
+                            lambda Y, d: seen.append(len(Y)) or checked(Y, d))
+        assert measure_cost(*args)["ratio_mc"] == want
+        assert sum(seen) == 50 and len(seen) > 1
+        assert max(seen) <= search.BLOCK_FLOATS // 200
+
 
 class TestAssignmentReport:
     def test_schema_and_random_baseline(self):
@@ -264,6 +277,33 @@ class TestAssignmentReport:
         with pytest.raises(DomainError, match=says):
             run_assignment_report(data, methods, 4, [0], alpha=0.9, alpha0=0.6,
                                   n_queries=5, top_k=2, seed=Seed(9), **kwargs)
+
+    @staticmethod
+    def _report(tau=None, methods=("random", "sum-km", "pinv-km"), seeds=(0, 1)):
+        data, _ = make_clustered_dataset(8, 25, 32, 0.9, Seed(8).generator())
+        return run_assignment_report(data, list(methods), 8, list(seeds), alpha=0.9,
+                                     alpha0=0.6, n_queries=25, top_k=3, seed=Seed(9), tau=tau)
+
+    def test_no_member_is_re_ranked(self, monkeypatch):
+        # the report reads each query's top-k units and unit scores, never a member
+        want = {tau: self._report(tau) for tau in (None, 0.3)}
+
+        def scan(*args):
+            raise AssertionError("the report gathered and re-ranked members")
+
+        monkeypatch.setattr(search, "_scan", scan)
+        for tau, rows in want.items():
+            assert self._report(tau) == rows
+
+    def test_queries_are_scored_once_per_build(self, monkeypatch):
+        # with tau, the top-k match statistics and the threshold complexity
+        # come from the same scores: one checked block of 25 rows per build
+        seen, checked = [], search._checked_query
+        monkeypatch.setattr(search, "_checked_query",
+                            lambda Y, d: seen.append(len(Y)) or checked(Y, d))
+        rows = self._report(tau=0.3)
+        assert len(rows) == 6
+        assert seen == [25] * 6
 
     def test_nan_tau_rejected(self):
         data, _ = make_clustered_dataset(4, 10, 16, 0.9, Seed(8).generator())
