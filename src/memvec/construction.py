@@ -23,8 +23,6 @@ __all__ = ["ConstructionConfig", "representatives"]
 # Member floats gathered per batch. Larger batches are no faster, and the
 # temporaries they free stay resident in the heap.
 _BATCH_FLOATS = 1 << 16
-# Units searched at once for those of one size, so no M-length id list is made.
-_UNIT_CHUNK = 1 << 12
 # A failed pinv solve is redone with ridge _FALLBACK_RIDGE * mean(diag Gram).
 _FALLBACK_RIDGE = 1e-6
 # A plain solve is kept when max |<m, x_i> - 1| is at most this.
@@ -67,15 +65,6 @@ def _pinv(gram: np.ndarray, block: np.ndarray, ones: np.ndarray, ridge: bool = F
     return reps, np.max(np.abs(block @ reps[..., None] - 1.0), axis=(1, 2))
 
 
-def _batches(sizes: np.ndarray, n: int, step: int):
-    """Ids of the units of size n, ascending, in batches of at most step,
-    found one chunk of ``_UNIT_CHUNK`` units at a time."""
-    for first in range(0, sizes.size, _UNIT_CHUNK):
-        units = first + np.flatnonzero(sizes[first:first + _UNIT_CHUNK] == n)
-        for s in range(0, units.size, step):
-            yield units[s:s + step]
-
-
 def representatives(X: np.ndarray, partition: Partition, cfg: ConstructionConfig,
                     report: dict | None = None) -> np.ndarray:
     """(M, d) representatives of the partition's units, their rows of X
@@ -92,15 +81,17 @@ def representatives(X: np.ndarray, partition: Partition, cfg: ConstructionConfig
     ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
     X = np.asarray(X)
     sizes = partition.sizes
-    if np.any(sizes <= 0):
-        raise EmptyUnitError("empty member set")
+    if sizes.size == 0 or np.any(sizes <= 0):
+        raise EmptyUnitError("no units, or an empty one")
     d = X.shape[1]
     reps = np.empty((sizes.size, d))
     fallbacks, worst = 0, 0.0
     for n in np.flatnonzero(np.bincount(sizes)):  # not np.unique, which imports np.ma
         step = max(1, _BATCH_FLOATS // (n * d))
         ones = np.ones(n)
-        for js in _batches(sizes, n, step):
+        # a scan per size, not a stable sort, whose first call pages in 128 KiB of code
+        units = np.flatnonzero(sizes == n)
+        for js in (units[s:s + step] for s in range(0, units.size, step)):
             block = None  # free the last batch, so two are never alive at once
             block = np.take(X, partition.members_of(js).reshape(js.size, n), axis=0)
             block = block.astype(np.float64, copy=False)

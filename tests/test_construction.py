@@ -29,6 +29,13 @@ class TestSumVector:
             representatives(np.zeros((0, 2)), Partition(np.arange(0), np.array([0, 0])),
                             ConstructionConfig(kind="sum"))
 
+    @pytest.mark.parametrize("kind", ["sum", "pinv"])
+    def test_no_units_rejected(self, kind):
+        # as MemoryIndex refuses it: a partition of no units has no representatives
+        with pytest.raises(EmptyUnitError):
+            representatives(np.zeros((0, 2)), Partition(np.arange(0), np.array([0])),
+                            ConstructionConfig(kind=kind))
+
 
 class TestPinvVector:
     def test_unit_constraints_hold(self):
@@ -133,12 +140,18 @@ class TestRepresentativesKernel:
         assert report["max_residual"] == worst
 
     @pytest.mark.parametrize("kind", ["sum", "pinv"])
-    def test_units_found_in_chunks(self, layout, kind, monkeypatch):
-        # sizes are searched one chunk of units at a time: chunks of 5 split
-        # the 24 units, and each size's units, across chunk boundaries
-        whole = representatives(*layout, ConstructionConfig(kind=kind))
-        monkeypatch.setattr(construction, "_UNIT_CHUNK", 5)
-        assert np.array_equal(representatives(*layout, ConstructionConfig(kind=kind)), whole)
+    def test_batches_split_each_size(self, layout, kind, monkeypatch):
+        # 3 D floats a batch: three units of size 1, one of any other size,
+        # so every size held by two or more units spans two or more batches
+        whole_report = {}
+        whole = representatives(*layout, ConstructionConfig(kind=kind), whole_report)
+        monkeypatch.setattr(construction, "_BATCH_FLOATS", 3 * self.D)
+        sizes, counts = np.unique(layout[1].sizes, return_counts=True)
+        steps = np.maximum(1, 3 * self.D // (sizes * self.D))
+        assert np.all(steps[counts >= 2] < counts[counts >= 2])
+        report = {}
+        assert np.array_equal(representatives(*layout, ConstructionConfig(kind=kind), report), whole)
+        assert report == whole_report
 
     def test_empty_unit_rejected(self, layout):
         X, part = layout
