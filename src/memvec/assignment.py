@@ -12,13 +12,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import (BLOCK_FLOATS, FILE_NORM_TOL, ID_DTYPE, Dataset, Partition, _check_count,
-                   _check_id_count)
+from .core import (BLOCK_FLOATS, FILE_NORM_TOL, ID_DTYPE, TEMP_BYTES, Dataset, Partition,
+                   _check_count, _check_id_count)
 from .errors import DomainError
 from .sampling import Seed
 
 __all__ = [
-    "Partition",
     "KMeansConfig",
     "random_assignment",
     "spherical_kmeans",
@@ -108,7 +107,6 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
 _PRUNE_SLACK = 1e-9  # relative margin over the Cauchy-Schwarz bound for rounding
 # Dataset caps row norms at 1 + FILE_NORM_TOL; the slack covers its float64 rounding
 _MAX_NORM = (1.0 + FILE_NORM_TOL) * (1.0 + _PRUNE_SLACK)
-_SMALL_FLOATS = 1 << 14  # a float64 temporary of 128 KiB, glibc's initial mmap threshold
 
 
 def _nearest(X: np.ndarray, reps: np.ndarray) -> np.ndarray:
@@ -173,7 +171,7 @@ def _score_band(X: np.ndarray, reps: np.ndarray, ids: np.ndarray, top_norm: floa
     # (d, m) C-contiguous (faster in sgemm than a transposed view), cast a
     # few units at a time: no float64 copy of the band is made
     band32_t = np.empty((d, len(ids)), dtype=np.float32)
-    step = max(1, _SMALL_FLOATS // d)
+    step = max(1, TEMP_BYTES // (8 * d))
     for start in range(0, len(ids), step):
         np.ldexp(reps[ids[start:start + step]].T, -e, out=band32_t[:, start:start + step])
     # the slack covers the rounding of top_norm and of the gap itself

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Partition
-from .errors import DomainError, EmptyUnitError, SingularGramError
+from .errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
 
 __all__ = ["ConstructionConfig", "representatives"]
 
@@ -69,8 +69,9 @@ def representatives(X: np.ndarray, partition: Partition, cfg: ConstructionConfig
                     report: dict | None = None) -> np.ndarray:
     """(M, d) representatives of the partition's units, their rows of X
     gathered by ``partition.members_of`` in (b, n, d) batches of equal size n.
-    X is used as stored (float32 or float64); each batch is widened to
-    float64, so sums and solves are float64 whatever X holds.
+    X is used as stored (float32 or float64) and must have ``partition.N``
+    rows; each batch is widened to float64, so sums and solves are float64
+    whatever X holds.
 
     A unit's sum equals ``sum(axis=0)`` of its widened rows bit for bit.
     pinv keeps a unit's plain Gram solution when max |<m, x_i> - 1|, the
@@ -80,6 +81,8 @@ def representatives(X: np.ndarray, partition: Partition, cfg: ConstructionConfig
     receives ``fallbacks``, the units that took the ridge, and
     ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
     X = np.asarray(X)
+    if X.ndim != 2 or len(X) != partition.N:
+        raise DimensionError("partition size does not match the dataset")
     sizes = partition.sizes
     if sizes.size == 0 or np.any(sizes <= 0):
         raise EmptyUnitError("no units, or an empty one")

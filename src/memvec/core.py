@@ -20,6 +20,7 @@ from .errors import DimensionError, DomainError, EmptyUnitError, ModelError, Nor
 
 FILE_NORM_TOL = 1e-4  # loose bound for stored vectors: files hold float32
 BLOCK_FLOATS = 1 << 17  # float64 score block, and gathered row block, of about 1 MB
+TEMP_BYTES = 1 << 17  # a chunked kernel's temporary: 128 KiB, glibc's initial mmap threshold
 _NORM_ROWS = 1 << 13  # rows per squared-norm chunk in the Dataset check
 ID_DTYPE = np.dtype(np.int32)  # member ids and CSR offsets; MVIX stores them as uint32
 MAX_IDS = int(np.iinfo(ID_DTYPE).max)  # N <= 2^31 - 1: offsets[-1] = N must fit too

@@ -126,16 +126,18 @@ def _cmd_eval(args) -> int:
             if getattr(args, dest) is not None:
                 raise MemvecError(f"--{dest} has no effect with --gt")
         alpha0 = ""  # given match lists have no threshold
-        matches = [row[row >= 0] for row in io.read_ivecs(args.gt)]
     elif args.data and args.queries:
         alpha0 = 0.5 if args.alpha0 is None else args.alpha0
         if np.isnan(alpha0):  # cosine_ground_truth's check, before the files are read
             raise DomainError("alpha0 is NaN")
-        matches = cosine_ground_truth(Dataset(io.read_fvecs(args.data)),
-                                      io.read_fvecs(args.queries), alpha0)
     else:
         raise MemvecError("eval needs --gt, or --data and --queries")
-    retrieved, ratios = _read_results(args.results)
+    retrieved, ratios = _read_results(args.results)  # a bad file fails before the costly truth
+    if args.gt:
+        matches = [row[row >= 0] for row in io.read_ivecs(args.gt)]
+    else:
+        matches = cosine_ground_truth(Dataset(io.read_fvecs(args.data)),
+                                      io.read_fvecs(args.queries), alpha0)
     report = evaluate_results(retrieved, matches, np.asarray(ratios))
     row = {
         "alpha0": alpha0,

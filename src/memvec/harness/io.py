@@ -9,10 +9,10 @@ the float32 range, an integer outside int32); NaN and +/-inf are written.
 MVIX index container: magic b"MVIX", version byte 1, little-endian uint32
 fields {d, N, M, construction tag (0 = sum, 1 = pinv)}, then the M
 representatives as d consecutive float32 each, then the M membership
-lists as uint32 count + uint32 ids. Representatives are widened to
-float64 on load. Member ids and offsets are int32 in memory
-(``core.ID_DTYPE``) and uint32 on disk, so N < 2^31: a header that declares
-more is refused.
+lists as uint32 count + uint32 ids. ``read_index`` passes the float32
+representatives to ``MemoryIndex``, which widens them to float64. Member
+ids and offsets are int32 in memory (``core.ID_DTYPE``) and uint32 on disk,
+so N < 2^31: a header that declares more is refused.
 """
 
 from __future__ import annotations
@@ -152,7 +152,6 @@ def read_index(path) -> MemoryIndex:
     if size < pos + need:
         raise FormatError(f"{path}: truncated representatives", offset=size)
     reps = np.frombuffer(raw, dtype="<f4", count=d * m, offset=pos)
-    reps = reps.reshape(m, d).astype(np.float64)
     pos += need
     # uint32 stream of (count, ids...) per unit: walk the counts
     stream = np.frombuffer(raw, dtype="<u4", count=(size - pos) // 4, offset=pos)
@@ -173,4 +172,5 @@ def read_index(path) -> MemoryIndex:
     # Partition narrows the offsets; the ids are read as int32 in place, and
     # one of 2^31 or more reads as negative, rejected like any id outside [0, N)
     part = Partition(np.delete(stream, heads).view("<i4"), offsets)
-    return MemoryIndex(representatives=reps, partition=part, construction=_TAG_NAMES[tag])
+    return MemoryIndex(representatives=reps.reshape(m, d), partition=part,
+                       construction=_TAG_NAMES[tag])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import BLOCK_FLOATS, FILE_NORM_TOL, Dataset, MemoryIndex, Partition
+from .core import BLOCK_FLOATS, FILE_NORM_TOL, TEMP_BYTES, Dataset, MemoryIndex, Partition
 from .errors import DimensionError, DomainError, ModelError, NormalizationError
 
 __all__ = [
@@ -53,8 +53,6 @@ def build_index(dataset: Dataset, partition: Partition, cfg: ConstructionConfig)
     """One memory unit per partition cell, representative per the
     construction config. The index holds ``partition`` itself.
     Units that took the pinv ridge fallback are logged as a warning."""
-    if partition.N != dataset.size:
-        raise DimensionError("partition size does not match the dataset")
     report = {}
     reps = representatives(dataset.vectors, partition, cfg, report)
     if report["fallbacks"]:
@@ -149,10 +147,6 @@ def query(index: MemoryIndex, dataset: Dataset, y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-# Sign bits handled per chunk: rows binarized, or codes looked up, at once.
-# Small chunks keep the temporaries from staying resident in the heap.
-_CHUNK_BITS = 1 << 17
-
 # _BYTE_BITS[v, i] is bit i of byte value v, most significant first, as
 # np.packbits lays out bits 8b..8b+7 of a code in byte b.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
@@ -201,10 +195,10 @@ class BinaryIndex:
 
 
 def _pack_signs(A: np.ndarray) -> np.ndarray:
-    """Packed sign codes of the rows of A, binarized a chunk of rows at a time."""
+    """Packed sign codes of the rows of A, binarized ``TEMP_BYTES`` bools at a time."""
     n, d = A.shape
     out = np.zeros((n, _code_bytes(d)), dtype=np.uint8)
-    step = max(1, _CHUNK_BITS // d)
+    step = max(1, TEMP_BYTES // d)
     for s in range(0, n, step):
         out[s:s + step, :_sign_bytes(d)] = np.packbits(A[s:s + step] >= 0.0, axis=1)
     return out
@@ -234,12 +228,12 @@ def _byte_table(y: np.ndarray) -> np.ndarray:
 
 def _asymmetric_scores(codes: np.ndarray, table: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(sum of +/- y_k) / sqrt(d) of each packed code, as
-    (2 sum_b T[b, code_b] - sum(y)) / sqrt(d) over its sign bytes b, a chunk
-    of rows at a time."""
+    (2 sum_b T[b, code_b] - sum(y)) / sqrt(d) over its sign bytes b, looked up
+    ``TEMP_BYTES`` of int64 indices at a time."""
     nb = table.shape[0]
     flat, base = table.ravel(), 256 * np.arange(nb)
     on = np.empty(len(codes))
-    step = max(1, _CHUNK_BITS // (8 * nb))
+    step = max(1, TEMP_BYTES // (8 * nb))
     for s in range(0, len(codes), step):
         on[s:s + step] = flat.take(codes[s:s + step, :nb] + base).sum(axis=1)
     return (2.0 * on - y.sum()) / np.sqrt(y.size)

@@ -459,10 +459,15 @@ class TestExitCodes:
          "2,1,7,0.1\n3,1,8,0.1\n", "line 3: query 0 lists dataset id 5 twice"),
     ], ids=["no-dataset_id", "no-complexity_ratio", "empty", "float-id", "short-row",
             "repeated-id"])
-    def test_malformed_results_is_1(self, pipeline, csv_text, says, capsys):
+    def test_malformed_results_is_1(self, pipeline, csv_text, says, monkeypatch, capsys):
         db, q, _, tmp = pipeline
         res = tmp / "bad.csv"
         res.write_text(csv_text)
+
+        def no_truth(*args):  # the results are parsed before the ground truth is computed
+            raise AssertionError("cosine_ground_truth called")
+
+        monkeypatch.setattr(cli, "cosine_ground_truth", no_truth)
         assert run(["eval", "--results", res, "--data", db, "--queries", q]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {res}") and says in err

@@ -5,7 +5,7 @@ from memvec import construction
 from memvec.assignment import KMeansConfig, spherical_kmeans
 from memvec.construction import ConstructionConfig, representatives
 from memvec.core import Dataset, Partition
-from memvec.errors import DomainError, EmptyUnitError, SingularGramError
+from memvec.errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
 from memvec.sampling import Seed, sample_sphere
 
 from oracles import pinv_vector
@@ -158,6 +158,15 @@ class TestRepresentativesKernel:
         with pytest.raises(EmptyUnitError):
             representatives(X, Partition(part.member_ids, np.array([0, 0, part.N])),
                             ConstructionConfig())
+
+    @pytest.mark.parametrize("kind", ["sum", "pinv"])
+    @pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+    def test_rows_must_match_the_partition(self, layout, kind, extra):
+        # one row more would build from the first N rows, one fewer index past the end
+        X, part = layout
+        X = np.vstack([X, X[:1]]) if extra > 0 else X[:-1]
+        with pytest.raises(DimensionError, match="partition size does not match"):
+            representatives(X, part, ConstructionConfig(kind=kind))
 
 
 class TestNearDependentUnits:

@@ -555,7 +555,7 @@ class TestPackedLayer:
         y = sample_sphere(13, Seed(43).generator(), size=1)[0]
         expect = as_lists(query_binary(whole, y, tau=-np.inf, mode="asymmetric"))
         # 3 rows of 13 bits per binarize chunk, 3 rows of 2 bytes per lookup chunk
-        monkeypatch.setattr(search, "_CHUNK_BITS", 48)
+        monkeypatch.setattr(search, "TEMP_BYTES", 48)
         chunked = _binary_index(X, np.arange(10) // 2)
         packed = search._pack_signs(X)
         assert np.array_equal(packed[:, :2], np.packbits(X >= 0, axis=1))
