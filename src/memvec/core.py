@@ -1,12 +1,12 @@
 """Core data model: unit vectors, datasets, partitions and the memory index.
 
-All vectors live on the d-dimensional unit hypersphere and similarity is
-the plain inner product. Dataset coefficients are stored as read (float32
-from a file, float64 when generated) and widened per block: every kernel
-widens the rows it gathers, so all arithmetic that decides a result is
-float64 (the k-means assignment screens in float32 first). Dataset ids, and
-the CSR offsets that delimit them, are held as ``ID_DTYPE`` (int32), so a
-dataset holds fewer than 2^31 vectors.
+All vectors live on the d-dimensional unit hypersphere, by one row check for
+datasets and queries, and similarity is the plain inner product. Dataset
+coefficients are stored as read (float32 from a file, float64 when generated)
+and widened per block: every kernel widens the rows it gathers, so all
+arithmetic that decides a result is float64 (k-means screens in float32
+first). Dataset ids, and the CSR offsets that delimit them, are held as
+``ID_DTYPE`` (int32), so a dataset holds fewer than 2^31 vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import DimensionError, DomainError, EmptyUnitError, ModelError, Nor
 FILE_NORM_TOL = 1e-4  # loose bound for stored vectors: files hold float32
 BLOCK_FLOATS = 1 << 17  # float64 score block, and gathered row block, of about 1 MB
 TEMP_BYTES = 1 << 17  # a chunked kernel's temporary: 128 KiB, glibc's initial mmap threshold
-_NORM_ROWS = 1 << 13  # rows per squared-norm chunk in the Dataset check
+_NORM_ROWS = 1 << 13  # rows per squared-norm chunk in the unit-row check
 ID_DTYPE = np.dtype(np.int32)  # member ids and CSR offsets; MVIX stores them as uint32
 MAX_IDS = int(np.iinfo(ID_DTYPE).max)  # N <= 2^31 - 1: offsets[-1] = N must fit too
 
@@ -54,6 +54,21 @@ def normalize(v) -> np.ndarray:
     return out
 
 
+def _check_unit_rows(arr: np.ndarray, name: str) -> None:
+    """The unit-row rule of datasets and queries: NormalizationError unless each row of the
+    2-D ``arr`` has a finite float64 squared norm in (1 -/+ FILE_NORM_TOL)^2, by row chunks."""
+    # squared norms are >= 0, so the max is non-finite iff some coefficient is (NaN propagates)
+    lo, hi = np.inf, 0.0
+    for start in range(0, len(arr), _NORM_ROWS):
+        chunk = arr[start:start + _NORM_ROWS]
+        sq = np.einsum("ij,ij->i", chunk, chunk, dtype=np.float64)
+        lo, hi = np.minimum(lo, sq.min()), np.maximum(hi, sq.max())
+    if not np.isfinite(hi):
+        raise NormalizationError(f"{name} has non-finite coefficients")
+    if lo < (1.0 - FILE_NORM_TOL) ** 2 or hi > (1.0 + FILE_NORM_TOL) ** 2:
+        raise NormalizationError(f"{name} rows are not unit vectors")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An ordered collection of N unit vectors of common dimension d.
@@ -73,17 +88,7 @@ class Dataset:
         arr = arr.view()
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError("dataset must be a non-empty (N, d) array")
-        # float64 row squared norms, a bounded chunk of rows at a time; they are
-        # >= 0, so the max is non-finite iff some coefficient is (NaN propagates)
-        lo, hi = np.inf, 0.0
-        for start in range(0, len(arr), _NORM_ROWS):
-            chunk = arr[start:start + _NORM_ROWS]
-            sq = np.einsum("ij,ij->i", chunk, chunk, dtype=np.float64)
-            lo, hi = np.minimum(lo, sq.min()), np.maximum(hi, sq.max())
-        if not np.isfinite(hi):
-            raise NormalizationError("dataset has non-finite coefficients")
-        if lo < (1.0 - FILE_NORM_TOL) ** 2 or hi > (1.0 + FILE_NORM_TOL) ** 2:
-            raise NormalizationError("dataset rows are not unit vectors")
+        _check_unit_rows(arr, "dataset")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 

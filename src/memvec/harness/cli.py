@@ -22,7 +22,7 @@ from ..construction import ConstructionConfig
 from ..core import Dataset, _check_count
 from ..errors import DomainError, MemvecError
 from ..sampling import Seed, make_clustered_dataset, sample_sphere
-from ..search import _selector, build_index, query_batch
+from ..search import _check_selector, build_index, query_batch
 from . import experiments, io
 from .evaluation import RECALL_RANKS, cosine_ground_truth, evaluate_results
 
@@ -102,7 +102,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    _selector(args.tau, args.top_units)  # a bad selector is reported before any file is read
+    _check_selector(args.tau, args.top_units)  # a bad selector is reported before any file is read
     index = io.read_index(args.index)
     data = Dataset(io.read_fvecs(args.data))
     answers = query_batch(index, data, io.read_fvecs(args.queries), args.tau, args.top_units)

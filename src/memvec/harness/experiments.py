@@ -17,7 +17,7 @@ from ..construction import ConstructionConfig, representatives
 from ..core import Dataset, Partition, _check_count
 from ..errors import DomainError
 from ..sampling import Seed, h1_queries, sample_sphere
-from ..search import _selector, _units, build_index
+from ..search import _check_selector, _units, build_index
 from .evaluation import cosine_ground_truth
 
 __all__ = [
@@ -105,9 +105,8 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
     reps = np.empty((M, d))
     for first, _, m in _stream_units(d, n, M, construction, rng):
         reps[first:first + len(m)] = m
-    rows = _units(sample_sphere(d, rng, size=n_queries), d, M, lambda Y: Y @ reps.T,
-                  _selector(tau, None))
-    ratios = (M + np.array([sizes[u].sum() for *_, u in rows])) / N
+    blocks = _units(sample_sphere(d, rng, size=n_queries), d, M, lambda Y: Y @ reps.T, tau, None)
+    ratios = (M + np.concatenate([mask @ sizes for *_, mask in blocks])) / N  # mask: S > tau
     theory = expected_cost_ratio(construction, n, d, alpha0, eps)
     return {
         "construction": construction,
@@ -184,8 +183,8 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
     top_k = _check_count(top_k, "top_k", -math.inf)
     if n_queries < 1 or not seeds or not 1 <= top_k <= M:
         raise DomainError("need n_queries >= 1, n_seeds >= 1 and 1 <= top_k <= M")
-    top = _selector(None, top_k, ranked=True)  # the selectors are checked before any work
-    over = None if tau is None else _selector(tau, None)
+    if tau is not None:
+        _check_selector(tau, None)  # before any work
     for method in methods:
         if method not in _METHODS:
             raise DomainError(f"unknown assignment method {method!r}")
@@ -211,12 +210,13 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
             sizes, unit_of = part.sizes, part.unit_of  # unit_of is rebuilt per access
             unit_matches = np.stack([np.bincount(unit_of[m], minlength=part.M)
                                      for m in matches])
-            ranked = _units(queries, dataset.dim, part.M, lambda Y: Y @ index.representatives.T,
-                            top)  # per query: its top-k units, best first, and its unit scores
-            visited, scanned = zip(*((u, sizes[u if over is None else over(sc)].sum())
-                                     for _, sc, u in ranked))
-            hits = np.take_along_axis(unit_matches, np.stack(visited), axis=1)  # (Q, top_k)
-            complexities = part.M + np.array(scanned)
+            # per block of queries: their top-k units (b, top_k), best first, and their scans
+            blocks = [(top, sizes[top].sum(1) if tau is None else (S > tau) @ sizes)
+                      for _, S, top in _units(queries, dataset.dim, part.M,
+                                              lambda Y: Y @ index.representatives.T, None, top_k)]
+            top, scanned = map(np.concatenate, zip(*blocks))
+            hits = np.take_along_axis(unit_matches, top, axis=1)  # (Q, top_k)
+            complexities = part.M + scanned
             positives = np.count_nonzero(hits)
             row = {
                 "method": method,

@@ -1,8 +1,9 @@
 """Two-level search: scan memory vectors, re-rank members of positive
 units. Real-valued path plus symmetric/asymmetric sign-binarized variants.
 
-Unit positivity uses strict inequality score > tau; the complexity of one
-query is M + sum of the sizes of the positive units.
+Units are selected a block of queries at a time: score > tau (strict), or each
+row's top_units best scores, ties to the lower unit id. The complexity of one
+query is M + sum of the sizes of its positive units.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import ConstructionConfig, representatives
-from .core import BLOCK_FLOATS, FILE_NORM_TOL, TEMP_BYTES, Dataset, MemoryIndex, Partition
-from .errors import DimensionError, DomainError, ModelError, NormalizationError
+from .core import BLOCK_FLOATS, TEMP_BYTES, Dataset, MemoryIndex, Partition, _check_unit_rows
+from .errors import DimensionError, DomainError, ModelError
 
 __all__ = [
     "QueryResult",
@@ -62,65 +63,61 @@ def build_index(dataset: Dataset, partition: Partition, cfg: ConstructionConfig)
     return MemoryIndex(representatives=reps, partition=partition, construction=cfg.kind)
 
 
-def _selector(tau: float | None, top_units: int | None,
-              ranked: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """The checked selector: one query's unit scores -> its positive unit ids, ascending
-    (``ranked`` top units come best first instead)."""
+def _check_selector(tau: float | None, top_units: int | None) -> None:
+    """Raise DomainError unless exactly one of tau (a float, not NaN) and top_units (an
+    integer >= 0) is given."""
     if (tau is None) == (top_units is None):
         raise DomainError("exactly one of tau / top_units must be given")
     try:  # tau must convert to a float, top_units be an integer
-        if tau is not None:
-            if math.isnan(tau):
-                raise DomainError("tau is NaN")
-            return lambda scores: np.flatnonzero(scores > tau)
-        k = operator.index(top_units)
+        if tau is not None and math.isnan(tau):
+            raise DomainError("tau is NaN")
+        if top_units is not None and operator.index(top_units) < 0:
+            raise DomainError("top_units must be non-negative")
     except TypeError as exc:
         raise DomainError(f"bad unit selector: {exc}") from exc
-    if k < 0:
-        raise DomainError("top_units must be non-negative")
-    best = lambda scores: np.argsort(-scores, kind="stable")[:k]  # ties to the lower unit id
-    return best if ranked else lambda scores: np.sort(best(scores))
 
 
-def _units(Q, d: int, M: int, score: Callable, select: Callable) -> Iterator[tuple]:
+def _units(Q, d: int, M: int, score: Callable, tau: float | None,
+           top_units: int | None) -> Iterator[tuple]:
     """Layers 1-2 of every query path, on Q (B, d) a block of rows at a time: check and
-    widen the block and ``score`` it (b, M), at most ``BLOCK_FLOATS`` scores; per row,
-    yield (y, its unit scores, its units chosen by ``select``)."""
+    widen the block Y, ``score`` it S (b, M), at most ``BLOCK_FLOATS`` scores, and select
+    its units in one call; yield (Y, S, selection). The selection is the (b, M) mask
+    S > tau, or else each row's ``top_units`` best unit ids, best first, ties to the lower id."""
     rows = max(1, BLOCK_FLOATS // M)
     for start in range(0, len(Q), rows):
         Y = _checked_query(Q[start:start + rows], d)
-        for y, scores in zip(Y, score(Y)):
-            yield y, scores, select(scores)
+        S = score(Y)
+        yield Y, S, S > tau if tau is not None else np.argsort(-S, 1, kind="stable")[:, :top_units]
 
 
 def _scan(part: Partition, vectors: np.ndarray, Q: np.ndarray, score: Callable,
-          select: Callable) -> Iterator[QueryResult]:
-    """Layers 3-4 of every query path: per row of ``_units``, gather the members of its
-    positive units (ascending) by ``Partition.members_of``, re-rank, assemble."""
-    for y, scores, pos in _units(Q, vectors.shape[1], part.M, score, select):
-        ids = part.members_of(pos)
-        # keep this gather order: the sims the CLI writes depend on it in the last bits
-        sims = vectors[ids] @ y
-        order = np.argsort(-sims)
-        if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
-            order = np.lexsort((ids, -sims))
-        units = np.empty(pos.size, _UNIT_DTYPE)
-        units["unit"], units["score"] = pos, scores[pos]
-        cands = np.empty(ids.size, _CANDIDATE_DTYPE)
-        cands["id"], cands["sim"] = ids[order], sims[order]
-        complexity = part.M + ids.size
-        yield QueryResult(positive_units=units, candidates=cands, complexity=complexity,
-                          complexity_ratio=complexity / part.N)
+          tau: float | None, top_units: int | None) -> Iterator[QueryResult]:
+    """Layers 3-4 of every query path: per row of each ``_units`` block, gather the members
+    of its positive units (ascending) by ``Partition.members_of``, re-rank, assemble."""
+    for Y, S, selection in _units(Q, vectors.shape[1], part.M, score, tau, top_units):
+        for y, scores, row in zip(Y, S, selection):
+            pos = np.flatnonzero(row) if tau is not None else np.sort(row)
+            ids = part.members_of(pos)
+            # keep this gather order: the sims the CLI writes depend on it in the last bits
+            sims = vectors[ids] @ y
+            order = np.argsort(-sims)
+            if np.any(np.diff(sims[order]) == 0.0):  # equal sims: ties go to the lower id
+                order = np.lexsort((ids, -sims))
+            units = np.empty(pos.size, _UNIT_DTYPE)
+            units["unit"], units["score"] = pos, scores[pos]
+            cands = np.empty(ids.size, _CANDIDATE_DTYPE)
+            cands["id"], cands["sim"] = ids[order], sims[order]
+            complexity = part.M + ids.size
+            yield QueryResult(positive_units=units, candidates=cands, complexity=complexity,
+                              complexity_ratio=complexity / part.N)
 
 
 def _checked_query(Y, d: int) -> np.ndarray:
-    """Y as a float64 (b, d) array, each row a finite unit vector."""
+    """Y as a float64 (b, d) array, each row a finite unit vector by the Dataset's row rule."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[1] != d:
         raise DimensionError(f"query shape {Y.shape} is not (b, {d})")
-    # a NaN or inf coefficient makes a row's norm NaN or inf, which fails the test
-    if not (abs(np.linalg.norm(Y, axis=1) - 1.0) <= FILE_NORM_TOL).all():
-        raise NormalizationError("query is not a finite unit vector")
+    _check_unit_rows(Y, "query")
     return Y
 
 
@@ -129,10 +126,11 @@ def query_batch(index: MemoryIndex, dataset: Dataset, Q: np.ndarray,
     """``query`` of each row of Q (B, d), in order. The selector and dataset are checked
     now, each block of rows when it is reached. A block is scored by one product of at most
     ``BLOCK_FLOATS`` scores, so unit scores may differ from ``query``'s in the last bits."""
-    select = _selector(tau, top_units)
+    _check_selector(tau, top_units)
     if dataset.vectors.shape != (index.partition.N, index.dim):
         raise DimensionError("query, index and dataset disagree in shape")
-    return _scan(index.partition, dataset.vectors, Q, lambda Y: Y @ index.representatives.T, select)
+    return _scan(index.partition, dataset.vectors, Q, lambda Y: Y @ index.representatives.T,
+                 tau, top_units)
 
 
 def query(index: MemoryIndex, dataset: Dataset, y: np.ndarray,
@@ -251,9 +249,10 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
     """
     if mode not in ("symmetric", "asymmetric"):
         raise DomainError(f"unknown binary mode {mode!r}")
-    select = _selector(tau, top_units)  # the sketch checked its dataset; the scan checks y
+    _check_selector(tau, top_units)  # the sketch checked its dataset; the scan checks y
     if mode == "symmetric":
         score = lambda Y: _symmetric_scores(bindex.unit_codes, _pack_signs(Y), Y.shape[1])[None]
     else:
         score = lambda Y: _asymmetric_scores(bindex.unit_codes, _byte_table(Y[0]), Y[0])[None]
-    return next(_scan(bindex.partition, bindex.dataset.vectors, np.asarray(y)[None], score, select))
+    return next(_scan(bindex.partition, bindex.dataset.vectors, np.asarray(y)[None], score,
+                      tau, top_units))

@@ -305,6 +305,26 @@ class TestAssignmentReport:
         assert len(rows) == 6
         assert seen == [25] * 6
 
+    @pytest.mark.parametrize("tau", [None, 0.3])
+    def test_complexity_is_the_engines(self, monkeypatch, tau):
+        # the report's scans per query are those query_batch makes on its index
+        kept = {}
+
+        def keep(name):  # one build: keep each call's arguments and result
+            fn = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *args: kept.setdefault(
+                name, (args, fn(*args)))[1])
+
+        keep("build_index")
+        keep("h1_queries")
+        [row] = self._report(tau, methods=["pinv-km"], seeds=[0])
+        (data, *_), index = kept["build_index"]
+        select = {"top_units": 3} if tau is None else {"tau": tau}
+        complexities = [r.complexity for r in search.query_batch(
+            index, data, kept["h1_queries"][1], **select)]
+        assert row["mean_complexity_ratio"] == float(np.mean(complexities) / data.size)
+        assert row["std_complexity_ratio"] == float(np.std(complexities) / data.size)
+
     def test_nan_tau_rejected(self):
         data, _ = make_clustered_dataset(4, 10, 16, 0.9, Seed(8).generator())
         with pytest.raises(DomainError, match="tau is NaN"):

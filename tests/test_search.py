@@ -11,6 +11,7 @@ from memvec.assignment import random_assignment
 from memvec.construction import ConstructionConfig
 from memvec.core import ID_DTYPE, Dataset, MemoryIndex, Partition
 from memvec.errors import DimensionError, DomainError, ModelError, NormalizationError
+from memvec.harness.evaluation import cosine_ground_truth
 from memvec.sampling import Seed, h1_queries, sample_sphere
 from memvec.search import BinaryIndex, binarize, build_index, query, query_batch, query_binary
 
@@ -337,10 +338,26 @@ class TestGather:
         y = sample_sphere(24, Seed(80).generator(), size=1)[0]
         for scores, ties in ((np.ones(4), True), (np.array([1.0, 1.0, 1.0, -1.0]), False)):
             res = next(search._scan(index.partition, rows, y[None], lambda Y: scores[None],
-                                    search._selector(0.0, None)))
+                                    0.0, None))
             sims = [s for _, s in res.candidates]
             assert (len(set(sims)) < len(sims)) == ties
             self._check(res, index.partition, rows, y)
+
+    def test_top_units_ties_in_a_block(self, uneven):
+        # one block of rows tied in different places: each row keeps the lower
+        # unit ids at its cut, as a one-row call does
+        data, index, _ = uneven
+        S = np.array([[1.0, 1.0, 1.0, 1.0],     # all tie: units 0 and 1
+                      [0.9, 0.5, 0.1, 0.5],     # units 1 and 3 tie at the cut
+                      [0.1, 0.5, 0.5, 0.9]])    # unit 3, then units 1 and 2 tie
+        Q = sample_sphere(24, Seed(81).generator(), size=3)
+        block = list(search._scan(index.partition, data.vectors, Q, lambda Y: S, None, 2))
+        for i, (want, res) in enumerate(zip(([0, 1], [0, 1], [1, 3]), block)):
+            one = next(search._scan(index.partition, data.vectors, Q[i:i + 1],
+                                    lambda Y: S[i:i + 1], None, 2))
+            assert res.positive_units["unit"].tolist() == want
+            assert one.positive_units["unit"].tolist() == want
+            self._check(res, index.partition, data.vectors, Q[i])
 
 
 class TestQueryBoundary:
@@ -366,6 +383,26 @@ class TestQueryBoundary:
             for bad in (3.0 * y, bad_nan, np.full(32, np.inf)):
                 with pytest.raises(NormalizationError):
                     run(bad, 0.5)
+
+    def test_rows_at_the_tolerance_follow_the_dataset_rule(self):
+        # one unit-row rule: a row a dataset holds is a query both paths and the
+        # ground truth answer, and a row it refuses is a query they refuse
+        short = np.full(128, 1 / np.sqrt(128)) * 0.9999
+        data = Dataset(np.vstack([short, np.eye(128)[:7]]))
+        index = build_index(data, random_assignment(8, 4, Seed(50).generator()),
+                            ConstructionConfig(kind="sum"))
+        for run in self._paths(data, index):
+            run(data.vectors[0], 0.0)
+        cosine_ground_truth(data, data.vectors[:1], 0.5)
+        long = np.full(16, 0.25) * 1.0001
+        with pytest.raises(NormalizationError, match="not unit vectors"):
+            Dataset(long[None])
+        data = Dataset(np.eye(16))
+        index = build_index(data, random_assignment(16, 4, Seed(51).generator()),
+                            ConstructionConfig(kind="sum"))
+        for run in self._paths(data, index) + (lambda y, _: cosine_ground_truth(data, y, 0.5),):
+            with pytest.raises(NormalizationError, match="not unit vectors"):
+                run(long, 0.0)
 
     def test_query_of_wrong_dimension_rejected(self, small_index):
         # a unit vector, so only its length is at fault
