@@ -162,9 +162,8 @@ def _score_band(X: np.ndarray, reps: np.ndarray, ids: np.ndarray, top_norm: floa
     for any summation order and with subnormals flushed or not. A row whose
     top two float32 scores differ by more than twice that at ||x|| =
     ``_MAX_NORM`` keeps its float32 argmax and that unit's float64 score;
-    the other rows (near ties, all-zero bands) are scored in float64. Buffers are allocated once per
-    band: float32 scores of ``BLOCK_FLOATS`` float64s' bytes, rows of at
-    most ``BLOCK_FLOATS`` coefficients.
+    the other rows (near ties, all-zero bands) are scored in float64. The
+    gathered rows and their float32 scores each reuse one buffer per band.
     """
     d = X.shape[1]
     _, e = np.frexp(top_norm)
@@ -181,29 +180,24 @@ def _score_band(X: np.ndarray, reps: np.ndarray, ids: np.ndarray, top_norm: floa
     rows = max(1, min(2 * BLOCK_FLOATS // len(ids), BLOCK_FLOATS // d))
     k_max = min(rows, open_rows.size)
     x_rows = np.empty((k_max, d), dtype=X.dtype)
-    x32 = x_rows if X.dtype == np.float32 else np.empty((k_max, d), dtype=np.float32)
-    gathered = np.empty((k_max, d))
     s32 = np.empty((k_max, len(ids)), dtype=np.float32)
-    row_ids = np.arange(k_max)
     for start in range(0, open_rows.size, rows):
         at = open_rows[start:start + rows]
         k = len(at)
         # mode="clip" (no index is out of range): take then needs no buffer
         xs = np.take(X, at, axis=0, out=x_rows[:k], mode="clip")
-        x32[:k] = xs  # copies onto itself when X is float32
-        scores = np.matmul(x32[:k], band32_t, out=s32[:k])
-        rk = row_ids[:k]
+        scores = np.matmul(xs.astype(np.float32, copy=False), band32_t, out=s32[:k])
+        rk = np.arange(k)
         arg = np.argmax(scores, axis=1)
         top = scores[rk, arg].astype(np.float64)
         scores[rk, arg] = -np.inf  # now the runner-up leads (argmax beats max on short rows)
         gap = top - scores[rk, np.argmax(scores, axis=1)]
         near = np.flatnonzero(gap <= margin)
         b_lab = ids[arg]
-        b_best = np.vecdot(xs, np.take(reps, b_lab, axis=0, out=gathered[:k], mode="clip"))
+        b_best = np.vecdot(xs, reps[b_lab])
         if near.size:
             # near ties are rare: score them against all units, keep the band's
-            gathered[:near.size] = xs[near]
-            exact = np.matmul(gathered[:near.size], reps.T)[:, ids]
+            exact = np.matmul(xs[near].astype(np.float64), reps.T)[:, ids]
             arg = np.argmax(exact, axis=1)
             b_lab[near] = ids[arg]
             b_best[near] = exact[rk[:near.size], arg]
@@ -260,16 +254,14 @@ def batch_assignment(dataset: Dataset, batch_size: int, inner: KMeansConfig) -> 
         raise DomainError("inner must be a KMeansConfig")
     N = dataset.size
     _check_id_count(N)
-    order = np.empty(N, dtype=ID_DTYPE)
-    offsets_blocks = [np.zeros(1, dtype=ID_DTYPE)]
+    ids_blocks, offsets_blocks = [], [np.zeros(1, dtype=ID_DTYPE)]
     for i, start in enumerate(range(0, N, batch_size)):
-        stop = min(start + batch_size, N)
-        block = Dataset(dataset.vectors[start:stop])
+        block = Dataset(dataset.vectors[start:start + batch_size])
         part, _ = spherical_kmeans(block, replace(
             inner, M=min(inner.M, block.size), seed=inner.seed.child(f"batch{i}")))
-        np.add(part.member_ids, start, out=order[start:stop])
+        ids_blocks.append(part.member_ids + start)
         offsets_blocks.append(part.offsets[1:] + start)
-    return Partition(order, np.concatenate(offsets_blocks))
+    return Partition(np.concatenate(ids_blocks), np.concatenate(offsets_blocks))
 
 
 def imbalance_factor(p: Partition) -> float:

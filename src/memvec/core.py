@@ -11,6 +11,7 @@ first). Dataset ids, and the CSR offsets that delimit them, are held as
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -57,14 +58,15 @@ def normalize(v) -> np.ndarray:
 def _check_unit_rows(arr: np.ndarray, name: str) -> None:
     """The unit-row rule of datasets and queries: NormalizationError unless each row of the
     2-D ``arr`` has a finite float64 squared norm in (1 -/+ FILE_NORM_TOL)^2, by row chunks."""
-    # squared norms are >= 0, so the max is non-finite iff some coefficient is (NaN propagates)
-    lo, hi = np.inf, 0.0
+    lo, hi = math.inf, 0.0
     for start in range(0, len(arr), _NORM_ROWS):
         chunk = arr[start:start + _NORM_ROWS]
         sq = np.einsum("ij,ij->i", chunk, chunk, dtype=np.float64)
-        lo, hi = np.minimum(lo, sq.min()), np.maximum(hi, sq.max())
-    if not np.isfinite(hi):
-        raise NormalizationError(f"{name} has non-finite coefficients")
+        # squared norms are >= 0: the max is non-finite iff some coefficient is (NaN propagates)
+        top = float(sq.max())
+        if not math.isfinite(top):
+            raise NormalizationError(f"{name} has non-finite coefficients")
+        lo, hi = min(lo, float(sq.min())), max(hi, top)
     if lo < (1.0 - FILE_NORM_TOL) ** 2 or hi > (1.0 + FILE_NORM_TOL) ** 2:
         raise NormalizationError(f"{name} rows are not unit vectors")
 

@@ -36,23 +36,18 @@ def cosine_ground_truth(dataset: Dataset, queries: np.ndarray,
     as in ``query``.
 
     The queries are scored against one block of dataset rows at a time,
-    each copied (widened, when the dataset is float32) into one reused
-    float64 buffer, so neither the (Q, N) score matrix nor a float64 copy
-    of the dataset is made.
+    float64 rows in place and float32 rows widened per block, so neither
+    the (Q, N) score matrix nor a float64 copy of the dataset is made.
     """
     if np.isnan(alpha0):
         raise DomainError("alpha0 is NaN")
     queries = _checked_query(np.atleast_2d(queries), dataset.dim)
     X = dataset.vectors
     rows = max(1, BLOCK_FLOATS // max(len(queries), X.shape[1]))
-    buf = np.empty((min(rows, len(X)), X.shape[1]))
-    score_buf = np.empty(len(queries) * len(buf))  # flat: each view is contiguous
     q_hits, id_hits = [], []
     for start in range(0, len(X), rows):
-        block = buf[:min(rows, len(X) - start)]
-        block[...] = X[start:start + len(block)]
-        scores = np.matmul(queries, block.T,
-                           out=score_buf[:len(queries) * len(block)].reshape(-1, len(block)))
+        # widened explicitly: matmul's own cast of a transposed float32 block is slower
+        scores = queries @ X[start:start + rows].astype(np.float64, copy=False).T
         q, i = np.nonzero(scores >= alpha0)  # by query, then by id
         q_hits.append(q)
         id_hits.append(i + start)

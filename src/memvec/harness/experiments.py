@@ -102,9 +102,7 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
     M = -(-N // n)
     sizes = np.diff(np.minimum(np.arange(M + 1) * n, N))  # the last unit may be short
     rng = seed.child(f"cost-{construction}-{n}").generator()
-    reps = np.empty((M, d))
-    for first, _, m in _stream_units(d, n, M, construction, rng):
-        reps[first:first + len(m)] = m
+    reps = np.concatenate([m for *_, m in _stream_units(d, n, M, construction, rng)])
     blocks = _units(sample_sphere(d, rng, size=n_queries), d, M, lambda Y: Y @ reps.T, tau, None)
     ratios = (M + np.concatenate([mask @ sizes for *_, mask in blocks])) / N  # mask: S > tau
     theory = expected_cost_ratio(construction, n, d, alpha0, eps)

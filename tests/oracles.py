@@ -13,7 +13,6 @@ turns a ``QueryResult`` into Python values that compare with ==.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from memvec.analytic import log_beta, score_sf_log, std_normal_cdf
 from memvec.construction import ConstructionConfig, representatives
@@ -101,6 +100,9 @@ def cap_moment_quadrature(kappa: int, eta: float, d: int) -> float:
     """kappa-th moment of S' on the cap S' > eta: restricted moments of the
     exact score density, computed on an integrand scaled by its value at eta
     so narrow caps at large d do not underflow."""
+    # imported here, so the modules that use only the other oracles run without scipy
+    from scipy.integrate import quad
+
     b = (d - 3) / 2.0
     ref = math.log1p(-eta * eta) if eta > -1.0 else 0.0
 

@@ -475,10 +475,11 @@ class TestNearest:
         R = np.vstack([e[0] + 0.5 * e[1], e[0] + e[1]])
         assert np.array_equal(self._check(X[:1], R), [0])
 
-    def test_small_bands_gather_small_blocks(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_small_bands_gather_small_blocks(self, dtype):
         # one unit per band and almost no pruning: every band is scored
         # over nearly all rows, in blocks of about BLOCK_FLOATS floats
-        X = sample_sphere(64, Seed(40).generator(), size=20_000)  # 10 MB
+        X = sample_sphere(64, Seed(40).generator(), size=20_000).astype(dtype)  # 10 MB in float64
         R = sample_sphere(64, Seed(41).generator(), size=8) * 0.3 ** np.arange(8)[:, None]
         tracemalloc.start()
         try:

@@ -137,6 +137,15 @@ class TestDatasetChunks:
         with pytest.raises(NormalizationError, match="not unit"):
             Dataset(X)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_wins_over_an_earlier_non_unit_row(self, dtype):
+        # the first chunk fails the norm bound, the last holds a NaN
+        X = self._rows().astype(dtype)
+        X[1] *= 1.001
+        X[9, 0] = np.nan
+        with pytest.raises(NormalizationError, match="non-finite"):
+            Dataset(X)
+
 
 class TestMemoryIndex:
     """An index is a Partition, the CSR that checks the member ids and

@@ -89,6 +89,19 @@ class TestGroundTruth:
         assert sum(m.size for m in matches) > 0
         assert peak < 2**22
 
+    def test_float64_rows_are_scored_in_place(self):
+        # a block of 256 float64 rows is 1 MiB; its 8 x 256 scores are 16 KiB
+        data = Dataset(sample_sphere(512, Seed(56).generator(), size=4096))
+        Q = sample_sphere(512, Seed(57).generator(), size=8)
+        tracemalloc.start()
+        try:
+            matches = cosine_ground_truth(data, Q, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(m.size for m in matches) > 0
+        assert peak < 2**18
+
 
 class TestEvaluateResults:
     def test_hand_computed(self):
