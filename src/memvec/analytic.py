@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_count
+from .core import CONSTRUCTIONS, _check_count
 from .errors import DomainError
 
 __all__ = [
@@ -223,7 +223,7 @@ def _check_alpha(alpha: float) -> None:
 
 def _check_model(construction: str, alpha: float, n: int, d: int) -> tuple[int, int]:
     # the domain score_law and cap_stats share; each checks its own range of the ints n, d
-    if construction not in ("sum", "pinv"):
+    if construction not in CONSTRUCTIONS:
         raise DomainError(f"unknown construction {construction!r}")
     _check_alpha(alpha)
     return _check_count(n, "n", -math.inf), _check_count(d, "d", -math.inf)

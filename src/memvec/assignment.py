@@ -11,9 +11,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .construction import ConstructionConfig, representatives
-from .core import (BLOCK_FLOATS, FILE_NORM_TOL, ID_DTYPE, TEMP_BYTES, Dataset, Partition,
-                   _check_count, _check_id_count)
+from .construction import representatives
+from .core import (BLOCK_FLOATS, CONSTRUCTIONS, FILE_NORM_TOL, ID_DTYPE, TEMP_BYTES, Dataset,
+                   Partition, _check_count, _check_id_count)
 from .errors import DomainError
 from .sampling import Seed
 
@@ -29,13 +29,13 @@ __all__ = [
 @dataclass(frozen=True)
 class KMeansConfig:
     M: int
-    mode: str = "pinv"  # "sum" | "pinv"
+    mode: str = "pinv"  # one of CONSTRUCTIONS
     normalize_representative: bool = False
     max_iters: int = 20
     seed: Seed = field(default_factory=lambda: Seed(0))
 
     def __post_init__(self):
-        if self.mode not in ("sum", "pinv"):
+        if self.mode not in CONSTRUCTIONS:
             raise DomainError(f"unknown k-means mode {self.mode!r}")
         _check_count(self.M, "M", 1)
         _check_count(self.max_iters, "max_iters", 1)
@@ -86,7 +86,6 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
     rng = cfg.seed.generator()
     # widened, so the first step's scores are float64 like the rest
     reps = X[rng.choice(N, size=cfg.M, replace=False)].astype(np.float64, copy=False)
-    construction = ConstructionConfig(kind=cfg.mode)
 
     part = None
     for _ in range(cfg.max_iters):
@@ -96,7 +95,7 @@ def spherical_kmeans(dataset: Dataset, cfg: KMeansConfig) -> tuple[Partition, np
             break
         part = new
         reps = None  # freed before its successor is built, not after
-        reps = representatives(X, part, construction)
+        reps = representatives(X, part, cfg.mode)
         if cfg.normalize_representative:
             norms = np.linalg.norm(reps, axis=1, keepdims=True)
             reps = np.divide(reps, norms, out=reps, where=norms > 0.0)

@@ -11,11 +11,9 @@ same Gram plus a ridge, and counted. ``representatives`` builds all units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Partition
+from .core import CONSTRUCTIONS, Partition
 from .errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
 
 __all__ = ["ConstructionConfig", "representatives"]
@@ -29,15 +27,16 @@ _FALLBACK_RIDGE = 1e-6
 _RESIDUAL_BOUND = 2e-8
 
 
-@dataclass(frozen=True)
-class ConstructionConfig:
-    """kind: "sum" | "pinv"."""
+def _checked(kind: str) -> str:
+    if kind not in CONSTRUCTIONS:
+        raise DomainError(f"unknown construction kind {kind!r}")
+    return kind
 
-    kind: str = "pinv"
 
-    def __post_init__(self):
-        if self.kind not in ("sum", "pinv"):
-            raise DomainError(f"unknown construction kind {self.kind!r}")
+def ConstructionConfig(kind: str = "pinv") -> str:
+    """``kind`` itself, checked as ``representatives`` checks it: a name kept
+    for outside callers until they pass the string."""
+    return _checked(kind)
 
 
 def _pinv(gram: np.ndarray, block: np.ndarray, ones: np.ndarray, ridge: bool = False):
@@ -65,9 +64,10 @@ def _pinv(gram: np.ndarray, block: np.ndarray, ones: np.ndarray, ridge: bool = F
     return reps, np.max(np.abs(block @ reps[..., None] - 1.0), axis=(1, 2))
 
 
-def representatives(X: np.ndarray, partition: Partition, cfg: ConstructionConfig,
+def representatives(X: np.ndarray, partition: Partition, kind: str,
                     report: dict | None = None) -> np.ndarray:
-    """(M, d) representatives of the partition's units, their rows of X
+    """(M, d) representatives of the partition's units by the construction
+    ``kind``, "sum" or "pinv", checked first. Their rows of X are
     gathered by ``partition.members_of`` in (b, n, d) batches of equal size n.
     X is used as stored (float32 or float64) and must have ``partition.N``
     rows; each batch is widened to float64, so sums and solves are float64
@@ -80,6 +80,7 @@ def representatives(X: np.ndarray, partition: Partition, cfg: ConstructionConfig
     their representatives, do not depend on the batch. A passed dict
     receives ``fallbacks``, the units that took the ridge, and
     ``max_residual``, the worst |<m_j, x_i> - 1| (0 for sum)."""
+    _checked(kind)
     X = np.asarray(X)
     if X.ndim != 2 or len(X) != partition.N:
         raise DimensionError("partition size does not match the dataset")
@@ -98,7 +99,7 @@ def representatives(X: np.ndarray, partition: Partition, cfg: ConstructionConfig
             block = None  # free the last batch, so two are never alive at once
             block = np.take(X, partition.members_of(js).reshape(js.size, n), axis=0)
             block = block.astype(np.float64, copy=False)
-            if cfg.kind == "sum":
+            if kind == "sum":
                 reps[js] = block.sum(axis=1)
                 continue
             gram = block @ block.transpose(0, 2, 1)

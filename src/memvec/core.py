@@ -22,11 +22,12 @@ from .errors import DimensionError, DomainError, EmptyUnitError, ModelError, Nor
 FILE_NORM_TOL = 1e-4  # loose bound for stored vectors: files hold float32
 BLOCK_FLOATS = 1 << 17  # float64 score block, and gathered row block, of about 1 MB
 TEMP_BYTES = 1 << 17  # a chunked kernel's temporary: 128 KiB, glibc's initial mmap threshold
-_NORM_ROWS = 1 << 13  # rows per squared-norm chunk in the unit-row check
+CONSTRUCTIONS = ("sum", "pinv")  # the construction kinds; MVIX numbers them in io._TAGS
 ID_DTYPE = np.dtype(np.int32)  # member ids and CSR offsets; MVIX stores them as uint32
 MAX_IDS = int(np.iinfo(ID_DTYPE).max)  # N <= 2^31 - 1: offsets[-1] = N must fit too
 
 __all__ = [
+    "CONSTRUCTIONS",
     "ID_DTYPE",
     "MAX_IDS",
     "normalize",
@@ -57,10 +58,11 @@ def normalize(v) -> np.ndarray:
 
 def _check_unit_rows(arr: np.ndarray, name: str) -> None:
     """The unit-row rule of datasets and queries: NormalizationError unless each row of the
-    2-D ``arr`` has a finite float64 squared norm in (1 -/+ FILE_NORM_TOL)^2, by row chunks."""
-    lo, hi = math.inf, 0.0
-    for start in range(0, len(arr), _NORM_ROWS):
-        chunk = arr[start:start + _NORM_ROWS]
+    2-D ``arr`` has a finite float64 squared norm in (1 -/+ FILE_NORM_TOL)^2, by chunks of
+    ``TEMP_BYTES`` of squared norms."""
+    lo, hi, rows = math.inf, 0.0, TEMP_BYTES // 8
+    for start in range(0, len(arr), rows):
+        chunk = arr[start:start + rows]
         sq = np.einsum("ij,ij->i", chunk, chunk, dtype=np.float64)
         # squared norms are >= 0: the max is non-finite iff some coefficient is (NaN propagates)
         top = float(sq.max())
@@ -216,10 +218,10 @@ class MemoryIndex:
 
     representatives: np.ndarray  # (M, d) float64
     partition: Partition
-    construction: str  # "sum" | "pinv"
+    construction: str  # one of CONSTRUCTIONS
 
     def __post_init__(self):
-        if self.construction not in ("sum", "pinv"):
+        if self.construction not in CONSTRUCTIONS:
             raise ModelError(f"unknown construction tag {self.construction!r}")
         # a view, so the caller's array stays writeable when it is not copied
         reps = np.asarray(self.representatives, dtype=np.float64).view()

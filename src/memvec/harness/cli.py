@@ -18,8 +18,7 @@ import numpy as np
 
 from .. import analytic
 from ..assignment import KMeansConfig, batch_assignment, random_assignment, spherical_kmeans
-from ..construction import ConstructionConfig
-from ..core import Dataset, _check_count
+from ..core import CONSTRUCTIONS, Dataset, _check_count
 from ..errors import DomainError, MemvecError
 from ..sampling import Seed, make_clustered_dataset, sample_sphere
 from ..search import _check_selector, build_index, query_batch
@@ -85,7 +84,6 @@ def _cmd_build(args) -> int:
     for dest in needs:  # each count under the name the library checks it by
         _check_count(getattr(args, dest), {"unit_size": "n"}.get(dest, dest), 1)
     seed = Seed(args.seed)
-    cfg = ConstructionConfig(kind=args.construction)
     if args.assign != "random":
         km = KMeansConfig(M=args.M, mode=args.construction,
                           normalize_representative=args.normalize, seed=seed)
@@ -96,7 +94,7 @@ def _cmd_build(args) -> int:
         part, _ = spherical_kmeans(data, km)
     else:  # batch-kmeans
         part = batch_assignment(data, args.batch_size, km)
-    index = build_index(data, part, cfg)
+    index = build_index(data, part, args.construction)
     io.write_index(index, args.out)
     return 0
 
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           for _ in range(5))
     out.add_argument("--out", default=None)
     seed.add_argument("--seed", type=int, default=0)
-    constructions.add_argument("--constructions", nargs="+", default=["sum", "pinv"])
+    constructions.add_argument("--constructions", nargs="+", default=list(CONSTRUCTIONS))
     h1.add_argument("--d", type=int, required=True)
     h1.add_argument("--n", type=int, required=True)
     h1.add_argument("--alpha", type=float, required=True)
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--data", required=True)
     b.add_argument("--assign", choices=["random", "kmeans", "batch-kmeans"],
                    default="random")
-    b.add_argument("--construction", choices=["sum", "pinv"], default="pinv")
+    b.add_argument("--construction", choices=CONSTRUCTIONS, default="pinv")
     b.add_argument("--unit-size", type=int, default=0)
     b.add_argument("--M", type=int, default=0)
     b.add_argument("--normalize", action="store_true")

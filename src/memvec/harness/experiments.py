@@ -13,7 +13,7 @@ import numpy as np
 
 from ..analytic import error_rates, expected_cost_ratio, score_law, threshold_for
 from ..assignment import KMeansConfig, imbalance_factor, random_assignment, spherical_kmeans
-from ..construction import ConstructionConfig, representatives
+from ..construction import representatives
 from ..core import Dataset, Partition, _check_count
 from ..errors import DomainError
 from ..sampling import Seed, h1_queries, sample_sphere
@@ -39,12 +39,11 @@ def _stream_units(d: int, n: int, units: int, construction: str,
     index of the batch's first unit. Lazy, so a caller's own draws from
     ``rng`` between batches keep their place in the stream."""
     batch = max(1, _UNIT_BATCH_FLOATS // (n * d))
-    cfg = ConstructionConfig(kind=construction)
     for first in range(0, units, batch):
         b = min(batch, units - first)
         X = sample_sphere(d, rng, size=b * n)
         part = Partition(np.arange(b * n), np.arange(0, b * n + 1, n))  # consecutive units
-        yield first, X, representatives(X, part, cfg)
+        yield first, X, representatives(X, part, construction)
 
 
 def simulate_unit_scores(d: int, n: int, alpha: float, construction: str,
@@ -204,7 +203,7 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
             else:
                 part, _ = spherical_kmeans(dataset, replace(
                     km, mode=mode, normalize_representative=norm, seed=method_seed))
-            index = build_index(dataset, part, ConstructionConfig(kind=mode))
+            index = build_index(dataset, part, mode)
             sizes, unit_of = part.sizes, part.unit_of  # unit_of is rebuilt per access
             unit_matches = np.stack([np.bincount(unit_of[m], minlength=part.M)
                                      for m in matches])

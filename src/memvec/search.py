@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import ConstructionConfig, representatives
+from .construction import representatives
 from .core import BLOCK_FLOATS, TEMP_BYTES, Dataset, MemoryIndex, Partition, _check_unit_rows
 from .errors import DimensionError, DomainError, ModelError
 
@@ -50,17 +50,17 @@ class QueryResult:
     complexity_ratio: float
 
 
-def build_index(dataset: Dataset, partition: Partition, cfg: ConstructionConfig) -> MemoryIndex:
-    """One memory unit per partition cell, representative per the
-    construction config. The index holds ``partition`` itself.
+def build_index(dataset: Dataset, partition: Partition, kind: str) -> MemoryIndex:
+    """One memory unit per partition cell, its representative built by the
+    construction ``kind``, "sum" or "pinv". The index holds ``partition`` itself.
     Units that took the pinv ridge fallback are logged as a warning."""
     report = {}
-    reps = representatives(dataset.vectors, partition, cfg, report)
+    reps = representatives(dataset.vectors, partition, kind, report)
     if report["fallbacks"]:
         logging.getLogger("memvec").warning(
             "%d of %d units took the pinv ridge fallback; worst |<m_j, x_i> - 1| = %.3e",
             report["fallbacks"], partition.M, report["max_residual"])
-    return MemoryIndex(representatives=reps, partition=partition, construction=cfg.kind)
+    return MemoryIndex(representatives=reps, partition=partition, construction=kind)
 
 
 def _check_selector(tau: float | None, top_units: int | None) -> None:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from memvec.analytic import log_beta, score_sf_log, std_normal_cdf
-from memvec.construction import ConstructionConfig, representatives
+from memvec.construction import representatives
 from memvec.core import Partition
 
 
@@ -49,8 +49,7 @@ def pinv_vector(X, report: dict | None = None) -> np.ndarray:
     """pinv representative of the one unit that holds every row of X."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    return representatives(X, Partition(np.arange(n), np.array([0, n])),
-                           ConstructionConfig(kind="pinv"), report)[0]
+    return representatives(X, Partition(np.arange(n), np.array([0, n])), "pinv", report)[0]
 
 
 def score_cdf_exact(s, m_norm: float, d: int):

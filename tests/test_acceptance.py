@@ -16,7 +16,6 @@ from scipy.stats import kstest
 
 from memvec import analytic as A
 from memvec.assignment import random_assignment
-from memvec.construction import ConstructionConfig
 from memvec.core import Dataset
 from memvec.harness import io
 from memvec.harness.cli import main as cli_main
@@ -103,7 +102,7 @@ def test_03_pinv_constraint_zero_false_negative():
 
     data = Dataset(sample_sphere(d, _SEED.child("c3-data").generator(), size=1000))
     part = random_assignment(1000, n, _SEED.child("c3-assign").generator())
-    index = build_index(data, part, ConstructionConfig(kind="pinv"))
+    index = build_index(data, part, "pinv")
     reps = index.representatives
     unit_of = np.empty(1000, dtype=np.int64)
     for j in range(part.M):
@@ -372,7 +371,7 @@ def _binary_comparison(d: int, N: int, n: int, alpha: float, n_queries: int,
     rng = seed.child("data").generator()
     data = Dataset(sample_sphere(d, rng, size=N))
     part = random_assignment(N, n, seed.child("assign").generator())
-    index = build_index(data, part, ConstructionConfig(kind="pinv"))
+    index = build_index(data, part, "pinv")
     bindex = binarize(index, data)
 
     qrng = seed.child("queries").generator()

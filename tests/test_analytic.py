@@ -74,7 +74,6 @@ class TestNormal:
         code = ("import os, sys, numpy as np, memvec\n"
                 "from memvec import analytic as A\n"
                 "from memvec.assignment import Partition\n"
-                "from memvec.construction import ConstructionConfig\n"
                 "from memvec.core import Dataset\n"
                 "from memvec.harness.cli import main\n"
                 "from memvec.harness.evaluation import cosine_ground_truth, "
@@ -85,7 +84,7 @@ class TestNormal:
                 "A.expected_cost_ratio('pinv', 10, 128, 0.5, 0.01)\n"
                 "data = Dataset(np.eye(8)[[0, 0, 1, 2, 3, 4]])\n"
                 "part = Partition.from_labels(np.array([0, 0, 0, 1, 1, 1]), 2)\n"
-                "index = build_index(data, part, ConstructionConfig(kind='pinv'))\n"
+                "index = build_index(data, part, 'pinv')\n"
                 "res = query(index, data, np.eye(8)[0], tau=0.5)\n"
                 "gt = cosine_ground_truth(data, np.eye(8)[:1], 0.5)\n"
                 "ids = np.array([i for i, _ in res.candidates])\n"

@@ -16,7 +16,7 @@ from memvec.assignment import (
     random_assignment,
     spherical_kmeans,
 )
-from memvec.construction import ConstructionConfig, representatives
+from memvec.construction import representatives
 from memvec.core import FILE_NORM_TOL, Dataset
 from memvec.errors import DimensionError, DomainError
 from memvec.harness import experiments
@@ -304,7 +304,6 @@ def _kmeans_reference(dataset, cfg):
     X = dataset.vectors
     rng = cfg.seed.generator()
     reps = X[rng.choice(dataset.size, size=cfg.M, replace=False)]
-    construction = ConstructionConfig(kind=cfg.mode)
     labels = None
     for _ in range(cfg.max_iters):
         new_labels = np.argmax(X @ reps.T, axis=1)
@@ -313,7 +312,7 @@ def _kmeans_reference(dataset, cfg):
             break
         labels = new_labels
         part = Partition.from_labels(labels, cfg.M)
-        reps = representatives(X, part, construction)
+        reps = representatives(X, part, cfg.mode)
         if cfg.normalize_representative:
             norms = np.linalg.norm(reps, axis=1, keepdims=True)
             reps = np.divide(reps, norms, out=reps, where=norms > 0.0)

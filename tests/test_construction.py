@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from memvec import construction
-from memvec.assignment import KMeansConfig, spherical_kmeans
+from memvec import analytic, construction
+from memvec.assignment import KMeansConfig, random_assignment, spherical_kmeans
 from memvec.construction import ConstructionConfig, representatives
-from memvec.core import Dataset, Partition
-from memvec.errors import DimensionError, DomainError, EmptyUnitError, SingularGramError
+from memvec.core import CONSTRUCTIONS, Dataset, MemoryIndex, Partition
+from memvec.errors import (DimensionError, DomainError, EmptyUnitError, ModelError,
+                           SingularGramError)
+from memvec.harness.cli import main
 from memvec.sampling import Seed, sample_sphere
+from memvec.search import build_index
 
 from oracles import pinv_vector
 
@@ -16,25 +19,60 @@ class TestConstructionConfig:
         with pytest.raises(DomainError):
             ConstructionConfig(kind="mean")
 
+    @pytest.mark.parametrize("kind", CONSTRUCTIONS)
+    def test_builds_the_index_its_kind_builds(self, kind):
+        data = Dataset(sample_sphere(16, Seed(5).generator(), size=40))
+        part = random_assignment(data.size, 4, Seed(6).generator())
+        plain = build_index(data, part, kind)
+        shim = build_index(data, part, ConstructionConfig(kind=kind))
+        assert plain.construction == shim.construction == kind
+        assert plain.representatives.tobytes() == shim.representatives.tobytes()
+
+
+# 3 rows but 4 ids, and M = 0 or alpha = 2: each entry would refuse these too,
+# so the unknown-kind message shows that the kind is checked before any work
+_X = np.eye(4)[:3]
+_PART = Partition(np.arange(4), np.array([0, 4]))
+_ENTRIES = {
+    "representatives": (DomainError, lambda kind: representatives(_X, _PART, kind)),
+    "build_index": (DomainError, lambda kind: build_index(Dataset(_X), _PART, kind)),
+    "KMeansConfig": (DomainError, lambda kind: KMeansConfig(M=0, mode=kind)),
+    "MemoryIndex": (ModelError, lambda kind: MemoryIndex(_X, _PART, kind)),
+    "score_law": (DomainError, lambda kind: analytic.score_law(kind, 2.0, 10, 128)),
+}
+
+
+@pytest.mark.parametrize("kind", ["mean", "", "PINV"])
+@pytest.mark.parametrize("entry", [*_ENTRIES, "memvec build"])
+def test_every_entry_refuses_an_unknown_kind_first(entry, kind, tmp_path):
+    if entry == "memvec build":  # argparse refuses the choice before the missing file is read
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--data", str(tmp_path / "missing.fvecs"), "--construction", kind,
+                  "--out", str(tmp_path / "x.mvix")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.mvix").exists()
+        return
+    error, call = _ENTRIES[entry]
+    with pytest.raises(error, match="unknown"):
+        call(kind)
+
 
 class TestSumVector:
     def test_plain_sum(self):
         X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        out = representatives(X, Partition(np.arange(3), np.array([0, 3])),
-                              ConstructionConfig(kind="sum"))
+        out = representatives(X, Partition(np.arange(3), np.array([0, 3])), "sum")
         assert np.array_equal(out, [[2.0, 3.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyUnitError):
-            representatives(np.zeros((0, 2)), Partition(np.arange(0), np.array([0, 0])),
-                            ConstructionConfig(kind="sum"))
+            representatives(np.zeros((0, 2)), Partition(np.arange(0), np.array([0, 0])), "sum")
 
     @pytest.mark.parametrize("kind", ["sum", "pinv"])
     def test_no_units_rejected(self, kind):
         # as MemoryIndex refuses it: a partition of no units has no representatives
         with pytest.raises(EmptyUnitError):
             representatives(np.zeros((0, 2)), Partition(np.arange(0), np.array([0])),
-                            ConstructionConfig(kind=kind))
+                            kind)
 
 
 class TestPinvVector:
@@ -92,8 +130,7 @@ class TestPinvVector:
         X = sample_sphere(8, Seed(8).generator(), size=9)
         X[3:6] = 0.0
         with pytest.raises(SingularGramError):
-            representatives(X, Partition(np.arange(9), np.array([0, 3, 6, 9])),
-                            ConstructionConfig(kind="pinv"))
+            representatives(X, Partition(np.arange(9), np.array([0, 3, 6, 9])), "pinv")
 
 
 class TestRepresentativesKernel:
@@ -122,14 +159,14 @@ class TestRepresentativesKernel:
 
     def test_sum_bit_identical(self, layout):
         report = {}
-        reps = representatives(*layout, ConstructionConfig(kind="sum"), report)
+        reps = representatives(*layout, "sum", report)
         for rep, unit in zip(reps, self._units(*layout)):
             assert np.array_equal(rep, unit.sum(axis=0))
         assert report == {"fallbacks": 0, "max_residual": 0.0}
 
     def test_pinv_matches_per_unit(self, layout):
         report = {}
-        reps = representatives(*layout, ConstructionConfig(kind="pinv"), report)
+        reps = representatives(*layout, "pinv", report)
         fallbacks, worst = 0, 0.0
         for rep, unit in zip(reps, self._units(*layout)):
             unit_report = {}
@@ -144,20 +181,19 @@ class TestRepresentativesKernel:
         # 3 D floats a batch: three units of size 1, one of any other size,
         # so every size held by two or more units spans two or more batches
         whole_report = {}
-        whole = representatives(*layout, ConstructionConfig(kind=kind), whole_report)
+        whole = representatives(*layout, kind, whole_report)
         monkeypatch.setattr(construction, "_BATCH_FLOATS", 3 * self.D)
         sizes, counts = np.unique(layout[1].sizes, return_counts=True)
         steps = np.maximum(1, 3 * self.D // (sizes * self.D))
         assert np.all(steps[counts >= 2] < counts[counts >= 2])
         report = {}
-        assert np.array_equal(representatives(*layout, ConstructionConfig(kind=kind), report), whole)
+        assert np.array_equal(representatives(*layout, kind, report), whole)
         assert report == whole_report
 
     def test_empty_unit_rejected(self, layout):
         X, part = layout
         with pytest.raises(EmptyUnitError):
-            representatives(X, Partition(part.member_ids, np.array([0, 0, part.N])),
-                            ConstructionConfig())
+            representatives(X, Partition(part.member_ids, np.array([0, 0, part.N])), "pinv")
 
     @pytest.mark.parametrize("kind", ["sum", "pinv"])
     @pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
@@ -166,7 +202,7 @@ class TestRepresentativesKernel:
         X, part = layout
         X = np.vstack([X, X[:1]]) if extra > 0 else X[:-1]
         with pytest.raises(DimensionError, match="partition size does not match"):
-            representatives(X, part, ConstructionConfig(kind=kind))
+            representatives(X, part, kind)
 
 
 class TestNearDependentUnits:
@@ -192,13 +228,13 @@ class TestNearDependentUnits:
         X = self._data(pair, noise)
         units = Partition(np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4))
         report = {}
-        reps = representatives(X, units, ConstructionConfig(kind="pinv"), report)
+        reps = representatives(X, units, "pinv", report)
 
         fallbacks, worst = 0, 0.0
         for j in range(self.UNITS):
             unit = {}
             alone = representatives(X[4 * j:4 * j + 4], Partition(np.arange(4), np.array([0, 4])),
-                                    ConstructionConfig(kind="pinv"), unit)
+                                    "pinv", unit)
             assert np.array_equal(reps[j], alone[0])
             fallbacks += unit["fallbacks"]
             worst = max(worst, unit["max_residual"])
@@ -237,7 +273,7 @@ class TestNearDependentUnits:
             np.linalg.solve(X[28:32] @ X[28:32].T, np.ones(4))
         report = {}
         units = Partition(np.arange(X.shape[0]), np.arange(0, X.shape[0] + 1, 4))
-        reps = representatives(X, units, ConstructionConfig(kind="pinv"), report)
+        reps = representatives(X, units, "pinv", report)
         fallbacks = 0
         for j in range(self.UNITS):
             unit = {}

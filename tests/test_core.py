@@ -109,7 +109,7 @@ class TestDatasetChunks:
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(core, "_NORM_ROWS", 4)
+        monkeypatch.setattr(core, "TEMP_BYTES", 32)  # chunks of 4 rows
 
     @staticmethod
     def _rows(n=11):

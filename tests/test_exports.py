@@ -5,6 +5,7 @@ exports only what it defines, so each name has one home."""
 import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -47,3 +48,40 @@ def test_submodules_export_only_their_own_names(name):
 
     foreign = [n for n in module.__all__ if not own(n)]
     assert not foreign, f"{name}.__all__ names {foreign}, which it does not define"
+
+
+
+def _library_trees() -> dict[str, ast.Module]:
+    """The parsed source of every module of the package, by module name."""
+    root = pathlib.Path(importlib.import_module("memvec").__file__).parent
+    trees = {}
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root).with_suffix("").parts
+        name = ".".join(("memvec", *parts)).removesuffix(".__init__")
+        trees[name] = ast.parse(path.read_text(encoding="utf-8"))
+    return trees
+
+
+def test_only_construction_names_the_config_shim():
+    # ConstructionConfig is kept for callers outside the package only
+    def names(node):
+        return {getattr(node, field, None) for field in ("id", "attr", "name")}
+
+    naming = {name for name, tree in _library_trees().items()
+              if any("ConstructionConfig" in names(node) for node in ast.walk(tree))}
+    assert naming == {"memvec.construction"}
+
+
+def test_the_construction_kinds_are_spelled_once():
+    def is_pair(node):
+        elts = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", [])
+        return {getattr(e, "value", None) for e in elts} == {"sum", "pinv"} and len(elts) == 2
+
+    spelled = set()
+    for name, tree in _library_trees().items():
+        # io._TAGS numbers the kinds for the MVIX format: a format table, not a check
+        exempt = {id(node.value) for node in tree.body if name == "memvec.harness.io"
+                  and isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_TAGS"}
+        if any(is_pair(node) and id(node) not in exempt for node in ast.walk(tree)):
+            spelled.add(name)
+    assert spelled == {"memvec.core"}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from memvec.assignment import random_assignment
-from memvec.construction import ConstructionConfig
 from memvec.core import Dataset, MemoryIndex, Partition
 from memvec.errors import FormatError, ModelError
 from memvec.harness import io
@@ -176,7 +175,7 @@ class TestIvecs:
 def _make_index(construction="pinv"):
     data = Dataset(sample_sphere(24, Seed(2).generator(), size=40))
     part = random_assignment(40, 7, Seed(3).generator())
-    return data, build_index(data, part, ConstructionConfig(kind=construction))
+    return data, build_index(data, part, construction)
 
 
 class TestIndexContainer:

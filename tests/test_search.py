@@ -8,7 +8,6 @@ import pytest
 
 from memvec import search
 from memvec.assignment import random_assignment
-from memvec.construction import ConstructionConfig
 from memvec.core import ID_DTYPE, Dataset, MemoryIndex, Partition
 from memvec.errors import DimensionError, DomainError, ModelError, NormalizationError
 from memvec.harness.evaluation import cosine_ground_truth
@@ -29,14 +28,14 @@ def _binary_index(rows, unit_of):
     rows = np.asarray(rows, dtype=np.float64)
     data = Dataset(rows / np.linalg.norm(rows, axis=1, keepdims=True))
     part = Partition.from_labels(np.asarray(unit_of), max(unit_of) + 1)
-    return binarize(build_index(data, part, ConstructionConfig(kind="sum")), data)
+    return binarize(build_index(data, part, "sum"), data)
 
 
 @pytest.fixture(scope="module")
 def small_index():
     data = Dataset(sample_sphere(32, Seed(20).generator(), size=120))
     part = random_assignment(120, 8, Seed(21).generator())
-    index = build_index(data, part, ConstructionConfig(kind="pinv"))
+    index = build_index(data, part, "pinv")
     return data, index
 
 
@@ -50,13 +49,12 @@ class TestBuildIndex:
     def test_partition_of_another_size_rejected(self, small_index):
         data, index = small_index
         with pytest.raises(DimensionError, match="partition size does not match"):
-            build_index(Dataset(data.vectors[:100]), index.partition,
-                        ConstructionConfig(kind="sum"))
+            build_index(Dataset(data.vectors[:100]), index.partition, "sum")
 
     def test_sum_representatives(self):
         data = Dataset(sample_sphere(16, Seed(22).generator(), size=20))
         part = random_assignment(20, 5, Seed(23).generator())
-        index = build_index(data, part, ConstructionConfig(kind="sum"))
+        index = build_index(data, part, "sum")
         for j, ids in enumerate(_units(index)):
             expect = data.vectors[ids].sum(axis=0)
             assert np.allclose(index.representatives[j], expect, atol=1e-14)
@@ -65,11 +63,11 @@ class TestBuildIndex:
         X = sample_sphere(16, Seed(36).generator(), size=20)
         part = Partition.from_labels(np.arange(20) // 5, 4)
         with caplog.at_level(logging.WARNING, logger="memvec"):
-            build_index(Dataset(X), part, ConstructionConfig(kind="pinv"))
+            build_index(Dataset(X), part, "pinv")
             assert not caplog.records
             X = X.copy()
             X[1] = X[0]  # a duplicated member in unit 0
-            build_index(Dataset(X), part, ConstructionConfig(kind="pinv"))
+            build_index(Dataset(X), part, "pinv")
         [record] = caplog.records
         assert record.name == "memvec" and record.levelno == logging.WARNING
         assert "1 of 4 units" in record.getMessage()
@@ -84,7 +82,7 @@ class TestBuildIndex:
         try:
             data = Dataset(X)
             part = random_assignment(N, n, Seed(47).generator())
-            index = build_index(data, part, ConstructionConfig(kind="pinv"))
+            index = build_index(data, part, "pinv")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -179,7 +177,7 @@ class TestQuery:
         w[1] = 1.0
         data = Dataset(np.vstack([v, w, v, w]))
         part = random_assignment(4, 2, Seed(29).generator())
-        index = build_index(data, part, ConstructionConfig(kind="sum"))
+        index = build_index(data, part, "sum")
         res = query(index, data, v, tau=-2.0)
         ids = [i for i, _ in res.candidates]
         assert ids.index(0) < ids.index(2)
@@ -259,8 +257,7 @@ class TestGather:
         unit_of = rng.permutation(np.repeat(np.arange(len(self.SIZES)), self.SIZES))
         rows = sample_sphere(d, rng, size=N).astype(request.param)
         data = Dataset(rows)
-        index = build_index(data, Partition.from_labels(unit_of, len(self.SIZES)),
-                            ConstructionConfig(kind="sum"))
+        index = build_index(data, Partition.from_labels(unit_of, len(self.SIZES)), "sum")
         assert index.partition.sizes.tolist() == list(self.SIZES)
         return data, index, binarize(index, data)
 
@@ -389,8 +386,7 @@ class TestQueryBoundary:
         # ground truth answer, and a row it refuses is a query they refuse
         short = np.full(128, 1 / np.sqrt(128)) * 0.9999
         data = Dataset(np.vstack([short, np.eye(128)[:7]]))
-        index = build_index(data, random_assignment(8, 4, Seed(50).generator()),
-                            ConstructionConfig(kind="sum"))
+        index = build_index(data, random_assignment(8, 4, Seed(50).generator()), "sum")
         for run in self._paths(data, index):
             run(data.vectors[0], 0.0)
         cosine_ground_truth(data, data.vectors[:1], 0.5)
@@ -398,8 +394,7 @@ class TestQueryBoundary:
         with pytest.raises(NormalizationError, match="not unit vectors"):
             Dataset(long[None])
         data = Dataset(np.eye(16))
-        index = build_index(data, random_assignment(16, 4, Seed(51).generator()),
-                            ConstructionConfig(kind="sum"))
+        index = build_index(data, random_assignment(16, 4, Seed(51).generator()), "sum")
         for run in self._paths(data, index) + (lambda y, _: cosine_ground_truth(data, y, 0.5),):
             with pytest.raises(NormalizationError, match="not unit vectors"):
                 run(long, 0.0)
@@ -573,8 +568,7 @@ class TestPackedLayer:
         # packing takes 128 KB of signs at a time
         N, d, n = 20_000, 256, 20
         data = Dataset(sample_sphere(d, Seed(50).generator(), size=N))
-        index = build_index(data, random_assignment(N, n, Seed(51).generator()),
-                            ConstructionConfig(kind="sum"))
+        index = build_index(data, random_assignment(N, n, Seed(51).generator()), "sum")
         tracemalloc.start()
         try:
             bindex = binarize(index, data)
@@ -606,7 +600,7 @@ class TestPackedLayer:
         X = sample_sphere(d, Seed(44).generator(), size=M)
         part = Partition.from_labels(np.arange(M), M)
         data = Dataset(X)
-        bindex = binarize(build_index(data, part, ConstructionConfig(kind="sum")), data)
+        bindex = binarize(build_index(data, part, "sum"), data)
         y = sample_sphere(d, Seed(45).generator(), size=1)[0]
         query_binary(bindex, y, tau=0.08, mode="asymmetric")  # warm up
         tracemalloc.start()
@@ -628,8 +622,7 @@ class TestSketchOnly:
 
     def test_index_can_be_dropped(self):
         data = Dataset(sample_sphere(32, Seed(90).generator(), size=120))
-        index = build_index(data, random_assignment(120, 8, Seed(91).generator()),
-                            ConstructionConfig(kind="pinv"))
+        index = build_index(data, random_assignment(120, 8, Seed(91).generator()), "pinv")
         bindex = binarize(index, data)
         runs = [(y, mode) for y in sample_sphere(32, Seed(92).generator(), size=6)
                 for mode in ("symmetric", "asymmetric")]
@@ -646,8 +639,7 @@ class TestSketchOnly:
         rng = Seed(93).generator()
         data13 = Dataset(sample_sphere(13, rng, size=40))
         data16 = Dataset(sample_sphere(16, rng, size=40))
-        index = build_index(data13, random_assignment(40, 4, rng),
-                            ConstructionConfig(kind="sum"))
+        index = build_index(data13, random_assignment(40, 4, rng), "sum")
         with pytest.raises(DimensionError, match="dataset does not match the index"):
             binarize(index, data16)
 

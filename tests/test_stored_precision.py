@@ -9,7 +9,6 @@ import pytest
 
 from memvec import search
 from memvec.assignment import KMeansConfig, random_assignment, spherical_kmeans
-from memvec.construction import ConstructionConfig
 from memvec.core import Dataset
 from memvec.harness import io
 from memvec.harness.evaluation import cosine_ground_truth
@@ -47,8 +46,7 @@ def test_kmeans_identical(pair, mode, norm):
 
 @pytest.mark.parametrize("kind", ["sum", "pinv"])
 def test_index_and_mvix_bytes_identical(pair, partition, kind, tmp_path):
-    cfg = ConstructionConfig(kind=kind)
-    i32, i64 = (build_index(ds, partition, cfg) for ds in pair[:2])
+    i32, i64 = (build_index(ds, partition, kind) for ds in pair[:2])
     assert np.array_equal(i32.representatives, i64.representatives)
     io.write_index(i32, tmp_path / "a.mvix")
     io.write_index(i64, tmp_path / "b.mvix")
@@ -57,7 +55,7 @@ def test_index_and_mvix_bytes_identical(pair, partition, kind, tmp_path):
 
 def test_queries_identical(pair, partition):
     ds32, ds64, queries = pair
-    index = build_index(ds64, partition, ConstructionConfig(kind="pinv"))
+    index = build_index(ds64, partition, "pinv")
     b32, b64 = binarize(index, ds32), binarize(index, ds64)
     assert np.array_equal(search._pack_signs(ds32.vectors), search._pack_signs(ds64.vectors))
     for kw in ({"top_units": 5}, {"tau": 0.5}):
@@ -86,11 +84,10 @@ def test_no_whole_dataset_widening():
         ds = Dataset(rows)
         part, _ = spherical_kmeans(ds, KMeansConfig(M=1024, mode="sum", max_iters=3,
                                                     seed=Seed(26)))
-        build_index(ds, part, ConstructionConfig(kind="sum"))
+        build_index(ds, part, "sum")
         # sum k-means leaves units of over a thousand, whose pinv Gram alone is
         # larger than the bound; pinv is built over units of 16
-        build_index(ds, random_assignment(len(rows), 16, Seed(27).generator()),
-                    ConstructionConfig(kind="pinv"))
+        build_index(ds, random_assignment(len(rows), 16, Seed(27).generator()), "pinv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
