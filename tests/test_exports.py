@@ -50,7 +50,6 @@ def test_submodules_export_only_their_own_names(name):
     assert not foreign, f"{name}.__all__ names {foreign}, which it does not define"
 
 
-
 def _library_trees() -> dict[str, ast.Module]:
     """The parsed source of every module of the package, by module name."""
     root = pathlib.Path(importlib.import_module("memvec").__file__).parent
