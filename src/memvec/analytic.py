@@ -200,8 +200,7 @@ def score_sf_log(s, m_norm: float, d: int) -> np.ndarray:
     """log of the survival function P(Y'm > s), stable near s = m_norm:
     P(Y'm > s) = (1 - sign(t) I_{t^2}(1/2, b)) / 2 with t = s / ||m|| and
     b = (d - 1) / 2."""
-    if _check_count(d, "d", -math.inf) < 2:  # the integer check, then the range
-        raise DomainError("score distribution requires d >= 2")
+    _check_count(d, "d", 2)
     if not m_norm > 0.0:  # NaN fails too
         raise DomainError("m_norm must be positive")
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
@@ -222,11 +221,11 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_model(construction: str, alpha: float, n: int, d: int) -> tuple[int, int]:
-    # the domain score_law and cap_stats share; each checks its own range of the ints n, d
+    # the domain score_law and cap_stats share; cap_stats narrows n and d further
     if construction not in CONSTRUCTIONS:
         raise DomainError(f"unknown construction {construction!r}")
     _check_alpha(alpha)
-    return _check_count(n, "n", -math.inf), _check_count(d, "d", -math.inf)
+    return _check_count(n, "n", 1), _check_count(d, "d", 2)
 
 
 def score_law(construction: str, alpha: float, n: int, d: int) -> tuple[ScoreLaw, ScoreLaw]:
@@ -236,8 +235,6 @@ def score_law(construction: str, alpha: float, n: int, d: int) -> tuple[ScoreLaw
     pinv: H0 N(0, n/(d-n)),  H1 N(alpha, beta^2 n/(d-n)),  beta^2 = 1 - alpha^2
     """
     n, d = _check_model(construction, alpha, n, d)
-    if n < 1 or d < 2:
-        raise DomainError("need n >= 1 and d >= 2")
     if construction == "pinv" and n >= d:
         raise DomainError("pinv law requires n < d")
     if construction == "sum":
@@ -299,8 +296,7 @@ def cap_moment(kappa: int, eta: float, d: int) -> float:
     """
     if kappa not in (1, 2):
         raise DomainError("kappa must be 1 or 2")
-    if _check_count(d, "d", -math.inf) < 2:
-        raise DomainError("cap moments require d >= 2")
+    _check_count(d, "d", 2)
     _check_eta(eta)
     if eta > _ETA_ONE:  # cap collapses onto the axis
         return 1.0

@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                                           for _ in range(5))
     out.add_argument("--out", default=None)
     seed.add_argument("--seed", type=int, default=0)
-    constructions.add_argument("--constructions", nargs="+", default=list(CONSTRUCTIONS))
+    constructions.add_argument("--constructions", nargs="+", choices=CONSTRUCTIONS,
+                               default=list(CONSTRUCTIONS))
     h1.add_argument("--d", type=int, required=True)
     h1.add_argument("--n", type=int, required=True)
     h1.add_argument("--alpha", type=float, required=True)

@@ -6,7 +6,6 @@ bit-reproducible from its (config, seed) arguments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -94,9 +93,7 @@ def measure_cost(construction: str, n: int, d: int, alpha0: float, eps: float,
     Member vectors are generated unit-by-unit and discarded after the
     representative is computed, so N can be large.
     """
-    N, n_queries = _check_count(N, "N", -math.inf), _check_count(n_queries, "n_queries", -math.inf)
-    if N < 1 or n_queries < 1:
-        raise DomainError("N and n_queries must be >= 1")
+    N, n_queries = _check_count(N, "N", 1), _check_count(n_queries, "n_queries", 1)
     tau = threshold_for(construction, alpha0, n, d, eps)
     M = -(-N // n)
     sizes = np.diff(np.minimum(np.arange(M + 1) * n, N))  # the last unit may be short
@@ -176,17 +173,16 @@ def run_assignment_report(dataset: Dataset, methods: list[str], M: int,
     whose score exceeds the threshold is scanned (the production policy).
     ``kmeans_iters`` overrides the k-means iteration budget.
     """
-    n_queries = _check_count(n_queries, "n_queries", -math.inf)
-    top_k = _check_count(top_k, "top_k", -math.inf)
-    if n_queries < 1 or not seeds or not 1 <= top_k <= M:
-        raise DomainError("need n_queries >= 1, n_seeds >= 1 and 1 <= top_k <= M")
+    n_queries, top_k = _check_count(n_queries, "n_queries", 1), _check_count(top_k, "top_k", 1)
+    km_kwargs = {} if kmeans_iters is None else {"max_iters": kmeans_iters}
+    km = KMeansConfig(M=M, **km_kwargs)  # checks M and the iteration budget before any work
+    if not seeds or top_k > M:
+        raise DomainError("need n_seeds >= 1 and top_k <= M")
     if tau is not None:
         _check_selector(tau, None)  # before any work
     for method in methods:
         if method not in _METHODS:
             raise DomainError(f"unknown assignment method {method!r}")
-    km_kwargs = {} if kmeans_iters is None else {"max_iters": kmeans_iters}
-    km = KMeansConfig(M=M, **km_kwargs)  # checks M and the iteration budget before any work
     N = dataset.size
     qrng = seed.child("queries").generator()
     planted = qrng.integers(N, size=n_queries)

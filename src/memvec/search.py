@@ -210,31 +210,30 @@ def binarize(index: MemoryIndex, dataset: Dataset) -> BinaryIndex:
                        partition=index.partition, dataset=dataset)
 
 
-def _symmetric_scores(codes: np.ndarray, code_y: np.ndarray, d: int) -> np.ndarray:
-    """(d - 2 hamming) / d of each packed code against the packed query code,
-    XORed and counted a 64-bit word at a time."""
-    ham = np.bitwise_count(codes.view(np.uint64) ^ code_y.view(np.uint64))
-    return (d - 2 * ham.sum(axis=1, dtype=np.int64)) / d
+def _symmetric_scores(codes: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(d - 2 hamming) / d of each packed code against the packed sign code
+    of y, XORed and counted a 64-bit word at a time."""
+    ham = np.bitwise_count(codes.view(np.uint64) ^ _pack_signs(y[None]).view(np.uint64))
+    return (y.size - 2 * ham.sum(axis=1, dtype=np.int64)) / y.size
 
 
-def _byte_table(y: np.ndarray) -> np.ndarray:
-    """T[b, v]: sum of y over the set bits of byte value v at byte b."""
-    padded = np.zeros(8 * _sign_bytes(y.size))
-    padded[:y.size] = y
-    return padded.reshape(-1, 8) @ _BYTE_BITS.T
-
-
-def _asymmetric_scores(codes: np.ndarray, table: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _asymmetric_scores(codes: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(sum of +/- y_k) / sqrt(d) of each packed code, as
-    (2 sum_b T[b, code_b] - sum(y)) / sqrt(d) over its sign bytes b, looked up
+    (2 sum_b T[b, code_b] - sum(y)) / sqrt(d) over its sign bytes b, where
+    T[b, v] sums y over the set bits of byte value v at byte b; looked up
     ``TEMP_BYTES`` of int64 indices at a time."""
-    nb = table.shape[0]
-    flat, base = table.ravel(), 256 * np.arange(nb)
+    nb = _sign_bytes(y.size)
+    padded = np.zeros(8 * nb)
+    padded[:y.size] = y
+    flat, base = (padded.reshape(-1, 8) @ _BYTE_BITS.T).ravel(), 256 * np.arange(nb)
     on = np.empty(len(codes))
     step = max(1, TEMP_BYTES // (8 * nb))
     for s in range(0, len(codes), step):
         on[s:s + step] = flat.take(codes[s:s + step, :nb] + base).sum(axis=1)
     return (2.0 * on - y.sum()) / np.sqrt(y.size)
+
+
+_SCORERS = {"symmetric": _symmetric_scores, "asymmetric": _asymmetric_scores}
 
 
 def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
@@ -247,12 +246,9 @@ def query_binary(bindex: BinaryIndex, y: np.ndarray, tau: float | None = None,
     per-query table of y summed over each byte value. Thresholds apply to
     these normalized scores. Candidates re-rank with real inner products.
     """
-    if mode not in ("symmetric", "asymmetric"):
+    if mode not in tuple(_SCORERS):  # not a dict lookup: an unhashable mode is refused too
         raise DomainError(f"unknown binary mode {mode!r}")
     _check_selector(tau, top_units)  # the sketch checked its dataset; the scan checks y
-    if mode == "symmetric":
-        score = lambda Y: _symmetric_scores(bindex.unit_codes, _pack_signs(Y), Y.shape[1])[None]
-    else:
-        score = lambda Y: _asymmetric_scores(bindex.unit_codes, _byte_table(Y[0]), Y[0])[None]
+    score = lambda Y: _SCORERS[mode](bindex.unit_codes, Y[0])[None]
     return next(_scan(bindex.partition, bindex.dataset.vectors, np.asarray(y)[None], score,
                       tau, top_units))

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from memvec import analytic as A
+from memvec.assignment import random_assignment
 from memvec.errors import DomainError
+from memvec.sampling import Seed
 
 from oracles import cap_moment_quadrature, score_cdf_exact, score_cdf_gauss, score_pdf_exact
 
@@ -243,11 +245,11 @@ class TestErrorRates:
 
 
 @pytest.mark.parametrize("call, says", [
-    (lambda: A.score_sf_log(0.1, 1.0, 1), "score distribution requires d >= 2"),
+    (lambda: A.score_sf_log(0.1, 1.0, 1), "d must be >= 2, got 1"),
     (lambda: A.score_sf_log(0.1, 0.0, 8), "m_norm must be positive"),
     (lambda: A.threshold_for("sum", 0.9, 4, 16, 0.5), r"eps must lie in \(0, 1/2\)"),
     (lambda: A.threshold_for("sum", 0.0, 4, 16, 0.01), r"alpha0 must lie in \(0, 1\]"),
-    (lambda: A.cap_moment(1, 0.5, 1), "cap moments require d >= 2"),
+    (lambda: A.cap_moment(1, 0.5, 1), "d must be >= 2, got 1"),
     (lambda: A.gaussian_kl(0.0, 0.0, 0.0, 1.0), "variances must be positive"),
     (lambda: A.gaussian_kl(0.0, 1.0, 0.0, -1.0), "variances must be positive"),
     # NaN fails each test, instead of slipping past a `<= 0` one
@@ -257,10 +259,12 @@ class TestErrorRates:
     (lambda: A.gaussian_kl(0.0, 1.0, 0.0, math.nan), "variances must be positive"),
     (lambda: A.mp_pdf(1.0, 1.0), r"aspect ratio c must lie in \(0, 1\)"),
     (lambda: A.mp_pinv_norm_limit(0.0), r"aspect ratio c must lie in \(0, 1\)"),
+    # n <= N held for N = 0 only when n was below its own floor
+    (lambda: random_assignment(0, 1, Seed(0).generator()), "N must be >= 1, got 0"),
 ], ids=["score_sf_log-d", "score_sf_log-m_norm", "threshold_for-eps",
         "threshold_for-alpha0", "cap_moment-d", "gaussian_kl-var0", "gaussian_kl-var1",
         "score_sf_log-nan-m_norm", "score_sf_log-nan-score", "gaussian_kl-nan-var0",
-        "gaussian_kl-nan-var1", "mp_pdf-c", "mp_pinv_norm_limit-c"])
+        "gaussian_kl-nan-var1", "mp_pdf-c", "mp_pinv_norm_limit-c", "random_assignment-N"])
 def test_outside_the_domain_is_a_domain_error(call, says):
     with pytest.raises(DomainError, match=says):
         call()

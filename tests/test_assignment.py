@@ -652,6 +652,7 @@ class TestBatchAssignment:
     lambda ds, rng: KMeansConfig(M=2.5),
     lambda ds, rng: KMeansConfig(M=2, max_iters=1.5),
     lambda ds, rng: random_assignment(50, 2.5, rng),
+    lambda ds, rng: random_assignment(10.5, 2, rng),
     lambda ds, rng: batch_assignment(ds, 2.5, KMeansConfig(M=2)),
     lambda ds, rng: Partition.from_labels(np.array([0, 1, 0]), 2.5),
     lambda ds, rng: sample_sphere(8, rng, size=2.5),
@@ -670,11 +671,14 @@ class TestBatchAssignment:
                                                       n_queries=2.5, top_k=1, seed=Seed(1)),
     lambda ds, rng: experiments.run_assignment_report(ds, ["random"], 2, [0], 0.9, 0.7,
                                                       n_queries=2, top_k=1.5, seed=Seed(1)),
-], ids=["kmeans-M", "kmeans-max_iters", "random-n", "batch_size", "from_labels-M",
+    # once compared with top_k, a TypeError, before KMeansConfig checked it
+    lambda ds, rng: experiments.run_assignment_report(ds, ["random"], "4", [0], 0.9, 0.7,
+                                                      n_queries=2, top_k=1, seed=Seed(1)),
+], ids=["kmeans-M", "kmeans-max_iters", "random-n", "random-N", "batch_size", "from_labels-M",
         "sample-size", "cap-size", "clustered-per_cluster", "clustered-K",
         "threshold_for-n", "score_law-d", "score_sf_log-d", "cap_moment-d",
         "cap_stats-n", "cap_stats-d", "simulate-trials", "cost-N",
-        "report-n_queries", "report-top_k"])
+        "report-n_queries", "report-top_k", "report-M"])
 def test_non_integer_count_is_a_domain_error(call):
     # each once raised numpy's TypeError from deep inside
     ds = Dataset(sample_sphere(4, Seed(19).generator(), size=10))

@@ -372,8 +372,6 @@ class TestExitCodes:
         assert "tau is NaN" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, says", [
-        (["theory", "cap-stats", "--d", 128, "--n", 10, "--alpha", 0.8,
-          "--constructions", "foo"], "unknown construction 'foo'"),
         (["theory", "cap-stats", "--d", 128, "--n", 10, "--alpha", 0.8, "--etas", "nan"],
          "eta must be >= -1, got nan"),
         (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
@@ -384,13 +382,11 @@ class TestExitCodes:
          "alpha0 is NaN"),
         # the model's domain is checked before a unit is drawn
         (["experiment", "roc", "--d", 32, "--n", 0, "--alpha", 0.8],
-         "need n >= 1 and d >= 2"),
+         "n must be >= 1, got 0"),
         (["experiment", "roc", "--d", 1, "--n", 1, "--alpha", 0.8, "--constructions", "sum"],
-         "need n >= 1 and d >= 2"),
-        (["experiment", "roc", "--d", 32, "--n", 4, "--alpha", 0.8, "--constructions", "foo"],
-         "unknown construction 'foo'"),
-    ], ids=["cap-stats-construction", "cap-stats-nan-eta", "assignment-nan-tau",
-            "assignment-nan-alpha0", "roc-n-0", "roc-d-1", "roc-construction"])
+         "d must be >= 2, got 1"),
+    ], ids=["cap-stats-nan-eta", "assignment-nan-tau", "assignment-nan-alpha0", "roc-n-0",
+            "roc-d-1"])
     def test_bad_input_is_1_and_prints_no_rows(self, argv, says, capsys):
         assert run(argv) == 1
         captured = capsys.readouterr()
@@ -402,17 +398,17 @@ class TestExitCodes:
         (["experiment", "roc", "--d", 16, "--n", 4, "--alpha", 0.8, "--trials", -3],
          "trials must be >= 1"),
         (["experiment", "cost", "--d", 32, "--eps", 0.05, "--alpha0", 0.8, "--n-max", 5,
-          "--queries", 0], "N and n_queries must be >= 1"),
+          "--queries", 0], "n_queries must be >= 1, got 0"),
         (["experiment", "cost", "--d", 32, "--eps", 0.05, "--alpha0", 0.8, "--n-max", 5,
-          "--N", 0], "N and n_queries must be >= 1"),
+          "--N", 0], "N must be >= 1, got 0"),
         (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
-          "--M", 4, "--n-seeds", 1, "--queries", 0], "n_queries >= 1"),
+          "--M", 4, "--n-seeds", 1, "--queries", 0], "n_queries must be >= 1, got 0"),
         (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
-          "--M", 4, "--n-seeds", 1, "--top-k", 5], "1 <= top_k <= M"),
+          "--M", 4, "--n-seeds", 1, "--top-k", 5], "need n_seeds >= 1 and top_k <= M"),
         (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
-          "--M", 4, "--n-seeds", 1, "--top-k", -2], "1 <= top_k <= M"),
+          "--M", 4, "--n-seeds", 1, "--top-k", -2], "top_k must be >= 1, got -2"),
         (["experiment", "assignment", "--clusters", 4, "--per-cluster", 10, "--d", 16,
-          "--M", 4, "--n-seeds", 1, "--top-k", 0], "1 <= top_k <= M"),
+          "--M", 4, "--n-seeds", 1, "--top-k", 0], "top_k must be >= 1, got 0"),
         (["theory", "roc", "--d", 100, "--n", 10, "--alpha", 0.7, "--tau-steps", -1],
          "--tau-steps must be >= 1"),
         (["theory", "roc", "--d", 100, "--n", 10, "--alpha", 0.7, "--tau-steps", 0],

@@ -42,15 +42,26 @@ _ENTRIES = {
 }
 
 
+# argparse refuses the choice as a usage error (exit 2) before a file is read or a row printed
+_COMMANDS = {
+    "memvec build": lambda kind, tmp: ["build", "--data", str(tmp / "missing.fvecs"),
+                                       "--construction", kind, "--out", str(tmp / "x.mvix")],
+    "memvec theory cap-stats": lambda kind, tmp: ["theory", "cap-stats", "--d", "128", "--n",
+                                                  "10", "--alpha", "0.8", "--constructions",
+                                                  "sum", kind],
+    "memvec experiment roc": lambda kind, tmp: ["experiment", "roc", "--d", "32", "--n", "4",
+                                                "--alpha", "0.8", "--constructions", "sum", kind],
+}
+
+
 @pytest.mark.parametrize("kind", ["mean", "", "PINV"])
-@pytest.mark.parametrize("entry", [*_ENTRIES, "memvec build"])
-def test_every_entry_refuses_an_unknown_kind_first(entry, kind, tmp_path):
-    if entry == "memvec build":  # argparse refuses the choice before the missing file is read
+@pytest.mark.parametrize("entry", [*_ENTRIES, *_COMMANDS])
+def test_every_entry_refuses_an_unknown_kind_first(entry, kind, tmp_path, capsys):
+    if entry in _COMMANDS:
         with pytest.raises(SystemExit) as exc:
-            main(["build", "--data", str(tmp_path / "missing.fvecs"), "--construction", kind,
-                  "--out", str(tmp_path / "x.mvix")])
+            main(_COMMANDS[entry](kind, tmp_path))
         assert exc.value.code == 2
-        assert not (tmp_path / "x.mvix").exists()
+        assert capsys.readouterr().out == "" and not any(tmp_path.iterdir())
         return
     error, call = _ENTRIES[entry]
     with pytest.raises(error, match="unknown"):

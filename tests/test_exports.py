@@ -84,3 +84,18 @@ def test_the_construction_kinds_are_spelled_once():
         if any(is_pair(node) and id(node) not in exempt for node in ast.walk(tree)):
             spelled.add(name)
     assert spelled == {"memvec.core"}
+
+
+def test_every_count_is_checked_at_its_floor():
+    # a floor of -inf once deferred the range to a second, hand-written test
+    def floor_is_a_count(call):  # the floor passed third, as a literal int >= 0
+        floor = call.args[2] if len(call.args) > 2 else None
+        return isinstance(floor, ast.Constant) and type(floor.value) is int and floor.value >= 0
+
+    calls = [(name, call) for name, tree in _library_trees().items()
+             for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and ast.unparse(call.func) == "_check_count"]
+    assert len(calls) > 10
+    loose = [f"{name}: {ast.unparse(call)}" for name, call in calls
+             if not floor_is_a_count(call)]
+    assert not loose, loose

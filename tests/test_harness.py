@@ -198,13 +198,15 @@ class TestSimulateUnitScores:
         assert np.max(np.abs(h1 - 1.0)) < 1e-8
 
 
-    @pytest.mark.parametrize("d, n", [(32, 0), (1, 1)])
-    def test_model_domain_checked_before_drawing(self, d, n):
+    @pytest.mark.parametrize("d, n, says", [(32, 0, "n must be >= 1, got 0"),
+                                            (1, 1, "d must be >= 2, got 1")],
+                             ids=["32-0", "1-1"])
+    def test_model_domain_checked_before_drawing(self, d, n, says):
         # n = 0 divided by zero, d = 1 drew a NaN query, before either failed
         rng, ref = Seed(5).generator(), Seed(5).generator()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="need n >= 1 and d >= 2"):
+            with pytest.raises(DomainError, match=says):
                 simulate_unit_scores(d, n, 0.8, "sum", 10, rng)
         assert rng.bit_generator.state == ref.bit_generator.state
 
