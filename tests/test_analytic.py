@@ -259,7 +259,7 @@ class TestErrorRates:
     (lambda: A.gaussian_kl(0.0, 1.0, 0.0, math.nan), "variances must be positive"),
     (lambda: A.mp_pdf(1.0, 1.0), r"aspect ratio c must lie in \(0, 1\)"),
     (lambda: A.mp_pinv_norm_limit(0.0), r"aspect ratio c must lie in \(0, 1\)"),
-    # n <= N held for N = 0 only when n was below its own floor
+    # N had no floor of its own: N = 0 failed only through the n <= N test
     (lambda: random_assignment(0, 1, Seed(0).generator()), "N must be >= 1, got 0"),
 ], ids=["score_sf_log-d", "score_sf_log-m_norm", "threshold_for-eps",
         "threshold_for-alpha0", "cap_moment-d", "gaussian_kl-var0", "gaussian_kl-var1",
